@@ -7,6 +7,7 @@ from .exactnum import (
     SturmSequence,
     count_real_roots,
     count_roots_with_signs,
+    count_roots_with_signs_formula,
     isolate_real_roots,
     refine_interval,
     sturm_sequence,

@@ -4,6 +4,14 @@ Sturm chains, real root counting and isolation, Tarski queries, and counts
 of roots under simultaneous sign conditions.  All coefficients are
 ``fractions.Fraction``; no floating point appears anywhere.
 
+Sign-condition counts come in two forms.  `count_roots_with_signs` isolates
+the roots of m once and then runs one localized Tarski query per condition
+on each surviving isolating interval, so its cost is linear in the number r
+of conditions.  `count_roots_with_signs_formula` is the paper's averaged
+inclusion-exclusion over the 2**r exponent vectors in {1,2}**r; it stays as
+the isolation-free reference and is cross-checked against the first path
+and against isolate-and-evaluate by the `sturm_sign_count_oracle` criterion.
+
 Conventions:
   * coefficient sequences are lowest degree first;
   * sign-change counts delete zero entries from the sign sequence;
@@ -278,13 +286,31 @@ def isolate_real_roots(p: Polynomial) -> list[Interval]:
     The input must be squarefree; callers normalize via the gcd with the
     derivative first so that the provenance of the polynomial stays explicit.
     """
+    return _isolate(p, _squarefree_chain(p))
+
+
+def _squarefree_chain(p: Polynomial) -> SturmSequence:
+    """Sturm chain of p; raises unless p is nonzero and squarefree.
+
+    The chain ends at gcd(p, p'), so it doubles as the squarefree test.
+    """
     if p.is_zero:
         raise ZeroPolynomial()
-    if not is_squarefree(p):
+    chain = sturm_sequence(p)
+    if chain.polys[-1].degree > 0:
         raise NotSquarefree()
+    return chain
+
+
+def _isolate(p: Polynomial, chain: SturmSequence) -> list[Interval]:
+    """Isolating intervals of squarefree p, given its Sturm chain.
+
+    No endpoint is a root of p: endpoints are +/-bound, bisection midpoints
+    that are not roots, or the non-root ends of a window carved around a
+    rational root.
+    """
     if p.degree == 0:
         return []
-    chain = sturm_sequence(p)
     bound = _root_bound(p)
     out: list[Interval] = []
     stack = [(-bound, bound)]
@@ -320,41 +346,71 @@ def tarski_query(m: Polynomial, g: Polynomial) -> int:
     """Sum of sgn(g(c)) over the real roots c of m.
 
     Computed as the sign-change difference of the chain seeded with
-    (m, m'*g) at -infinity and +infinity, never by evaluating at roots.
+    (m, m'*g mod m) at -infinity and +infinity, never by evaluating at roots.
     """
-    if m.is_zero:
-        raise ZeroPolynomial()
-    if not is_squarefree(m):
-        raise NotSquarefree()
-    chain = _chain(m, m.derivative() * g)
-    return chain.count_all()
+    _squarefree_chain(m)
+    return _tarski_chain(m, g).count_all()
+
+
+def _tarski_chain(m: Polynomial, g: Polynomial) -> SturmSequence:
+    """Chain whose variation difference over (a, b) is TaQ(g, m; a, b).
+
+    Valid for squarefree m and endpoints a, b that are not roots of m.
+    Reducing m'*g mod m leaves the Cauchy index of (m'*g)/m unchanged and
+    keeps every chain member below the degree of m.
+    """
+    return _chain(m, (m.derivative() * g) % m)
+
+
+def _check_sign_conditions(m: Polynomial, gs) -> tuple[list, SturmSequence]:
+    """Validate a sign-condition query; return the conditions and m's chain."""
+    gs = list(gs)
+    if not gs:
+        raise EmptyConditions()
+    chain = _squarefree_chain(m)
+    for g in gs:
+        if g.is_zero or gcd(m, g).degree > 0:
+            raise SignConditionDegenerate()
+    return gs, chain
 
 
 def count_roots_with_signs(m: Polynomial, gs) -> int:
     """Number of real roots c of m with g(c) > 0 for every g in gs.
 
-    Uses the averaged inclusion-exclusion over exponent vectors e in
-    {1,2}**r: the count equals 2**(-r) * sum_e TaQ(g1**e1 * ... * gr**er, m).
+    Isolates the roots of m once.  For each condition g, one localized
+    Tarski query decides sgn g(c) at every root c still counted: across an
+    isolating interval (a, b) of c, the chain seeded with (m, m'*g mod m)
+    drops by exactly sgn g(c), because a and b are not roots of m and g is
+    coprime to m.  Roots failing a condition leave before the next one, so
+    the work is one isolation plus at most r chains.
     """
-    gs = list(gs)
-    if not gs:
-        raise EmptyConditions()
-    if m.is_zero:
-        raise ZeroPolynomial()
-    if not is_squarefree(m):
-        raise NotSquarefree()
+    gs, chain = _check_sign_conditions(m, gs)
+    roots = _isolate(m, chain)
     for g in gs:
-        if g.is_zero or gcd(m, g).degree > 0:
-            raise SignConditionDegenerate()
+        if not roots:
+            break
+        local = _tarski_chain(m, g)
+        roots = [iv for iv in roots if local.count_in(iv.lo, iv.hi) == 1]
+    return len(roots)
+
+
+def count_roots_with_signs_formula(m: Polynomial, gs) -> int:
+    """`count_roots_with_signs` by the paper's averaged inclusion-exclusion.
+
+    The count equals 2**(-r) * sum_e TaQ(g1**e1 * ... * gr**er, m) over the
+    exponent vectors e in {1,2}**r; products are reduced mod m, which leaves
+    their values at the roots of m unchanged.  Costs 2**r Tarski queries;
+    kept as the isolation-free reference path.
+    """
+    gs, _ = _check_sign_conditions(m, gs)
     r = len(gs)
+    powers = [(g % m, (g * g) % m) for g in gs]
     total = 0
-    for e in itertools.product((1, 2), repeat=r):
+    for factors in itertools.product(*powers):
         ge = Polynomial([1])
-        for gi, ei in zip(gs, e):
-            ge = ge * gi
-            if ei == 2:
-                ge = ge * gi
-        total += tarski_query(m, ge)
+        for f in factors:
+            ge = (ge * f) % m
+        total += _tarski_chain(m, ge).count_all()
     if total % (1 << r):
         raise AssertionError("sign-condition count is not divisible by 2^r")
     return total >> r

@@ -17,10 +17,11 @@ from .errors import NotInvertible, OrderingDoesNotRestrict
 from .exactnum import (
     Polynomial,
     count_roots_with_signs,
+    count_roots_with_signs_formula,
     gcd,
     is_squarefree,
     isolate_real_roots,
-    refine_interval,
+    sturm_sequence,
 )
 from .orderings import NumberField, embed_field, list_orderings
 from .qforms import signature_qf
@@ -119,22 +120,31 @@ def _random_poly(rng, max_deg, max_coeff):
     return Polynomial(coeffs + [lead])
 
 
-def _oracle_sign_at_root(g, p, iv):
-    """Sign of g at the isolated root of p: interval refinement only."""
+def _oracle_sign_at_root(g, p, chain, iv):
+    """Sign of g at the isolated root of p: interval refinement only.
+
+    `chain` is the Sturm chain of p and `iv` an isolating interval whose
+    endpoints are not roots of p; each step keeps the half holding the root.
+    """
+    lo, hi = iv.lo, iv.hi
     while True:
-        lo_v, hi_v = g.eval_interval(iv.lo, iv.hi)
+        lo_v, hi_v = g.eval_interval(lo, hi)
         if lo_v > 0:
             return 1
         if hi_v < 0:
             return -1
-        iv = refine_interval(p, iv, iv.width / 2)
-        if iv.width == 0:
-            v = g(iv.lo)
+        mid = (lo + hi) / 2
+        if p(mid) == 0:
+            v = g(mid)
             return (v > 0) - (v < 0)
+        if chain.count_in(lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
 
 
 def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
-    """Formula-path sign-condition counts against isolate-and-evaluate."""
+    """Both sign-condition count paths against isolate-and-evaluate."""
     done = 0
     mismatches = 0
     while done < instances:
@@ -149,12 +159,16 @@ def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
                 gs.append(g)
         if not gs:
             continue
+        chain = sturm_sequence(m)
         expected = sum(
             1
             for iv in isolate_real_roots(m)
-            if all(_oracle_sign_at_root(g, m, iv) == 1 for g in gs)
+            if all(_oracle_sign_at_root(g, m, chain, iv) == 1 for g in gs)
         )
-        if count_roots_with_signs(m, gs) != expected:
+        if (
+            count_roots_with_signs(m, gs) != expected
+            or count_roots_with_signs_formula(m, gs) != expected
+        ):
             mismatches += 1
         done += 1
     return CriterionResult(

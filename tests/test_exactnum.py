@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hermsig.exactnum import (
     Polynomial,
     count_real_roots,
     count_roots_with_signs,
+    count_roots_with_signs_formula,
     gcd,
     is_squarefree,
     isolate_real_roots,
@@ -123,12 +125,42 @@ def test_tarski_query_examples():
 
 
 def test_count_roots_with_signs_examples():
-    assert count_roots_with_signs(X2_MINUS_2, [P(0, 1)]) == 1
-    assert count_roots_with_signs(X2_MINUS_2, [P(0, -1), P(-10, 1)]) == 0
-    with pytest.raises(SignConditionDegenerate):
-        count_roots_with_signs(P(0, -1, 0, 1), [P(0, 1)])  # shared root at 0
-    with pytest.raises(EmptyConditions):
-        count_roots_with_signs(X2_MINUS_2, [])
+    for count in (count_roots_with_signs, count_roots_with_signs_formula):
+        assert count(X2_MINUS_2, [P(0, 1)]) == 1
+        assert count(X2_MINUS_2, [P(0, -1), P(-10, 1)]) == 0
+        with pytest.raises(SignConditionDegenerate):
+            count(P(0, -1, 0, 1), [P(0, 1)])  # shared root at 0
+        with pytest.raises(EmptyConditions):
+            count(X2_MINUS_2, [])
+        with pytest.raises(NotSquarefree):
+            count(P(0, 0, 1), [P(1)])
+
+
+def test_count_roots_with_signs_twenty_conditions():
+    # m = (x-1)(x-2)...(x-6).  The lower bounds x > a leave the roots >= 3
+    # (x > 5/2 is the tightest), the upper bounds b > x leave those <= 5
+    # (11/2 > x is the tightest), and the positive-definite quadratics hold
+    # everywhere: exactly the roots 3, 4, 5 satisfy all twenty conditions.
+    # The {1,2}^r formula would need 2^20 Tarski queries here.
+    m = P(1)
+    for k in range(1, 7):
+        m = m * P(-k, 1)
+    lower = [Fraction(5, 2), Fraction(1, 2), Fraction(3, 2), -1, Fraction(9, 4), 0, Fraction(2, 3)]
+    upper = [Fraction(11, 2), Fraction(13, 2), 7, 10, Fraction(23, 4), Fraction(61, 10)]
+    quadratics = [
+        P(1, 0, 1),  # x^2 + 1
+        P(Fraction(19, 2), -6, 1),  # (x-3)^2 + 1/2
+        P(18, -8, 1),  # (x-4)^2 + 2
+        P(1, 1, 1),  # x^2 + x + 1
+        P(5, -4, 2),  # 2(x-1)^2 + 3
+        P(26, -10, 1),  # (x-5)^2 + 1
+        P(2, 0, 1),  # x^2 + 2
+    ]
+    gs = [P(-a, 1) for a in lower] + [P(b, -1) for b in upper] + quadratics
+    assert len(gs) == 20
+    start = time.perf_counter()
+    assert count_roots_with_signs(m, gs) == 3
+    assert time.perf_counter() - start < 2.0
 
 
 def test_refine_interval():
@@ -180,7 +212,7 @@ def test_isolation_count_agreement_randomized():
 
 
 def test_sign_condition_count_against_bruteforce():
-    # isolate-and-evaluate oracle vs the 2^-r averaged Tarski-query formula
+    # isolate-and-evaluate oracle vs both sign-condition count paths
     rng = random.Random(777)
     done = 0
     while done < 200:
@@ -199,6 +231,7 @@ def test_sign_condition_count_against_bruteforce():
             if all(_interval_sign_at_root(g, m, iv) == 1 for g in gs):
                 expected += 1
         assert count_roots_with_signs(m, gs) == expected
+        assert count_roots_with_signs_formula(m, gs) == expected
         done += 1
 
 
