@@ -22,7 +22,7 @@ from .orderings import (
     list_orderings,
     sign_of,
 )
-from .qforms import QuadraticForm, diagonalize_symmetric, pfister, signature_qf
+from .qforms import QuadraticForm, pfister, signature_qf
 from .algebras import (
     AlgebraElement,
     AlgebraWithInvolution,

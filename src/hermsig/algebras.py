@@ -230,6 +230,34 @@ def quaternion_desc(
 
 
 # ---------------------------------------------------------------------------
+# seeded sampling
+
+
+def random_field_element(field: NumberField, rng, height: int) -> FieldElement:
+    """Power-basis coordinates drawn uniformly from [-height, height]."""
+    return field.element(
+        [Fraction(rng.randint(-height, height)) for _ in range(field.degree)]
+    )
+
+
+def random_d_matrix(desc: DivisionAlgebraDesc, n: int, rng, height: int):
+    """An n x n matrix over D, drawn row by row, component by component."""
+    return [
+        [
+            DElement(
+                desc,
+                tuple(
+                    random_field_element(desc.field, rng, height)
+                    for _ in range(desc.dim)
+                ),
+            )
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # matrices over D
 
 
@@ -255,10 +283,6 @@ def mat_mul(x, y):
 
 def mat_add(x, y):
     return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def mat_neg(x):
-    return [[-a for a in row] for row in x]
 
 
 def mat_theta_t(x):
@@ -416,13 +440,6 @@ class AlgebraWithInvolution:
     def _own(self, x: "AlgebraElement") -> None:
         if x.owner is not self:
             raise FieldMismatch("element belongs to a different algebra")
-
-    def dim_over_field(self) -> int:
-        return self.n * self.n * self.desc.dim
-
-    def dim_over_center(self) -> int:
-        d = self.desc.dim if self.desc.kind != QUADRATIC else 1
-        return self.n * self.n * d
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import sys
 from .errors import HermsigError, ParseError
 from .exactnum import count_roots_with_signs
 from .orderings import embed_field, list_orderings
+from .algebras import random_field_element
 from .hermitian import (
     nil_orderings,
     signature_vector,
@@ -55,7 +56,11 @@ def _load_config(path: str) -> dict:
 
 def _ordering_by_index(field, index):
     orderings = list_orderings(field)
-    if not isinstance(index, int) or not 0 <= index < len(orderings):
+    if (
+        isinstance(index, bool)
+        or not isinstance(index, int)
+        or not 0 <= index < len(orderings)
+    ):
         raise ParseError(f"ordering_index {index!r} out of range")
     return orderings[index]
 
@@ -63,7 +68,7 @@ def _ordering_by_index(field, index):
 def _cone_from_config(A, config) -> PositiveConeHandle:
     P = _ordering_by_index(A.field, config.get("ordering_index", 0))
     orientation = config.get("orientation", 1)
-    if orientation not in (1, -1):
+    if isinstance(orientation, bool) or orientation not in (1, -1):
         raise ParseError("orientation must be 1 or -1")
     return PositiveConeHandle(A, P, orientation)
 
@@ -103,17 +108,14 @@ def _cmd_signature(config, seed, bound):
 def _cmd_cones(config, seed, bound):
     A = jsonio.parse_algebra(config["algebra"])
     rng = random.Random(seed)
-    sample_size = config.get("samples", 50)
+    sample_size = jsonio.parse_count(config.get("samples", 50), "samples")
     cones = []
     ok = True
     for cone in list_positive_cones(A):
         half = sample_size // 2
         samples = [sample_cone_member(cone, rng) for _ in range(half)]
         samples += [sample_symmetric(A, rng) for _ in range(sample_size - half)]
-        scalars = [
-            A.field.element([rng.randint(-4, 4) for _ in range(A.field.degree)])
-            for _ in range(8)
-        ]
+        scalars = [random_field_element(A.field, rng, 4) for _ in range(8)]
         checks = cone_axioms_check(cone, samples, scalars)
         ok = ok and checks["pass"]
         cones.append(
@@ -189,7 +191,7 @@ def _cmd_extend(config, seed, bound):
     cone = _cone_from_config(A, config)
     Q = _ordering_by_index(dst, config.get("target_ordering_index", 0))
     rng = random.Random(seed)
-    samples = config.get("samples", 25)
+    samples = jsonio.parse_count(config.get("samples", 25), "samples")
     extended, report = extend_cone(emb, cone, Q, samples=samples, rng=rng)
     from .hermitian import local_degree_nP
 
@@ -205,12 +207,18 @@ def _cmd_extend(config, seed, bound):
 
 
 def _cmd_verify(config, seed, bound):
-    only = config.get("criteria") if config else None
-    if only:
+    only = config.get("criteria")
+    if only is not None:
+        if not isinstance(only, list) or not all(isinstance(c, str) for c in only):
+            raise ParseError("criteria must be an array of criterion names")
         unknown = set(only) - set(ALL_CRITERIA)
         if unknown:
             raise ParseError(f"unknown criteria: {sorted(unknown)}")
-    sizes = config.get("sizes", {}) if config else {}
+    sizes = config.get("sizes", {})
+    if not isinstance(sizes, dict):
+        raise ParseError("sizes must be an object")
+    for key, value in sizes.items():
+        jsonio.parse_count(value, f"sizes.{key}")
     results = run_suite(seed=seed, only=only, sizes=sizes)
     ok = all(r.passed for r in results)
     report = {

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .errors import (
     FieldMismatch,
     NilOrdering,
-    NotHermitian,
     NotInvertible,
     NotSymmetric,
     OrderingDoesNotRestrict,
@@ -22,19 +21,16 @@ from .errors import (
 from .algebras import (
     AlgebraElement,
     AlgebraWithInvolution,
-    DElement,
     DivisionAlgebraDesc,
     extend_scalars,
     mat_inv,
     mat_mul,
     mat_theta_t,
     push_algebra_element,
+    random_d_matrix,
+    random_field_element,
 )
-from .hermitian import (
-    _is_hermitian_d,
-    diagonalize_hermitian,
-    nil_orderings,
-)
+from .hermitian import diagonalize_hermitian, nil_orderings
 from .orderings import FieldElement, FieldEmbedding, OrderingHandle, list_orderings, sign_of
 
 
@@ -87,9 +83,6 @@ def psd_membership(
     """Positive semidefiniteness of a hermitian matrix over (D, theta) at P."""
     if P.owner != desc.field:
         raise FieldMismatch()
-    B = [list(row) for row in B]
-    if not _is_hermitian_d(B):
-        raise NotHermitian()
     G, d = diagonalize_hermitian(desc, B)
     if all(sign_of(x, P) >= 0 for x in d):
         return True, ConeWitness(tuple(tuple(r) for r in G), d)
@@ -146,9 +139,7 @@ def harrison_sigma(A: AlgebraWithInvolution, elements) -> tuple[PositiveConeHand
 
 def random_field_nonneg(field, P: OrderingHandle, rng, height: int = 4, strict: bool = False):
     while True:
-        x = field.element(
-            [Fraction(rng.randint(-height, height)) for _ in range(field.degree)]
-        )
+        x = random_field_element(field, rng, height)
         s = sign_of(x, P)
         if s == 0:
             if strict:
@@ -159,24 +150,7 @@ def random_field_nonneg(field, P: OrderingHandle, rng, height: int = 4, strict: 
 
 def random_invertible_d_matrix(desc: DivisionAlgebraDesc, n: int, rng, height: int = 2):
     while True:
-        M = [
-            [
-                DElement(
-                    desc,
-                    tuple(
-                        desc.field.element(
-                            [
-                                Fraction(rng.randint(-height, height))
-                                for _ in range(desc.field.degree)
-                            ]
-                        )
-                        for _ in range(desc.dim)
-                    ),
-                )
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
+        M = random_d_matrix(desc, n, rng, height)
         try:
             mat_inv(M)
         except NotInvertible:
@@ -207,25 +181,7 @@ def sample_cone_member(
 
 
 def sample_symmetric(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraElement:
-    entries = [
-        [
-            DElement(
-                A.desc,
-                tuple(
-                    A.field.element(
-                        [
-                            Fraction(rng.randint(-height, height))
-                            for _ in range(A.field.degree)
-                        ]
-                    )
-                    for _ in range(A.desc.dim)
-                ),
-            )
-            for _ in range(A.n)
-        ]
-        for _ in range(A.n)
-    ]
-    x = A.element(entries)
+    x = A.element(random_d_matrix(A.desc, A.n, rng, height))
     return x + A.involution(x)
 
 

@@ -197,16 +197,6 @@ def is_squarefree(p: Polynomial) -> bool:
     return gcd(p, p.derivative()).degree == 0
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p divided by gcd(p, p'); same distinct roots, each simple."""
-    if p.is_zero:
-        raise ZeroPolynomial()
-    g = gcd(p, p.derivative())
-    if g.degree == 0:
-        return p
-    return p.divmod(g)[0]
-
-
 def _count_changes(signs) -> int:
     changes = 0
     prev = 0

@@ -1,5 +1,11 @@
 """Hermitian forms over (A, sigma) and their signatures at orderings.
 
+`diagonalize_hermitian` is the one congruence diagonalization in the
+library.  It works over any (D, theta); a quadratic form over F is the
+hermitian form over the base kind (F, id), for which hermitian means
+symmetric, so Gram matrices of quadratic forms (the first-kind star
+pairing, `jsonio.parse_qform`) are diagonalized here as well.
+
 The signature of a form at a non-nil ordering is computed in two explicit
 steps: scale the Gram matrix on the left by Phi^(-1), then flatten the
 k x k matrix over M_n(D) to a kn x kn theta-hermitian matrix over D and
@@ -30,11 +36,13 @@ from .algebras import (
     AlgebraWithInvolution,
     DElement,
     DivisionAlgebraDesc,
+    base_desc,
     mat_identity,
     mat_mul,
+    random_d_matrix,
 )
 from .orderings import FieldElement, OrderingHandle, list_orderings, sign_of
-from .qforms import QuadraticForm, diagonalize_symmetric, tensor
+from .qforms import QuadraticForm, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +56,6 @@ def _is_hermitian_d(B) -> bool:
             if not (B[i][j] - B[j][i].conj()).is_zero:
                 return False
     return True
-
-
-def _trace_candidates(desc: DivisionAlgebraDesc):
-    return desc.basis()
 
 
 def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
@@ -122,7 +126,7 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
                 beta = B[s][t]
                 c = next(
                     cand
-                    for cand in _trace_candidates(desc)
+                    for cand in desc.basis()
                     if not (beta * cand + (beta * cand).conj()).is_zero
                 )
                 col_row_op(s, t, c)
@@ -155,19 +159,6 @@ def flatten_blocks(A: AlgebraWithInvolution, blocks):
                 for c in range(n):
                     out[i * n + r][j * n + c] = entries[r][c]
     return out
-
-
-def unflatten_matrix(A: AlgebraWithInvolution, M, k: int):
-    n = A.n
-    return [
-        [
-            A.element(
-                [[M[i * n + r][j * n + c] for c in range(n)] for r in range(n)]
-            )
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +275,6 @@ def form_scale(u: FieldElement, h: HermitianForm) -> HermitianForm:
     )
 
 
-def form_neg(h: HermitianForm) -> HermitianForm:
-    return HermitianForm(
-        h.owner, [[-e for e in row] for row in h.gram], _trusted=True
-    )
-
-
 def form_tensor_qf(q: QuadraticForm, h: HermitianForm) -> HermitianForm:
     """Tensor of a diagonal quadratic form with a hermitian form."""
     if q.owner != h.owner.field:
@@ -342,55 +327,6 @@ def congruence_transform(h: HermitianForm, G) -> HermitianForm:
         for i in range(k)
     ]
     return HermitianForm(A, prod, _trusted=True)
-
-
-def diagonalize_over_algebra(h: HermitianForm) -> tuple[AlgebraElement, ...]:
-    """Diagonal entries of a congruence diagonalization over A itself.
-
-    Pivots must be invertible in A, which can fail even for nonsingular
-    forms when A is not a division algebra; NotInvertible then signals the
-    caller to retry with a different presentation.
-    """
-    A = h.owner
-    k = h.dim
-    B = [list(row) for row in h.gram]
-
-    def swap(r, s):
-        for i in range(k):
-            B[i][r], B[i][s] = B[i][s], B[i][r]
-        B[r], B[s] = B[s], B[r]
-
-    for r in range(k):
-        pivot_col = None
-        for s in range(r, k):
-            if B[s][s].is_zero:
-                continue
-            try:
-                A.invert(B[s][s])
-            except NotInvertible:
-                continue
-            pivot_col = s
-            break
-        if pivot_col is None:
-            if all(
-                B[s][t].is_zero for s in range(r, k) for t in range(r, k)
-            ):
-                break  # radical
-            raise NotInvertible("no invertible diagonal pivot")
-        swap(r, pivot_col)
-        pinv = A.invert(B[r][r])
-        for t in range(r + 1, k):
-            if B[r][t].is_zero:
-                continue
-            c = -(pinv * B[r][t])
-            cs = A.involution(c)
-            for i in range(k):
-                if not B[i][r].is_zero:
-                    B[i][t] = B[i][t] + B[i][r] * c
-            for j in range(k):
-                if not B[r][j].is_zero:
-                    B[t][j] = B[t][j] + cs * B[r][j]
-    return tuple(B[i][i] for i in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +492,13 @@ def _star_gram_diagonal(h: HermitianForm, b: AlgebraElement):
             else:
                 val = A.multiply(sigmas[e], m)
             gram[u][v] = A.reduced_trace(val)
-    if A.desc.kind == QUADRATIC:
-        for u in range(N):
-            for v in range(N):
-                if not (gram[u][v] - gram[v][u].conj()).is_zero:
-                    raise AssertionError("star pairing Gram is not hermitian")
-        _, d = diagonalize_hermitian(A.desc, gram)
-        return d
-    # first kind: entries are field scalars and the Gram is symmetric
-    fgram = [[e.scalar_part() for e in row] for row in gram]
-    for u in range(N):
-        for v in range(N):
-            if fgram[u][v] != fgram[v][u]:
-                raise AssertionError("star pairing Gram is not symmetric")
-    _, d = diagonalize_symmetric(A.field, fgram)
+    desc = A.desc
+    if desc.kind == QUATERNION:
+        # Trd is F-valued, so the Gram is symmetric over (F, id); eliminating
+        # with base-kind scalars avoids quaternion products
+        desc = base_desc(A.field)
+        gram = [[DElement(desc, (e.scalar_part(),)) for e in row] for row in gram]
+    _, d = diagonalize_hermitian(desc, gram)
     return d
 
 
@@ -610,25 +539,7 @@ def star_pairing_form(h: HermitianForm, b: AlgebraElement) -> QuadraticForm:
 def random_symmetric_unit(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraElement:
     """A random invertible element of Sym(A, sigma), by rejection."""
     while True:
-        entries = [
-            [
-                DElement(
-                    A.desc,
-                    tuple(
-                        A.field.element(
-                            [
-                                Fraction(rng.randint(-height, height))
-                                for _ in range(A.field.degree)
-                            ]
-                        )
-                        for _ in range(A.desc.dim)
-                    ),
-                )
-                for _ in range(A.n)
-            ]
-            for _ in range(A.n)
-        ]
-        x = A.element(entries)
+        x = A.element(random_d_matrix(A.desc, A.n, rng, height))
         s = x + A.involution(x)
         if s.is_zero:
             continue

@@ -28,7 +28,7 @@ from .algebras import (
     quadratic_desc,
     quaternion_desc,
 )
-from .hermitian import HermitianForm, diagonal_form
+from .hermitian import HermitianForm, diagonal_form, diagonalize_hermitian
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -46,6 +46,13 @@ def parse_frac(v) -> Fraction:
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad rational {v!r}") from e
     raise ParseError(f"not a rational: {v!r}")
+
+
+def parse_count(v, what: str) -> int:
+    """A non-negative integer such as a sample size; JSON booleans are not."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ParseError(f"{what} must be a non-negative integer, got {v!r}")
+    return v
 
 
 def poly_to_json(p: Polynomial) -> list[str]:
@@ -200,11 +207,17 @@ def parse_hermitian_form(A: AlgebraWithInvolution, v) -> HermitianForm:
     if not isinstance(v, dict):
         raise ParseError("form descriptor must be an object")
     if "diag" in v:
+        if not isinstance(v["diag"], list):
+            raise ParseError("form diag must be an array of algebra elements")
         return diagonal_form(
             A, [parse_algebra_element(A, e) for e in v["diag"]]
         )
     if "gram" not in v:
         raise ParseError("form descriptor needs gram or diag")
+    if not isinstance(v["gram"], list) or not all(
+        isinstance(row, list) for row in v["gram"]
+    ):
+        raise ParseError("form gram must be an array of arrays")
     gram = [
         [parse_algebra_element(A, e) for e in row] for row in v["gram"]
     ]
@@ -221,8 +234,12 @@ def parse_qform(F: NumberField, v) -> QuadraticForm:
     if "diag" in v:
         return QuadraticForm(F, [parse_element(F, d) for d in v["diag"]])
     if "gram" in v:
-        gram = [[parse_element(F, e) for e in row] for row in v["gram"]]
-        return QuadraticForm.from_gram(F, gram)
+        desc = base_desc(F)
+        gram = [
+            [desc.from_field(parse_element(F, e)) for e in row] for row in v["gram"]
+        ]
+        _, d = diagonalize_hermitian(desc, gram)
+        return QuadraticForm(F, d)
     raise ParseError("quadratic form descriptor needs diag or gram")
 
 

@@ -1,13 +1,15 @@
 """Quadratic forms over a number field.
 
-The diagonal presentation is canonical; Gram input is diagonalized by
-congruence immediately.  Singular forms keep their zero entries, and the
+The diagonal presentation is canonical.  A quadratic form over F is the
+hermitian form over the base kind (F, id), so a Gram matrix is brought to
+this presentation by `hermitian.diagonalize_hermitian` over
+`algebras.base_desc(F)`.  Singular forms keep their zero entries, and the
 Sylvester signature ignores them.
 """
 
 from __future__ import annotations
 
-from .errors import FieldMismatch, NotSymmetric, ZeroElement
+from .errors import FieldMismatch, ZeroElement
 from .orderings import NumberField, OrderingHandle, sign_of
 
 
@@ -21,11 +23,6 @@ class QuadraticForm:
                 raise FieldMismatch()
         self.owner = owner
         self.diag = diag
-
-    @classmethod
-    def from_gram(cls, owner: NumberField, gram) -> "QuadraticForm":
-        _, d = diagonalize_symmetric(owner, gram)
-        return cls(owner, d)
 
     @property
     def dim(self) -> int:
@@ -47,72 +44,6 @@ class QuadraticForm:
 
     def __repr__(self) -> str:
         return f"QuadraticForm<{self.dim}>"
-
-
-def diagonalize_symmetric(owner: NumberField, gram):
-    """Congruence diagonalization: returns (G, d) with G^t M G = diag(d)."""
-    n = len(gram)
-    B = [list(row) for row in gram]
-    for i in range(n):
-        if len(B[i]) != n:
-            raise NotSymmetric("matrix is not square")
-        for j in range(n):
-            if B[i][j].owner != owner:
-                raise FieldMismatch()
-    for i in range(n):
-        for j in range(i):
-            if B[i][j] != B[j][i]:
-                raise NotSymmetric()
-    G = [
-        [owner.one() if i == j else owner.zero() for j in range(n)]
-        for i in range(n)
-    ]
-
-    def col_op(t, r, c):
-        # col_t += col_r * c, then the matching row op; G tracks column ops
-        for i in range(n):
-            B[i][t] = B[i][t] + B[i][r] * c
-        for j in range(n):
-            B[t][j] = B[t][j] + c * B[r][j]
-        for i in range(n):
-            G[i][t] = G[i][t] + G[i][r] * c
-
-    def swap(r, s):
-        for i in range(n):
-            B[i][r], B[i][s] = B[i][s], B[i][r]
-        B[r], B[s] = B[s], B[r]
-        for i in range(n):
-            G[i][r], G[i][s] = G[i][s], G[i][r]
-
-    for r in range(n):
-        if B[r][r].is_zero:
-            pivot_row = next(
-                (s for s in range(r + 1, n) if not B[s][s].is_zero), None
-            )
-            if pivot_row is not None:
-                swap(r, pivot_row)
-            else:
-                off = next(
-                    (
-                        (s, t)
-                        for s in range(r, n)
-                        for t in range(s + 1, n)
-                        if not B[s][t].is_zero
-                    ),
-                    None,
-                )
-                if off is None:
-                    break  # remaining block is zero: the radical
-                s, t = off
-                col_op(s, t, owner.one())  # diagonal becomes 2*B[s][t]
-                if s != r:
-                    swap(r, s)
-        pivot = B[r][r]
-        for t in range(r + 1, n):
-            if not B[r][t].is_zero:
-                col_op(t, r, -(B[r][t] / pivot))
-    d = tuple(B[i][i] for i in range(n))
-    return [tuple(row) for row in G], d
 
 
 def signature_qf(q: QuadraticForm, P: OrderingHandle) -> int:

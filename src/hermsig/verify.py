@@ -9,6 +9,7 @@ defaults; a seed makes every run reproducible byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +27,12 @@ from .exactnum import (
 from .orderings import NumberField, embed_field, list_orderings
 from .qforms import signature_qf
 from .algebras import (
+    DElement,
     base_desc,
     make_algebra,
     quadratic_desc,
     quaternion_desc,
+    random_field_element,
 )
 from .hermitian import (
     congruence_transform,
@@ -339,12 +342,8 @@ def criterion_cone_axioms(algebras, rng, sample_size: int = 200) -> CriterionRes
         cones = list_positive_cones(A)
         if not cones:
             continue
-        scalars = [
-            A.field.element(
-                [rng.randint(-4, 4) for _ in range(A.field.degree)]
-            )
-            for _ in range(10)
-        ] + [A.field.zero()]
+        scalars = [random_field_element(A.field, rng, 4) for _ in range(10)]
+        scalars.append(A.field.zero())
         for cone in cones:
             half = sample_size // 2
             samples = [sample_cone_member(cone, rng) for _ in range(half)]
@@ -498,14 +497,14 @@ def _small_gram_forms(A, rng, count: int = 150):
         coords = (-1, 0, 1)
         for c1 in range(-3, 4):
             for c2 in range(-3, 4):
-                for quad in _quaternion_coords(coords, desc.dim):
+                for quad in itertools.product(coords, repeat=desc.dim):
                     combos.append((c1, c2, quad))
     rng2 = random.Random(4177)
     rng2.shuffle(combos)
     for c1, c2, off in combos[: count * 10]:
         diag1 = desc.from_field(field.from_rational(c1))
         diag2 = desc.from_field(field.from_rational(c2))
-        beta = _delement_from_ints(desc, off)
+        beta = DElement(desc, tuple(field.from_rational(v) for v in off))
         gram = [
             [A.element([[diag1]]), A.element([[beta]])],
             [A.element([[beta.conj()]]), A.element([[diag2]])],
@@ -514,20 +513,6 @@ def _small_gram_forms(A, rng, count: int = 150):
         if len(out) >= count:
             break
     return out
-
-
-def _quaternion_coords(coords, dim):
-    import itertools
-
-    return itertools.product(coords, repeat=dim)
-
-
-def _delement_from_ints(desc, ints):
-    from .algebras import DElement
-
-    comps = [desc.field.from_rational(v) for v in ints]
-    comps += [desc.field.zero()] * (desc.dim - len(comps))
-    return DElement(desc, tuple(comps))
 
 
 def criterion_star_ratio(algebras, rng, per_cone: int = 10) -> CriterionResult:

@@ -20,7 +20,7 @@ from .errors import (
     NotSymmetric,
     SingularForm,
 )
-from .algebras import AlgebraElement
+from .algebras import AlgebraElement, random_field_element
 from .cones import PositiveConeHandle, cone_membership, sample_cone_member
 from .hermitian import (
     HermitianForm,
@@ -235,9 +235,7 @@ def mideal_check(
 
     def rand_unit():
         while True:
-            u = field.element(
-                [Fraction(rng.randint(-4, 4)) for _ in range(field.degree)]
-            )
+            u = random_field_element(field, rng, 4)
             if not u.is_zero:
                 return u
 

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from hermsig.cli import run
 
@@ -12,6 +13,11 @@ M2Q = {
 HAM = {
     "field": {"min_poly": ["0", "1"]},
     "division": {"kind": "quaternion", "a": "-1", "b": "-1"},
+    "n": 1,
+}
+RT2_BASE = {
+    "field": {"min_poly": ["-2", "0", "1"]},
+    "division": {"kind": "base"},
     "n": 1,
 }
 RT2_NIL_QUAT = {
@@ -204,3 +210,23 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, "signature", config)
     assert code == 2
     assert json.loads(out)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "command, config, fragment",
+    [
+        ("signature", {"algebra": M2Q, "form": {"diag": 5}}, "diag"),
+        ("cones", {"algebra": M2Q, "samples": "x"}, "samples"),
+        ("verify", {"sizes": {"axiom_samples": "x"}}, "axiom_samples"),
+        ("member", {"algebra": RT2_BASE, "element": "1", "ordering_index": True}, "ordering_index"),
+        ("member", {"algebra": RT2_BASE, "element": "1", "orientation": True}, "orientation"),
+        ("verify", {"criteria": "cone_axioms"}, "array of criterion names"),
+    ],
+    ids=["diag_not_array", "samples_not_int", "size_not_int", "index_bool", "orientation_bool", "criteria_string"],
+)
+def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):
+    code, out = _run(tmp_path, capsys, command, config)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "ParseError"
+    assert fragment in report["message"]

@@ -5,6 +5,8 @@ import pytest
 
 from hermsig.errors import (
     NilOrdering,
+    NotHermitian,
+    NotInvertible,
     NotSymmetric,
     OrderingDoesNotRestrict,
 )
@@ -26,7 +28,12 @@ from hermsig.cones import (
     sample_cone_member,
     sample_symmetric,
 )
-from hermsig.hermitian import diagonal_form, local_degree_nP, signature
+from hermsig.hermitian import (
+    congruence_transform,
+    diagonal_form,
+    local_degree_nP,
+    signature,
+)
 from hermsig.orderings import NumberField, embed_field, list_orderings
 
 QQ = NumberField([0, 1])
@@ -56,6 +63,11 @@ def test_psd_membership_examples():
     ok, w = psd_membership(HAM, B, P)
     assert ok
     assert sorted(x.as_fraction() for x in w.diagonal) == [0, 1]
+    # non-square and non-hermitian inputs are both NotHermitian
+    with pytest.raises(NotHermitian):
+        psd_membership(BQQ, [[BQQ.one()], [BQQ.one()]], P)
+    with pytest.raises(NotHermitian):
+        psd_membership(HAM, [[i]], P)
 
 
 def test_cone_membership_and_witness_roundtrip():
@@ -205,12 +217,58 @@ def test_extend_cone_wrong_ordering():
     assert report["pass"]
 
 
+def diagonalize_over_algebra(h):
+    """Diagonal entries of a congruence diagonalization over A itself.
+
+    Pivots must be invertible in A, which can fail even for nonsingular
+    forms when A is not a division algebra; NotInvertible then signals the
+    caller to retry with a different presentation.
+    """
+    A = h.owner
+    k = h.dim
+    B = [list(row) for row in h.gram]
+
+    def swap(r, s):
+        for i in range(k):
+            B[i][r], B[i][s] = B[i][s], B[i][r]
+        B[r], B[s] = B[s], B[r]
+
+    for r in range(k):
+        pivot_col = None
+        for s in range(r, k):
+            if B[s][s].is_zero:
+                continue
+            try:
+                A.invert(B[s][s])
+            except NotInvertible:
+                continue
+            pivot_col = s
+            break
+        if pivot_col is None:
+            if all(
+                B[s][t].is_zero for s in range(r, k) for t in range(r, k)
+            ):
+                break  # radical
+            raise NotInvertible("no invertible diagonal pivot")
+        swap(r, pivot_col)
+        pinv = A.invert(B[r][r])
+        for t in range(r + 1, k):
+            if B[r][t].is_zero:
+                continue
+            c = -(pinv * B[r][t])
+            cs = A.involution(c)
+            for i in range(k):
+                if not B[i][r].is_zero:
+                    B[i][t] = B[i][t] + B[i][r] * c
+            for j in range(k):
+                if not B[r][j].is_zero:
+                    B[t][j] = B[t][j] + cs * B[r][j]
+    return tuple(B[i][i] for i in range(k))
+
+
 def test_samenr_balanced_transforms():
     # a congruence image of a balanced cone-entry diagonal form, whenever it
     # diagonalizes over A with classifiable entries, is balanced again
-    from hermsig.errors import NotInvertible
-    from hermsig.hermitian import congruence_transform, diagonalize_over_algebra
-
     rng = random.Random(314)
     for A in (make_algebra(HAM, 1), make_algebra(BQQ, 2)):
         cone = list_positive_cones(A)[0]

@@ -26,7 +26,7 @@ from hermsig.hermitian import (
     trace_transfer,
 )
 from hermsig.orderings import NumberField, list_orderings, sign_of
-from hermsig.qforms import QuadraticForm, signature_qf
+from hermsig.qforms import signature_qf
 
 QQ = NumberField([0, 1])
 RT2 = NumberField([-2, 0, 1])
@@ -275,58 +275,6 @@ def test_signature_rank_bound():
         k = rng.randint(1, 3)
         h = diagonal_form(M2, [random_symmetric_unit(M2, rng, 2) for _ in range(k)])
         assert abs(signature(h, P)) <= k * 2
-
-
-def test_base_kind_signature_against_symmetric_diagonalization():
-    # independent route: a form on M_n(Q) with the transpose is just a
-    # rational symmetric matrix; the qforms path must give the same count
-    from hermsig.cones import sample_symmetric
-
-    rng = random.Random(5150)
-    A = make_algebra(base_desc(QQ), 3)
-    P = list_orderings(QQ)[0]
-    for _ in range(25):
-        b = sample_symmetric(A, rng)
-        flat = [[b.entries[i][j].comps[0] for j in range(3)] for i in range(3)]
-        q = QuadraticForm.from_gram(QQ, flat)
-        assert signature(diagonal_form(A, [b]), P) == signature_qf(q, P)
-
-
-def test_quaternion_matrix_signature_against_trace_form():
-    # independent route: the rational trace form of theta(x)^t b x on D^n
-    # has four times the signature of <b>
-    A = make_algebra(HAM, 2)
-    P = list_orderings(QQ)[0]
-    basis = HAM.basis()
-    rng = random.Random(5151)
-    n = 2
-    for _ in range(10):
-        b = random_symmetric_unit(A, rng, 2)
-        vecs = []
-        for r in range(n):
-            for w in basis:
-                v = [HAM.zero()] * n
-                v[r] = w
-                vecs.append(v)
-
-        def qval(x, y):
-            acc = HAM.zero()
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + x[i].conj() * b.entries[i][j] * y[j]
-            return acc
-
-        N = len(vecs)
-        gram = []
-        for u in range(N):
-            row = []
-            for v in range(N):
-                z = qval(vecs[u], vecs[v]) + qval(vecs[v], vecs[u])
-                assert z.is_scalar
-                row.append(z.scalar_part().scale(Fraction(1, 2)))
-            gram.append(row)
-        q = QuadraticForm.from_gram(QQ, gram)
-        assert signature_qf(q, P) == 4 * signature(diagonal_form(A, [b]), P)
 
 
 def test_signature_report_shape():

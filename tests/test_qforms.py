@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from hermsig.errors import NotSymmetric, ZeroElement
+from hermsig.algebras import base_desc
+from hermsig.errors import NotHermitian, ZeroElement
+from hermsig.hermitian import diagonalize_hermitian
 from hermsig.orderings import NumberField, list_orderings, sign_of
 from hermsig.qforms import (
     QuadraticForm,
-    diagonalize_symmetric,
     form_sum,
     pfister,
     signature_qf,
@@ -16,54 +17,61 @@ from hermsig.qforms import (
 
 QQ = NumberField([0, 1])
 RT2 = NumberField([-2, 0, 1])
+# a quadratic form over QQ is a hermitian form over the base kind (QQ, id)
+BQQ = base_desc(QQ)
 
 
 def qf(field, *vals):
     return QuadraticForm(field, [field.from_rational(v) for v in vals])
 
 
-def _gram(field, rows):
-    return [[field.from_rational(v) for v in row] for row in rows]
+def _gram(rows):
+    return [[BQQ.from_field(QQ.from_rational(v)) for v in row] for row in rows]
 
 
-def _check_congruence(field, gram, G, d):
+def _from_gram(gram):
+    _, d = diagonalize_hermitian(BQQ, [[BQQ.from_field(x) for x in row] for row in gram])
+    return QuadraticForm(QQ, d)
+
+
+def _check_congruence(gram, G, d):
     n = len(gram)
     # G^t M G == diag(d), entry by entry
     for i in range(n):
         for j in range(n):
-            acc = field.zero()
+            acc = BQQ.zero()
             for a in range(n):
                 for b in range(n):
                     acc = acc + G[a][i] * gram[a][b] * G[b][j]
-            expected = d[i] if i == j else field.zero()
-            assert acc == expected
+            expected = BQQ.from_field(d[i]) if i == j else BQQ.zero()
+            assert (acc - expected).is_zero
 
 
 def test_diagonalize_already_diagonal():
-    gram = _gram(QQ, [[1, 0], [0, -3]])
-    G, d = diagonalize_symmetric(QQ, gram)
+    gram = _gram([[1, 0], [0, -3]])
+    G, d = diagonalize_hermitian(BQQ, gram)
     assert [x.as_fraction() for x in d] == [1, -3]
-    _check_congruence(QQ, gram, G, d)
+    _check_congruence(gram, G, d)
 
 
 def test_diagonalize_hyperbolic_gram():
-    gram = _gram(QQ, [[0, 1], [1, 0]])
-    G, d = diagonalize_symmetric(QQ, gram)
-    _check_congruence(QQ, gram, G, d)
+    gram = _gram([[0, 1], [1, 0]])
+    G, d = diagonalize_hermitian(BQQ, gram)
+    _check_congruence(gram, G, d)
     P = list_orderings(QQ)[0]
     assert sign_of(d[0] * d[1], P) == -1  # mixed signs, e.g. (2, -1/2)
 
 
 def test_diagonalize_rank_one():
-    gram = _gram(QQ, [[1, 1], [1, 1]])
-    G, d = diagonalize_symmetric(QQ, gram)
-    _check_congruence(QQ, gram, G, d)
+    gram = _gram([[1, 1], [1, 1]])
+    G, d = diagonalize_hermitian(BQQ, gram)
+    _check_congruence(gram, G, d)
     assert sum(1 for x in d if not x.is_zero) == 1
 
 
 def test_diagonalize_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
-        diagonalize_symmetric(QQ, _gram(QQ, [[0, 1], [-1, 0]]))
+    with pytest.raises(NotHermitian):
+        diagonalize_hermitian(BQQ, _gram([[0, 1], [-1, 0]]))
 
 
 def test_signature_basics():
@@ -114,7 +122,7 @@ def test_congruence_invariance_random():
     for _ in range(30):
         n = rng.randint(1, 3)
         raw = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        gram = _gram(QQ, [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)])
+        gram = [[QQ.from_rational(raw[i][j] + raw[j][i]) for j in range(n)] for i in range(n)]
         # random invertible G via unit upper/lower products
         G = [[QQ.from_rational(1 if i == j else 0) for j in range(n)] for i in range(n)]
         for _ in range(4):
@@ -135,8 +143,8 @@ def test_congruence_invariance_random():
             for i in range(n)
         ]
         P = list_orderings(QQ)[0]
-        q1 = QuadraticForm.from_gram(QQ, gram)
-        q2 = QuadraticForm.from_gram(QQ, transformed)
+        q1 = _from_gram(gram)
+        q2 = _from_gram(transformed)
         assert signature_qf(q1, P) == signature_qf(q2, P)
 
 
