@@ -348,6 +348,8 @@ class AlgebraWithInvolution:
         self.phi = [tuple(row) for row in phi]
         self._phi_is_identity = mat_eq(phi, mat_identity(desc, n))
         self._nil: tuple | None = None
+        # Gram block coordinates -> diagonal, filled by hermitian forms
+        self._diagonal_memo: dict = {}
         self.nil_everywhere = False
         if desc.kind == QUATERNION:
             from .orderings import sign_of

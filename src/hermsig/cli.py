@@ -179,14 +179,20 @@ def _cmd_sylvester(config, seed, bound):
 
 def _cmd_count_roots(config, seed, bound):
     m = jsonio.parse_poly(config["m"])
-    conditions = [jsonio.parse_poly(g) for g in config.get("conditions", [])]
+    conditions = config.get("conditions", [])
+    if not isinstance(conditions, list):
+        raise ParseError("conditions must be an array of polynomials")
+    conditions = [jsonio.parse_poly(g) for g in conditions]
     return {"count": count_roots_with_signs(m, conditions)}, True
 
 
 def _cmd_extend(config, seed, bound):
     A = jsonio.parse_algebra(config["algebra"])
-    dst = jsonio.parse_field(config["embedding"]["dst_field"])
-    image = jsonio.parse_element(dst, config["embedding"]["image"])
+    embedding = config["embedding"]
+    if not isinstance(embedding, dict):
+        raise ParseError("embedding must be an object")
+    dst = jsonio.parse_field(embedding["dst_field"])
+    image = jsonio.parse_element(dst, embedding["image"])
     emb = embed_field(A.field, dst, image)
     cone = _cone_from_config(A, config)
     Q = _ordering_by_index(dst, config.get("target_ordering_index", 0))

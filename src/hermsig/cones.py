@@ -98,9 +98,9 @@ def cone_membership(
         raise FieldMismatch()
     if not A.is_symmetric(b):
         raise NotSymmetric()
-    scaled = mat_mul(
-        A._phi_inv, [list(row) for row in (b * Fraction(cone.orientation)).entries]
-    )
+    scaled = (b * Fraction(cone.orientation)).entries
+    if not A._phi_is_identity:
+        scaled = mat_mul(A._phi_inv, scaled)
     return psd_membership(A.desc, scaled, cone.ordering)
 
 

@@ -6,14 +6,20 @@ hermitian form over the base kind (F, id), for which hermitian means
 symmetric, so Gram matrices of quadratic forms (the first-kind star
 pairing, `jsonio.parse_qform`) are diagonalized here as well.
 
-The signature of a form at a non-nil ordering is computed in two explicit
-steps: scale the Gram matrix on the left by Phi^(-1), then flatten the
-k x k matrix over M_n(D) to a kn x kn theta-hermitian matrix over D and
-diagonalize it by congruence.  With the reference form fixed as the
-one-dimensional form on Phi itself, the scaling sends the reference to the
-identity matrix, so no further sign normalization is needed and the
-signature is the plain count of positive minus negative diagonal entries.
-At nil orderings every signature is zero.
+A `HermitianForm` is an orthogonal sum of square Gram blocks over A:
+diagonal forms are sums of one-entry blocks, and direct sums, scalings,
+repeats and tensors with diagonal quadratic forms keep the block structure
+instead of building a dense Gram matrix.  Each block's diagonal is computed
+in two explicit steps: scale the block on the left by Phi^(-1) (skipped
+when Phi is the identity), then flatten the m x m matrix over M_n(D) to an
+mn x mn theta-hermitian matrix over D and diagonalize it by congruence.
+Block diagonals are cached on the form and memoized on the algebra; scaling
+a form by u in F scales its cached diagonals by u.  With the reference form
+fixed as the one-dimensional form on Phi itself, the scaling sends the
+reference to the identity matrix, so no further sign normalization is
+needed: the signature at a non-nil ordering is the count of positive minus
+negative entries over all block diagonals, which is the additivity of the
+signature on orthogonal sums.  At nil orderings every signature is zero.
 """
 
 from __future__ import annotations
@@ -161,57 +167,118 @@ def flatten_blocks(A: AlgebraWithInvolution, blocks):
     return out
 
 
+def _block_diagonal(A: AlgebraWithInvolution, block) -> tuple[FieldElement, ...]:
+    """Diagonal of one Gram block, scaled by Phi^(-1) and flattened.
+
+    Memoized on the algebra by the block's coordinates, so a block that
+    recurs (a reused sample, a cone member rebuilt with its sign) is
+    diagonalized once per algebra.
+    """
+    key = tuple(
+        c.coords
+        for row in block
+        for e in row
+        for entry_row in e.entries
+        for x in entry_row
+        for c in x.comps
+    )
+    d = A._diagonal_memo.get(key)
+    if d is None:
+        scaled = [
+            [
+                e.entries
+                if A._phi_is_identity or e.is_zero
+                else mat_mul(A._phi_inv, e.entries)
+                for e in row
+            ]
+            for row in block
+        ]
+        _, d = diagonalize_hermitian(A.desc, flatten_blocks(A, scaled))
+        A._diagonal_memo[key] = d
+    return d
+
+
 # ---------------------------------------------------------------------------
 # forms
 
 
 class HermitianForm:
-    """Gram-matrix presentation of a hermitian form over (A, sigma)."""
+    """A hermitian form over (A, sigma), held as an orthogonal sum of blocks.
 
-    __slots__ = ("owner", "gram", "_flat")
+    Each block is a square Gram matrix over A, and the form's Gram matrix is
+    their block-diagonal sum.  A diagonal Gram splits into one block per
+    entry; any other Gram given here is one block.  The dense Gram is
+    assembled only when a caller asks for it.
+    """
 
-    def __init__(self, owner: AlgebraWithInvolution, gram, _trusted: bool = False):
+    __slots__ = ("owner", "blocks", "_diagonals", "_gram")
+
+    def __init__(self, owner: AlgebraWithInvolution, gram):
         gram = tuple(tuple(row) for row in gram)
         k = len(gram)
         if any(len(row) != k for row in gram):
             raise NotHermitian("Gram matrix is not square")
-        if not _trusted:
-            for row in gram:
-                for e in row:
-                    if e.owner is not owner:
-                        raise FieldMismatch()
-            for i in range(k):
-                for j in range(k):
-                    if gram[i][j].is_zero and gram[j][i].is_zero:
-                        continue
-                    if owner.involution(gram[j][i]) != gram[i][j]:
-                        raise NotHermitian()
+        for row in gram:
+            for e in row:
+                if e.owner is not owner:
+                    raise FieldMismatch()
+        for i in range(k):
+            for j in range(k):
+                if gram[i][j].is_zero and gram[j][i].is_zero:
+                    continue
+                if owner.involution(gram[j][i]) != gram[i][j]:
+                    raise NotHermitian()
+        if all(gram[i][j].is_zero for i in range(k) for j in range(k) if i != j):
+            blocks = tuple(((row[i],),) for i, row in enumerate(gram))
+        else:
+            blocks = (gram,)
         self.owner = owner
-        self.gram = gram
-        self._flat = None
+        self.blocks = blocks
+        self._diagonals = [None] * len(blocks)
+        self._gram = gram
+
+    @classmethod
+    def _orthogonal_sum(cls, owner, blocks, diagonals=None) -> "HermitianForm":
+        """The form on already-checked blocks, with any known block diagonals."""
+        h = cls.__new__(cls)
+        h.owner = owner
+        h.blocks = tuple(blocks)
+        h._diagonals = list(diagonals) if diagonals else [None] * len(h.blocks)
+        h._gram = None
+        return h
 
     @property
     def dim(self) -> int:
-        return len(self.gram)
+        return sum(len(b) for b in self.blocks)
+
+    @property
+    def gram(self):
+        """The dense Gram matrix, assembled from the blocks on first use."""
+        if self._gram is None:
+            zero = self.owner.zero()
+            k = self.dim
+            rows = []
+            for b in self.blocks:
+                left = len(rows)
+                pad = k - left - len(b)
+                rows.extend((zero,) * left + row + (zero,) * pad for row in b)
+            self._gram = tuple(rows)
+        return self._gram
+
+    def _block_diagonals(self) -> list[tuple[FieldElement, ...]]:
+        ds = self._diagonals
+        for i, d in enumerate(ds):
+            if d is None:
+                ds[i] = _block_diagonal(self.owner, self.blocks[i])
+        return ds
 
     def flattened_diagonal(self) -> tuple[FieldElement, ...]:
-        """Diagonal of the scaled and flattened form; cached."""
-        if self._flat is None:
-            A = self.owner
-            zero_block = [[A.desc.zero()] * A.n for _ in range(A.n)]
-            blocks = [
-                [
-                    zero_block
-                    if e.is_zero
-                    else mat_mul(A._phi_inv, [list(r) for r in e.entries])
-                    for e in row
-                ]
-                for row in self.gram
-            ]
-            flat = flatten_blocks(A, blocks)
-            _, d = diagonalize_hermitian(A.desc, flat)
-            self._flat = d
-        return self._flat
+        """Diagonal of the scaled and flattened form.
+
+        The flattened Gram is block diagonal, so it is the concatenation of
+        the blocks' cached diagonals.
+        """
+        return tuple(x for d in self._block_diagonals() for x in d)
 
     def rank(self) -> int:
         return sum(1 for d in self.flattened_diagonal() if not d.is_zero)
@@ -222,9 +289,10 @@ class HermitianForm:
 
     def is_diagonal(self) -> bool:
         return all(
-            self.gram[i][j].is_zero
-            for i in range(self.dim)
-            for j in range(self.dim)
+            b[i][j].is_zero
+            for b in self.blocks
+            for i in range(len(b))
+            for j in range(len(b))
             if i != j
         )
 
@@ -233,7 +301,7 @@ class HermitianForm:
 
 
 def diagonal_form(A: AlgebraWithInvolution, entries) -> HermitianForm:
-    """The diagonal form on the given symmetric entries."""
+    """The diagonal form on the given symmetric entries, one block each."""
     elems = []
     for e in entries:
         if isinstance(e, (int, Fraction)):
@@ -243,35 +311,27 @@ def diagonal_form(A: AlgebraWithInvolution, entries) -> HermitianForm:
         elif not A.is_symmetric(e):
             raise NotHermitian("diagonal entry is not symmetric")
         elems.append(e)
-    k = len(elems)
-    gram = [
-        [elems[i] if i == j else A.zero() for j in range(k)] for i in range(k)
-    ]
-    return HermitianForm(A, gram, _trusted=True)
+    return HermitianForm._orthogonal_sum(A, [((e,),) for e in elems])
 
 
 def form_direct_sum(h1: HermitianForm, h2: HermitianForm) -> HermitianForm:
     if h1.owner is not h2.owner:
         raise FieldMismatch()
-    A = h1.owner
-    k1, k2 = h1.dim, h2.dim
-    zero = A.zero()
-    gram = [
-        [
-            h1.gram[i][j]
-            if i < k1 and j < k1
-            else (h2.gram[i - k1][j - k1] if i >= k1 and j >= k1 else zero)
-            for j in range(k1 + k2)
-        ]
-        for i in range(k1 + k2)
-    ]
-    return HermitianForm(A, gram, _trusted=True)
+    return HermitianForm._orthogonal_sum(
+        h1.owner, h1.blocks + h2.blocks, h1._diagonals + h2._diagonals
+    )
 
 
 def form_scale(u: FieldElement, h: HermitianForm) -> HermitianForm:
-    """The form <u> tensor h."""
-    return HermitianForm(
-        h.owner, [[e * u for e in row] for row in h.gram], _trusted=True
+    """The form <u> tensor h.
+
+    Every block and its diagonal are scaled by u: u is central and fixed by
+    the involution, so theta(G)^t (u B) G = u theta(G)^t B G.
+    """
+    return HermitianForm._orthogonal_sum(
+        h.owner,
+        [tuple(tuple(e * u for e in row) for row in b) for b in h.blocks],
+        [tuple(x * u for x in d) for d in h._block_diagonals()],
     )
 
 
@@ -289,18 +349,10 @@ def form_tensor_qf(q: QuadraticForm, h: HermitianForm) -> HermitianForm:
 
 
 def form_repeat(ell: int, h: HermitianForm) -> HermitianForm:
-    """Orthogonal sum of ell copies of h, built in one pass."""
-    A = h.owner
-    k = h.dim
-    zero = A.zero()
-    gram = [
-        [
-            h.gram[i % k][j % k] if i // k == j // k else zero
-            for j in range(ell * k)
-        ]
-        for i in range(ell * k)
-    ]
-    return HermitianForm(A, gram, _trusted=True)
+    """Orthogonal sum of ell copies of h."""
+    return HermitianForm._orthogonal_sum(
+        h.owner, h.blocks * ell, h._diagonals * ell
+    )
 
 
 def hyperbolic(a: AlgebraElement) -> HermitianForm:
@@ -326,7 +378,7 @@ def congruence_transform(h: HermitianForm, G) -> HermitianForm:
         ]
         for i in range(k)
     ]
-    return HermitianForm(A, prod, _trusted=True)
+    return HermitianForm._orthogonal_sum(A, [tuple(tuple(row) for row in prod)])
 
 
 # ---------------------------------------------------------------------------

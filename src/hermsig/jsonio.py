@@ -82,6 +82,8 @@ def field_to_json(F: NumberField) -> dict:
 def parse_field(v) -> NumberField:
     if not isinstance(v, dict) or "min_poly" not in v:
         raise ParseError("field descriptor needs a min_poly")
+    if not isinstance(v["min_poly"], list):
+        raise ParseError("min_poly must be an array of rationals")
     try:
         return NumberField([parse_frac(c) for c in v["min_poly"]])
     except ValueError as e:
@@ -172,6 +174,10 @@ def parse_algebra(v) -> AlgebraWithInvolution:
             raise ParseError("n must be a positive integer")
         phi = v.get("phi")
         if phi is not None:
+            if not isinstance(phi, list) or not all(
+                isinstance(row, list) for row in phi
+            ):
+                raise ParseError("phi must be an array of arrays")
             phi = [[parse_delement(desc, e) for e in row] for row in phi]
         return make_algebra(desc, n, phi)
     except KeyError as e:

@@ -127,8 +127,7 @@ def _quick_balanced_witness(h, cone):
     if not h.is_diagonal():
         return None
     members, antimembers = [], []
-    for i in range(h.dim):
-        e = h.gram[i][i]
+    for e in (row[i] for b in h.blocks for i, row in enumerate(b)):
         try:
             A.invert(e)
         except NotInvertible:

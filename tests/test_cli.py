@@ -221,8 +221,23 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         ("member", {"algebra": RT2_BASE, "element": "1", "ordering_index": True}, "ordering_index"),
         ("member", {"algebra": RT2_BASE, "element": "1", "orientation": True}, "orientation"),
         ("verify", {"criteria": "cone_axioms"}, "array of criterion names"),
+        ("count-roots", {"m": ["-2", "0", "1"], "conditions": 5}, "conditions"),
+        ("extend", {"algebra": RT2_BASE, "embedding": [1]}, "embedding"),
+        ("nil", {"algebra": {**M2Q, "field": {"min_poly": 7}}}, "min_poly"),
+        ("signature", {"algebra": {**M2Q, "phi": 3}, "form": {"diag": ["1"]}}, "phi"),
     ],
-    ids=["diag_not_array", "samples_not_int", "size_not_int", "index_bool", "orientation_bool", "criteria_string"],
+    ids=[
+        "diag_not_array",
+        "samples_not_int",
+        "size_not_int",
+        "index_bool",
+        "orientation_bool",
+        "criteria_string",
+        "conditions_not_array",
+        "embedding_not_object",
+        "min_poly_not_array",
+        "phi_not_array",
+    ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):
     code, out = _run(tmp_path, capsys, command, config)

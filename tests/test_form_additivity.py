@@ -1,0 +1,148 @@
+"""Signatures are additive on orthogonal sums and invariant under congruence.
+
+Forms are held as orthogonal sums of Gram blocks and their signatures are
+added up from per-block diagonals.  The reference here ignores the blocks:
+it scales the whole dense Gram matrix on the left by Phi^(-1), flattens it
+to a matrix over D and diagonalizes it in one congruence elimination.  The
+forms are drawn over the nine standard algebras (Phi != I, quaternions, nil
+orderings), with zero and singular diagonal entries allowed.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from hermsig.algebras import DElement, mat_mul  # noqa: E402
+from hermsig.hermitian import (  # noqa: E402
+    congruence_transform,
+    diagonal_form,
+    diagonalize_hermitian,
+    form_direct_sum,
+    form_repeat,
+    form_scale,
+    nil_orderings,
+    signature,
+)
+from hermsig.orderings import list_orderings, sign_of  # noqa: E402
+from hermsig.verify import standard_algebras  # noqa: E402
+
+ALGEBRAS = standard_algebras()
+
+
+def reference(h):
+    """Rank and per-ordering signatures from one dense diagonalization."""
+    A = h.owner
+    n = A.n
+    k = h.dim
+    flat = [[None] * (k * n) for _ in range(k * n)]
+    for i, row in enumerate(h.gram):
+        for j, e in enumerate(row):
+            scaled = mat_mul(A._phi_inv, e.entries)
+            for r in range(n):
+                for c in range(n):
+                    flat[i * n + r][j * n + c] = scaled[r][c]
+    _, d = diagonalize_hermitian(A.desc, flat)
+    nil = set(nil_orderings(A))
+    sigs = tuple(
+        0 if P in nil else sum(sign_of(x, P) for x in d)
+        for P in list_orderings(A.field)
+    )
+    return sum(1 for x in d if not x.is_zero), sigs
+
+
+def invariants(h):
+    return h.rank(), tuple(signature(h, P) for P in list_orderings(h.owner.field))
+
+
+@st.composite
+def field_elements(draw, field, height=2):
+    return field.element(
+        [draw(st.integers(-height, height)) for _ in range(field.degree)]
+    )
+
+
+@st.composite
+def algebra_elements(draw, A, height=2):
+    return A.element(
+        [
+            [
+                DElement(
+                    A.desc,
+                    tuple(
+                        draw(field_elements(A.field, height))
+                        for _ in range(A.desc.dim)
+                    ),
+                )
+                for _ in range(A.n)
+            ]
+            for _ in range(A.n)
+        ]
+    )
+
+
+@st.composite
+def symmetric_entries(draw, A):
+    """x + sigma(x), the zero element, or sigma(E) s E with E = e_11."""
+    shape = draw(st.sampled_from(["sum", "zero", "compressed"]))
+    if shape == "zero":
+        return A.zero()
+    x = draw(algebra_elements(A))
+    s = x + A.involution(x)
+    if shape == "compressed":
+        unit = [[A.desc.zero()] * A.n for _ in range(A.n)]
+        unit[0][0] = A.desc.one()
+        e = A.element(unit)
+        s = A.involution(e) * s * e
+    return s
+
+
+@st.composite
+def cases(draw):
+    A = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    h1 = diagonal_form(A, draw(st.lists(symmetric_entries(A), min_size=1, max_size=2)))
+    h2 = diagonal_form(A, draw(st.lists(symmetric_entries(A), min_size=1, max_size=2)))
+    u = draw(field_elements(A.field, 3))
+    ell = draw(st.integers(2, 3))
+    # G = L U: unit lower triangular times upper triangular with nonzero
+    # rational diagonal, hence invertible
+    k = h1.dim + h2.dim
+    lower = [[A.zero()] * k for _ in range(k)]
+    upper = [[A.zero()] * k for _ in range(k)]
+    for i in range(k):
+        lower[i][i] = A.identity()
+        upper[i][i] = A.identity() * draw(st.sampled_from([-2, -1, 1, 3]))
+        for j in range(i + 1, k):
+            lower[j][i] = draw(algebra_elements(A, 1))
+            upper[i][j] = draw(algebra_elements(A, 1))
+    G = [
+        [sum((lower[i][t] * upper[t][j] for t in range(k)), A.zero()) for j in range(k)]
+        for i in range(k)
+    ]
+    return h1, h2, u, ell, G
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_additivity_and_congruence_against_dense_reference(case):
+    h1, h2, u, ell, G = case
+    A = h1.owner
+    orderings = list_orderings(A.field)
+    total = form_direct_sum(h1, h2)
+    scaled = form_scale(u, h1)
+    repeated = form_repeat(ell, h1)
+    moved = congruence_transform(total, G)
+    for h in (h1, h2, total, scaled, repeated, moved):
+        assert invariants(h) == reference(h)
+
+    r1, s1 = invariants(h1)
+    r2, s2 = invariants(h2)
+    rt, sig_total = invariants(total)
+    assert rt == r1 + r2
+    assert sig_total == tuple(a + b for a, b in zip(s1, s2))
+    rs, ss = invariants(scaled)
+    assert rs == (0 if u.is_zero else r1)
+    assert ss == tuple(sign_of(u, P) * v for P, v in zip(orderings, s1))
+    rr, sr = invariants(repeated)
+    assert (rr, sr) == (ell * r1, tuple(ell * v for v in s1))
+    assert invariants(moved) == (rt, sig_total)

@@ -15,6 +15,8 @@ from hermsig.hermitian import (
     congruence_transform,
     diagonal_form,
     diagonalize_hermitian,
+    form_direct_sum,
+    form_repeat,
     hyperbolic,
     local_degree_nP,
     max_signature_mP,
@@ -286,3 +288,32 @@ def test_signature_report_shape():
         {"ordering_index": 0, "nil": False, "signature": 1},
         {"ordering_index": 1, "nil": True, "signature": 0},
     ]
+
+
+def test_block_diagonals_stay_small(monkeypatch):
+    # a diagonal form over M_2(Q), its repeat and its direct sum are
+    # diagonalized one n x n block at a time, each distinct block once, and
+    # with Phi = I no Phi^(-1) product is taken
+    from hermsig import algebras, hermitian
+
+    M2 = make_algebra(base_desc(QQ), 2)
+    rng = random.Random(88)
+    h = diagonal_form(M2, [random_symmetric_unit(M2, rng, 2) for _ in range(8)])
+    forms = (h, form_repeat(3, h), form_direct_sum(h, h))
+    sizes = []
+    real = hermitian.diagonalize_hermitian
+
+    def recording(desc, B):
+        sizes.append(len(B))
+        return real(desc, B)
+
+    def no_mat_mul(x, y):
+        raise AssertionError("mat_mul called with Phi = I")
+
+    monkeypatch.setattr(hermitian, "diagonalize_hermitian", recording)
+    monkeypatch.setattr(hermitian, "mat_mul", no_mat_mul)
+    monkeypatch.setattr(algebras, "mat_mul", no_mat_mul)
+    vectors = [signature_vector(f).values for f in forms]
+    assert 0 < len(sizes) <= 8 and max(sizes) <= M2.n
+    assert vectors[1] == tuple(3 * v for v in vectors[0])
+    assert vectors[2] == tuple(2 * v for v in vectors[0])
