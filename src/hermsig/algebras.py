@@ -350,7 +350,6 @@ class AlgebraWithInvolution:
         self._nil: tuple | None = None
         # Gram block coordinates -> diagonal, filled by hermitian forms
         self._diagonal_memo: dict = {}
-        self.nil_everywhere = False
         if desc.kind == QUATERNION:
             from .orderings import sign_of
 
@@ -362,7 +361,6 @@ class AlgebraWithInvolution:
                 sign_of(desc.a, P) > 0 or sign_of(desc.b, P) > 0
                 for P in orderings
             ):
-                self.nil_everywhere = True
                 warnings.warn(
                     "DNotDivisionAtAnyOrdering: the quaternion algebra splits "
                     "at every ordering, so every signature vanishes",

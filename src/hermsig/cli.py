@@ -18,6 +18,7 @@ from .exactnum import count_roots_with_signs
 from .orderings import embed_field, list_orderings
 from .algebras import random_field_element
 from .hermitian import (
+    local_degree_nP,
     nil_orderings,
     signature_vector,
 )
@@ -38,7 +39,7 @@ from .wittideal import (
     verify_witness,
 )
 from . import jsonio
-from .verify import ALL_CRITERIA, run_suite
+from .verify import ALL_CRITERIA, SIZE_KEYS, run_suite
 
 
 def _load_config(path: str) -> dict:
@@ -199,8 +200,6 @@ def _cmd_extend(config, seed, bound):
     rng = random.Random(seed)
     samples = jsonio.parse_count(config.get("samples", 25), "samples")
     extended, report = extend_cone(emb, cone, Q, samples=samples, rng=rng)
-    from .hermitian import local_degree_nP
-
     out = {
         "target_ordering_index": Q.root_index,
         "orientation": extended.orientation,
@@ -223,6 +222,9 @@ def _cmd_verify(config, seed, bound):
     sizes = config.get("sizes", {})
     if not isinstance(sizes, dict):
         raise ParseError("sizes must be an object")
+    unknown = set(sizes) - set(SIZE_KEYS)
+    if unknown:
+        raise ParseError(f"unknown sizes keys: {sorted(unknown)}")
     for key, value in sizes.items():
         jsonio.parse_count(value, f"sizes.{key}")
     results = run_suite(seed=seed, only=only, sizes=sizes)

@@ -51,6 +51,20 @@ class PositiveConeHandle:
         return f"PositiveConeHandle(P#{self.ordering.root_index}, {s})"
 
 
+def _cone_element(cone: PositiveConeHandle, G, us) -> AlgebraElement:
+    """eps * Phi * theta(G)^t diag(u) G; the Phi product is skipped for Phi = I."""
+    A = cone.algebra
+    desc = A.desc
+    diag = [
+        [desc.from_field(u) if i == j else desc.zero() for j in range(len(us))]
+        for i, u in enumerate(us)
+    ]
+    elt = mat_mul(mat_theta_t(G), mat_mul(diag, G))
+    if not A._phi_is_identity:
+        elt = mat_mul([list(r) for r in A.phi], elt)
+    return A.element(elt) * Fraction(cone.orientation)
+
+
 @dataclass(frozen=True)
 class ConeWitness:
     """Certificate: theta(G)^t (eps Phi^-1 b) G = diag with entries >= 0 at P."""
@@ -60,21 +74,8 @@ class ConeWitness:
 
     def reconstruct(self, cone: PositiveConeHandle) -> AlgebraElement:
         """Rebuild the certified element from the transform and diagonal."""
-        A = cone.algebra
-        desc = A.desc
-        G = [list(row) for row in self.transform]
-        g_inv = mat_inv(G)
-        diag = [
-            [
-                desc.from_field(self.diagonal[i]) if i == j else desc.zero()
-                for j in range(len(self.diagonal))
-            ]
-            for i in range(len(self.diagonal))
-        ]
-        inner = mat_mul(mat_theta_t(g_inv), mat_mul(diag, g_inv))
-        scaled = mat_mul([list(r) for r in A.phi], inner)
-        elt = A.element(scaled)
-        return elt * Fraction(cone.orientation)
+        g_inv = mat_inv([list(row) for row in self.transform])
+        return _cone_element(cone, g_inv, self.diagonal)
 
 
 def psd_membership(
@@ -163,21 +164,14 @@ def sample_cone_member(
 ) -> AlgebraElement:
     """eps * Phi * theta(G)^t diag(u) G for random G and P-nonnegative u."""
     A = cone.algebra
-    desc = A.desc
-    G = random_invertible_d_matrix(desc, A.n, rng, height)
+    G = random_invertible_d_matrix(A.desc, A.n, rng, height)
     us = [
         random_field_nonneg(A.field, cone.ordering, rng, strict=invertible)
         for _ in range(A.n)
     ]
     if not invertible and us and rng.random() < 0.3:
         us[rng.randrange(len(us))] = A.field.zero()
-    diag = [
-        [desc.from_field(us[i]) if i == j else desc.zero() for j in range(A.n)]
-        for i in range(A.n)
-    ]
-    inner = mat_mul(mat_theta_t(G), mat_mul(diag, G))
-    elt = A.element(mat_mul([list(r) for r in A.phi], inner))
-    return elt * Fraction(cone.orientation)
+    return _cone_element(cone, G, us)
 
 
 def sample_symmetric(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraElement:

@@ -273,8 +273,8 @@ def _root_bound(p: Polynomial) -> Fraction:
 def isolate_real_roots(p: Polynomial) -> list[Interval]:
     """Disjoint rational intervals, one simple root each, ordered by midpoint.
 
-    The input must be squarefree; callers normalize via the gcd with the
-    derivative first so that the provenance of the polynomial stays explicit.
+    No endpoint is a root of p.  Raises NotSquarefree unless p is squarefree,
+    read off the end of p's own Sturm chain; callers need not normalize p.
     """
     return _isolate(p, _squarefree_chain(p))
 

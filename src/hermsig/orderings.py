@@ -1,13 +1,13 @@
 """Real number fields Q[x]/(p) and their orderings.
 
 An ordering is a real root of the minimal polynomial, held as an isolating
-rational interval that can be refined on demand.  Signs of field elements
-at an ordering are decided exactly: zero is detected algebraically through
-the gcd with the minimal polynomial, nonzero signs by interval evaluation
-refined until it resolves.  Real closures are never materialized.
+rational interval whose endpoints are not roots of p.  The sign of a field
+element a at an ordering is one localized Tarski query: the Sturm chain
+seeded with (p, p'*a mod p), read across the isolating interval, drops by
+exactly sgn a(root), zero included.  Real closures are never materialized.
 
-Fields memoize their ordering list and refined isolating intervals; the
-caches are idempotent, so concurrent readers at worst recompute.
+Fields memoize their ordering list; the cache is idempotent, so concurrent
+readers at worst recompute.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from .errors import (
 from .exactnum import (
     Interval,
     Polynomial,
-    gcd,
+    _tarski_chain,
     is_squarefree,
     isolate_real_roots,
     sign,
-    sturm_sequence,
 )
 
 
@@ -83,9 +82,7 @@ class NumberField:
         _rational_root_screen(p)
         self.min_poly = p
         self.degree = p.degree
-        self._chain = sturm_sequence(p)
         self._orderings: tuple[OrderingHandle, ...] | None = None
-        self._refined: dict[int, Interval] = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -253,50 +250,20 @@ def list_orderings(field: NumberField) -> tuple[OrderingHandle, ...]:
     return field._orderings
 
 
-def _current_interval(P: OrderingHandle) -> Interval:
-    return P.owner._refined.get(P.root_index, P.isolating)
-
-
-def _bisect(P: OrderingHandle, iv: Interval) -> Interval:
-    """Halve the isolating interval; collapses to [m, m] on a rational root."""
-    field = P.owner
-    mid = iv.mid
-    if field.min_poly(mid) == 0:
-        new = Interval(mid, mid)
-    elif field._chain.count_in(iv.lo, mid) == 1:
-        new = Interval(iv.lo, mid)
-    else:
-        new = Interval(mid, iv.hi)
-    field._refined[P.root_index] = new
-    return new
-
-
 def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
-    """Exact sign of alpha at the ordering P.
+    """Exact sign of alpha at the ordering P, zero included.
 
-    Zero is decided algebraically: alpha vanishes at the root iff the gcd of
-    its coordinate polynomial with min_poly has a root in the isolating
-    interval.  Nonzero signs come from interval evaluation, refined by
-    bisection until the sign resolves; no numeric rounding is involved.
+    One localized Tarski query: across the isolating interval of P, whose
+    endpoints are not roots of min_poly, the chain seeded with
+    (min_poly, min_poly' * alpha mod min_poly) drops by sgn alpha(root).
     """
     if alpha.owner != P.owner:
         raise FieldMismatch()
     if alpha.is_rational:
         return sign(alpha.coords[0])
-    a = Polynomial(alpha.coords)
-    iv = _current_interval(P)
-    g = gcd(a, P.owner.min_poly)
-    if g.degree >= 1 and sturm_sequence(g).count_in(iv.lo, iv.hi) == 1:
-        return 0
-    while True:
-        if iv.width == 0:
-            return sign(a(iv.lo))
-        lo_v, hi_v = a.eval_interval(iv.lo, iv.hi)
-        if lo_v > 0:
-            return 1
-        if hi_v < 0:
-            return -1
-        iv = _bisect(P, iv)
+    iv = P.isolating
+    chain = _tarski_chain(P.owner.min_poly, Polynomial(alpha.coords))
+    return chain.count_in(iv.lo, iv.hi)
 
 
 def harrison_set(us) -> tuple[OrderingHandle, ...]:

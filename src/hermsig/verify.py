@@ -464,7 +464,7 @@ def criterion_z_witness_small_scale(algebras, rng, height: int = 5) -> Criterion
                 else:
                     found += 1
         # non-diagonal Gram matrices, entries of small height
-        extra = _small_gram_forms(A, rng)
+        extra = _small_gram_forms(A)
         for h in extra:
             if not h.is_nonsingular or signature(h, P) != 0:
                 continue
@@ -480,7 +480,7 @@ def criterion_z_witness_small_scale(algebras, rng, height: int = 5) -> Criterion
     )
 
 
-def _small_gram_forms(A, rng, count: int = 150):
+def _small_gram_forms(A, count: int = 150):
     """Deterministic sample of 2x2 hermitian Grams with small entries."""
     from .hermitian import HermitianForm
 
@@ -601,20 +601,67 @@ def criterion_extension(fields, rng, samples: int = 200) -> CriterionResult:
     )
 
 
-ALL_CRITERIA = (
-    "sturm_sign_count_oracle",
-    "trace_transfer_consistency",
-    "congruence_invariance",
-    "nil_vanishing",
-    "max_signature_equals_local_degree",
-    "cone_membership_psd_vs_signature",
-    "cone_axioms",
-    "same_signature_on_cones",
-    "mideal_suite",
-    "z_witness_small_scale",
-    "star_ratio_constancy",
-    "cone_extension",
+# The suite in run order: (criterion, sizes key, default size, run).  Every
+# criterion draws from one rng shared in this order; `run` takes
+# (fields, algebras, rng, size) and looks its criterion up when called.
+_SUITE = (
+    (
+        "sturm_sign_count_oracle", "sturm_instances", 1000,
+        lambda fields, algebras, rng, n: criterion_sturm_oracle(rng, n),
+    ),
+    (
+        "trace_transfer_consistency", "trace_transfer", 500,
+        lambda fields, algebras, rng, n: criterion_trace_transfer(algebras, rng, n),
+    ),
+    (
+        "congruence_invariance", "congruence", 500,
+        lambda fields, algebras, rng, n: criterion_congruence_invariance(
+            algebras, rng, n
+        ),
+    ),
+    (
+        "nil_vanishing", "nil_forms", 200,
+        lambda fields, algebras, rng, n: criterion_nil_vanishing(algebras, rng, n),
+    ),
+    (
+        "max_signature_equals_local_degree", "max_trials", 500,
+        lambda fields, algebras, rng, n: criterion_max_equals_local_degree(
+            algebras, rng, n
+        ),
+    ),
+    (
+        "cone_membership_psd_vs_signature", "cone_equality", 500,
+        lambda fields, algebras, rng, n: criterion_cone_equality(algebras, rng, n),
+    ),
+    (
+        "cone_axioms", "axiom_samples", 200,
+        lambda fields, algebras, rng, n: criterion_cone_axioms(algebras, rng, n),
+    ),
+    (
+        "same_signature_on_cones", "same_signature", 200,
+        lambda fields, algebras, rng, n: criterion_same_signature(algebras, rng, n),
+    ),
+    (
+        "mideal_suite", "mideal", 100,
+        lambda fields, algebras, rng, n: criterion_mideal(algebras, rng, n),
+    ),
+    (
+        "z_witness_small_scale", "z_height", 5,
+        lambda fields, algebras, rng, n: criterion_z_witness_small_scale(
+            algebras, rng, n
+        ),
+    ),
+    (
+        "star_ratio_constancy", "star_members", 10,
+        lambda fields, algebras, rng, n: criterion_star_ratio(algebras, rng, n),
+    ),
+    (
+        "cone_extension", "extension_samples", 200,
+        lambda fields, algebras, rng, n: criterion_extension(fields, rng, n),
+    ),
 )
+ALL_CRITERIA = tuple(name for name, _, _, _ in _SUITE)
+SIZE_KEYS = tuple(key for _, key, _, _ in _SUITE)
 
 
 def run_suite(seed: int = 0, only=None, sizes=None) -> list[CriterionResult]:
@@ -624,59 +671,8 @@ def run_suite(seed: int = 0, only=None, sizes=None) -> list[CriterionResult]:
     algebras = standard_algebras(fields)
     rng = random.Random(seed)
     picked = set(only or ALL_CRITERIA)
-    results = []
-
-    def want(name):
-        return name in picked
-
-    if want("sturm_sign_count_oracle"):
-        results.append(
-            criterion_sturm_oracle(rng, sizes.get("sturm_instances", 1000))
-        )
-    if want("trace_transfer_consistency"):
-        results.append(
-            criterion_trace_transfer(algebras, rng, sizes.get("trace_transfer", 500))
-        )
-    if want("congruence_invariance"):
-        results.append(
-            criterion_congruence_invariance(
-                algebras, rng, sizes.get("congruence", 500)
-            )
-        )
-    if want("nil_vanishing"):
-        results.append(
-            criterion_nil_vanishing(algebras, rng, sizes.get("nil_forms", 200))
-        )
-    if want("max_signature_equals_local_degree"):
-        results.append(
-            criterion_max_equals_local_degree(
-                algebras, rng, sizes.get("max_trials", 500)
-            )
-        )
-    if want("cone_membership_psd_vs_signature"):
-        results.append(
-            criterion_cone_equality(algebras, rng, sizes.get("cone_equality", 500))
-        )
-    if want("cone_axioms"):
-        results.append(
-            criterion_cone_axioms(algebras, rng, sizes.get("axiom_samples", 200))
-        )
-    if want("same_signature_on_cones"):
-        results.append(
-            criterion_same_signature(algebras, rng, sizes.get("same_signature", 200))
-        )
-    if want("mideal_suite"):
-        results.append(criterion_mideal(algebras, rng, sizes.get("mideal", 100)))
-    if want("z_witness_small_scale"):
-        results.append(
-            criterion_z_witness_small_scale(algebras, rng, sizes.get("z_height", 5))
-        )
-    if want("star_ratio_constancy"):
-        results.append(
-            criterion_star_ratio(algebras, rng, sizes.get("star_members", 10))
-        )
-    if want("cone_extension"):
-        results.append(
-            criterion_extension(fields, rng, sizes.get("extension_samples", 200))
-        )
-    return results
+    return [
+        run(fields, algebras, rng, sizes.get(key, default))
+        for name, key, default, run in _SUITE
+        if name in picked
+    ]

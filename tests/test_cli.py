@@ -225,6 +225,7 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         ("extend", {"algebra": RT2_BASE, "embedding": [1]}, "embedding"),
         ("nil", {"algebra": {**M2Q, "field": {"min_poly": 7}}}, "min_poly"),
         ("signature", {"algebra": {**M2Q, "phi": 3}, "form": {"diag": ["1"]}}, "phi"),
+        ("verify", {"criteria": ["nil_vanishing"], "sizes": {"nil_form": 1}}, "nil_form"),
     ],
     ids=[
         "diag_not_array",
@@ -237,6 +238,7 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         "embedding_not_object",
         "min_poly_not_array",
         "phi_not_array",
+        "unknown_size_key",
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):

@@ -2,10 +2,12 @@
 
 Each case in ``tests/golden/cases.json`` is one CLI run (seed, command,
 config); ``tests/golden/<name>.out`` holds its stdout byte for byte.  The
-cases cover every `verify` criterion at smoke sizes and the seeded or
+cases cover every `verify` criterion at smoke sizes, the seeded or
 star-pairing paths of `np`, `sylvester`, `member`, `signature`, `cones`
-and `extend`, so a change to the diagonalization or to the order of
-random draws shows up here.
+and `extend`, and `orderings`, `nil` and `count-roots` over quartic
+fields (one of them reducible), so a change to the diagonalization, to
+sign determination, to root isolation or to the order of random draws
+shows up here.
 
 To re-record after a deliberate change of output:
 

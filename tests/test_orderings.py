@@ -169,8 +169,9 @@ def test_embedding_preserves_signs():
 
 def test_reducible_minpoly_degrades_as_documented():
     # (x^2-2)(x^2-3) has no rational root, so it slips the screen; sign_of
-    # still answers exactly via the gcd route, and inversion of a zero
-    # divisor surfaces as NotInvertible
+    # still answers exactly, since the localized Tarski query reads 0 where
+    # alpha vanishes, and inversion of a zero divisor surfaces as
+    # NotInvertible
     F = NumberField([6, 0, -5, 0, 1])
     orderings = list_orderings(F)
     assert len(orderings) == 4  # -sqrt3 < -sqrt2 < sqrt2 < sqrt3
