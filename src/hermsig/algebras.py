@@ -281,10 +281,6 @@ def mat_mul(x, y):
     return out
 
 
-def mat_add(x, y):
-    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
 def mat_theta_t(x):
     """Entrywise canonical involution followed by transpose."""
     n, m = len(x), len(x[0])
@@ -408,11 +404,6 @@ class AlgebraWithInvolution:
         self._own(x)
         self._own(y)
         return self.element(mat_mul(x.entries, y.entries))
-
-    def add(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
-        self._own(x)
-        self._own(y)
-        return self.element(mat_add(x.entries, y.entries))
 
     def is_symmetric(self, x: "AlgebraElement") -> bool:
         self._own(x)

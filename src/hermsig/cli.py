@@ -147,10 +147,13 @@ def _cmd_np(config, seed, bound):
     A = jsonio.parse_algebra(config["algebra"])
     h = jsonio.parse_hermitian_form(A, config["form"])
     cone = _cone_from_config(A, config)
+    search = config.get("search", False)
+    if not isinstance(search, bool):
+        raise ParseError("search must be true or false")
     member = in_NP(h, cone)
     report = {"in_np": member, "witness": None}
     ok = True
-    if member and config.get("search", False):
+    if member and search:
         rng = random.Random(seed)
         w = find_Z_witness(h, cone, search_bound=bound, rng=rng)
         if isinstance(w, ZWitness):

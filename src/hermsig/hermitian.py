@@ -9,7 +9,11 @@ pairing, `jsonio.parse_qform`) are diagonalized here as well.
 A `HermitianForm` is an orthogonal sum of square Gram blocks over A:
 diagonal forms are sums of one-entry blocks, and direct sums, scalings,
 repeats and tensors with diagonal quadratic forms keep the block structure
-instead of building a dense Gram matrix.  Each block's diagonal is computed
+instead of building a dense Gram matrix.  Every computation on a form reads
+its blocks: signatures, the star pairing (one star Gram per block), the
+congruence transform (a sum over nonzero block entries) and the trace
+transfer (one division-ring diagonalization per block).  The dense `gram`
+is only an assembled view for reports.  Each block's diagonal is computed
 in two explicit steps: scale the block on the left by Phi^(-1) (skipped
 when Phi is the identity), then flatten the m x m matrix over M_n(D) to an
 mn x mn theta-hermitian matrix over D and diagonalize it by congruence.
@@ -207,11 +211,12 @@ class HermitianForm:
 
     Each block is a square Gram matrix over A, and the form's Gram matrix is
     their block-diagonal sum.  A diagonal Gram splits into one block per
-    entry; any other Gram given here is one block.  The dense Gram is
-    assembled only when a caller asks for it.
+    entry; any other Gram given here is one block.  Every computation reads
+    the blocks; `gram` only assembles the dense view for callers that print
+    or compare whole Grams.
     """
 
-    __slots__ = ("owner", "blocks", "_diagonals", "_gram")
+    __slots__ = ("owner", "blocks", "_diagonals")
 
     def __init__(self, owner: AlgebraWithInvolution, gram):
         gram = tuple(tuple(row) for row in gram)
@@ -235,7 +240,6 @@ class HermitianForm:
         self.owner = owner
         self.blocks = blocks
         self._diagonals = [None] * len(blocks)
-        self._gram = gram
 
     @classmethod
     def _orthogonal_sum(cls, owner, blocks, diagonals=None) -> "HermitianForm":
@@ -244,7 +248,6 @@ class HermitianForm:
         h.owner = owner
         h.blocks = tuple(blocks)
         h._diagonals = list(diagonals) if diagonals else [None] * len(h.blocks)
-        h._gram = None
         return h
 
     @property
@@ -253,17 +256,15 @@ class HermitianForm:
 
     @property
     def gram(self):
-        """The dense Gram matrix, assembled from the blocks on first use."""
-        if self._gram is None:
-            zero = self.owner.zero()
-            k = self.dim
-            rows = []
-            for b in self.blocks:
-                left = len(rows)
-                pad = k - left - len(b)
-                rows.extend((zero,) * left + row + (zero,) * pad for row in b)
-            self._gram = tuple(rows)
-        return self._gram
+        """The dense Gram matrix, assembled from the blocks."""
+        zero = self.owner.zero()
+        k = self.dim
+        rows = []
+        for b in self.blocks:
+            left = len(rows)
+            pad = k - left - len(b)
+            rows.extend((zero,) * left + row + (zero,) * pad for row in b)
+        return tuple(rows)
 
     def _block_diagonals(self) -> list[tuple[FieldElement, ...]]:
         ds = self._diagonals
@@ -360,24 +361,26 @@ def hyperbolic(a: AlgebraElement) -> HermitianForm:
 
 
 def congruence_transform(h: HermitianForm, G) -> HermitianForm:
-    """The form with Gram sigma(G)^t * gram * G for G over A."""
+    """The form with Gram sigma(G)^t * C * G for G over A, as one block.
+
+    C is the block-diagonal sum of h's blocks, so the triple products run
+    over the blocks' nonzero entries C_ab only.
+    """
     A = h.owner
     k = h.dim
     Gs = [[A.involution(G[j][i]) for j in range(k)] for i in range(k)]
-    prod = [
-        [
-            sum(
-                (
-                    Gs[i][a] * h.gram[a][b] * G[b][j]
-                    for a in range(k)
-                    for b in range(k)
-                ),
-                A.zero(),
-            )
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
+    prod = [[A.zero()] * k for _ in range(k)]
+    offset = 0
+    for block in h.blocks:
+        for a, row in enumerate(block, offset):
+            for b, c in enumerate(row, offset):
+                if c.is_zero:
+                    continue
+                for i in range(k):
+                    left = Gs[i][a] * c
+                    if not left.is_zero:
+                        prod[i] = [p + left * g for p, g in zip(prod[i], G[b])]
+        offset += len(block)
     return HermitianForm._orthogonal_sum(A, [tuple(tuple(row) for row in prod)])
 
 
@@ -468,16 +471,24 @@ def signature_vector(h: HermitianForm) -> SignatureVector:
 # trace transfer to a quadratic form over F (division case, n = 1)
 
 
+def _division_diagonal(h: HermitianForm) -> tuple[FieldElement, ...]:
+    """F-diagonal of a form over (D, theta) (n = 1), unscaled, block by block."""
+    return tuple(
+        x
+        for block in h.blocks
+        for x in diagonalize_hermitian(
+            h.owner.desc, [[e.entries[0][0] for e in row] for row in block]
+        )[1]
+    )
+
+
 def trace_transfer(h: HermitianForm) -> QuadraticForm:
     """The quadratic form x -> h(x, x) for a form over (D, theta)."""
     A = h.owner
     if A.n != 1:
         raise ValueError("trace transfer applies to forms over (D, theta) only")
     field = A.field
-    _, d = diagonalize_hermitian(
-        A.desc, [[e.entries[0][0] for e in row] for row in h.gram]
-    )
-    diag = QuadraticForm(field, d)
+    diag = QuadraticForm(field, _division_diagonal(h))
     kind = A.desc.kind
     if kind == BASE:
         return diag
@@ -514,44 +525,39 @@ def _star_gram_diagonal(h: HermitianForm, b: AlgebraElement):
     """Diagonal entries of (h * <b>), a form over (Z(A), iota).
 
     The pairing of x = (x_1..x_k) and y = (y_1..y_k) in A^k is
-    sum_ij Trd(sigma(x_i) * C_ij * y_j * b); restricted to diagonal forms
-    this is the orthogonal sum of the one-element pairings.
+    sum_ij Trd(sigma(x_i) * C_ij * y_j * b).  Cross-block entries C_ij are
+    zero, so the pairing of an orthogonal sum is the orthogonal sum of the
+    blocks' pairings: each m x m block gives one (m dim_Z A)-square Gram,
+    indexed by (slot, basis element), and the diagonals are concatenated.
     """
     A = h.owner
     basis = _center_basis(A)
-    k = h.dim
     sigmas = [A.involution(e) for e in basis]
-    # full index set: (module slot, basis element)
-    idx = [(i, e) for i in range(k) for e in range(len(basis))]
-    N = len(idx)
-    gram = [[None] * N for _ in range(N)]
-    # cache C_ij * f * b
-    mid = {}
-    for i in range(k):
-        for j in range(k):
-            if h.gram[i][j].is_zero:
-                continue
-            for f in range(len(basis)):
-                mid[(i, j, f)] = A.multiply(
-                    h.gram[i][j], A.multiply(basis[f], b)
-                )
-    zero = A.zero()
-    for u, (i, e) in enumerate(idx):
-        for v, (j, f) in enumerate(idx):
-            m = mid.get((i, j, f))
-            if m is None:
-                val = zero
-            else:
-                val = A.multiply(sigmas[e], m)
-            gram[u][v] = A.reduced_trace(val)
+    fbs = [A.multiply(f, b) for f in basis]
     desc = A.desc
     if desc.kind == QUATERNION:
         # Trd is F-valued, so the Gram is symmetric over (F, id); eliminating
         # with base-kind scalars avoids quaternion products
         desc = base_desc(A.field)
-        gram = [[DElement(desc, (e.scalar_part(),)) for e in row] for row in gram]
-    _, d = diagonalize_hermitian(desc, gram)
-    return d
+        lift = lambda t: DElement(desc, (t.scalar_part(),))
+    else:
+        lift = lambda t: t
+    N = len(basis)
+    out = []
+    for block in h.blocks:
+        gram = [[desc.zero()] * (len(block) * N) for _ in range(len(block) * N)]
+        for i, row in enumerate(block):
+            for j, c in enumerate(row):
+                if c.is_zero:
+                    continue
+                for f, fb in enumerate(fbs):
+                    m = A.multiply(c, fb)
+                    for e, s in enumerate(sigmas):
+                        gram[i * N + e][j * N + f] = lift(
+                            A.reduced_trace(A.multiply(s, m))
+                        )
+        out.extend(diagonalize_hermitian(desc, gram)[1])
+    return tuple(out)
 
 
 def star_pairing(a: AlgebraElement, b: AlgebraElement) -> QuadraticForm:

@@ -170,7 +170,7 @@ def parse_algebra(v) -> AlgebraWithInvolution:
         F = parse_field(v["field"])
         desc = parse_desc(F, v["division"])
         n = v["n"]
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ParseError("n must be a positive integer")
         phi = v.get("phi")
         if phi is not None:

@@ -433,14 +433,9 @@ def criterion_mideal(algebras, rng, per_algebra: int = 100) -> CriterionResult:
 
 
 def _height_fractions(limit: int):
-    out = []
-    for num in range(1, limit + 1):
-        for den in range(1, limit + 1):
-            f = Fraction(num, den)
-            if f.numerator <= limit and f.denominator <= limit:
-                if f not in out:
-                    out.append(f)
-    return sorted(set(out))
+    return sorted(
+        {Fraction(num, den) for num in range(1, limit + 1) for den in range(1, limit + 1)}
+    )
 
 
 def criterion_z_witness_small_scale(algebras, rng, height: int = 5) -> CriterionResult:
@@ -448,7 +443,7 @@ def criterion_z_witness_small_scale(algebras, rng, height: int = 5) -> Criterion
     failures = 0
     found = 0
     vals = _height_fractions(height)
-    entries = [v for v in vals] + [-v for v in vals]
+    entries = vals + [-v for v in vals]
     for key in ("qq_id", "qq_ham"):
         A = algebras[key]
         cone = _first_cone(A)

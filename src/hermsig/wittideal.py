@@ -24,8 +24,8 @@ from .algebras import AlgebraElement, random_field_element
 from .cones import PositiveConeHandle, cone_membership, sample_cone_member
 from .hermitian import (
     HermitianForm,
+    _division_diagonal,
     diagonal_form,
-    diagonalize_hermitian,
     form_direct_sum,
     form_repeat,
     form_scale,
@@ -69,14 +69,15 @@ def _balanced_form(cone: PositiveConeHandle, a_list, b_list) -> HermitianForm:
 
 def _isometry_evidence(left: HermitianForm, right: HermitianForm) -> dict:
     """Rank and per-ordering signature agreement; necessary conditions only."""
+    lr, rr = left.rank(), right.rank()
     lv = signature_vector(left).values
     rv = signature_vector(right).values
     return {
-        "rank_left": left.rank(),
-        "rank_right": right.rank(),
+        "rank_left": lr,
+        "rank_right": rr,
         "signatures_left": list(lv),
         "signatures_right": list(rv),
-        "match": left.rank() == right.rank() and lv == rv,
+        "match": lr == rr and lv == rv,
     }
 
 
@@ -117,17 +118,15 @@ def sylvester_reduction(
     return q, tuple(u_list), tuple(v_list), evidence
 
 
-def _quick_balanced_witness(h, cone):
-    """Split a diagonal form with invertible entries into cone members.
+def _quick_balanced_witness(h, entries, cone):
+    """Split h, congruent to the diagonal form on `entries`, into cone members.
 
-    Succeeds exactly when every diagonal entry lies in the cone or its
-    negative and the two counts agree; then q = <1> works.
+    Succeeds exactly when every entry is invertible and lies in the cone or
+    its negative and the two counts agree; then q = <1> works.
     """
     A = cone.algebra
-    if not h.is_diagonal():
-        return None
     members, antimembers = [], []
-    for e in (row[i] for b in h.blocks for i, row in enumerate(b)):
+    for e in entries:
         try:
             A.invert(e)
         except NotInvertible:
@@ -163,20 +162,17 @@ def find_Z_witness(
         raise SingularForm()
     if signature(h, cone.ordering) != 0:
         raise ExpectedNPMember()
-    w = _quick_balanced_witness(h, cone)
-    if w is not None:
-        return w
     if A.n == 1:
         # over a division ring the form always diagonalizes with F-entries
-        _, d = diagonalize_hermitian(
-            A.desc, [[e.entries[0][0] for e in row] for row in h.gram]
-        )
-        diag = diagonal_form(A, [A.scalar(x) for x in d])
-        w = _quick_balanced_witness(diag, cone)
+        entries = [A.scalar(x) for x in _division_diagonal(h)]
+    elif h.is_diagonal():
+        entries = [row[i] for b in h.blocks for i, row in enumerate(b)]
+    else:
+        entries = None
+    if entries is not None:
+        w = _quick_balanced_witness(h, entries, cone)
         if w is not None:
-            evidence = _isometry_evidence(h, _balanced_form(cone, w.a_list, w.b_list))
-            if evidence["match"]:
-                return ZWitness(w.q, w.a_list, w.b_list, evidence)
+            return w
     pool = [A.phi_element() * Fraction(cone.orientation)]
     if rng is not None:
         pool += [

@@ -226,6 +226,9 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         ("nil", {"algebra": {**M2Q, "field": {"min_poly": 7}}}, "min_poly"),
         ("signature", {"algebra": {**M2Q, "phi": 3}, "form": {"diag": ["1"]}}, "phi"),
         ("verify", {"criteria": ["nil_vanishing"], "sizes": {"nil_form": 1}}, "nil_form"),
+        ("nil", {"algebra": {**M2Q, "n": True}}, "n must be"),
+        ("np", {"algebra": M2Q, "form": {"diag": ["1", "-1"]}, "search": None}, "search"),
+        ("np", {"algebra": M2Q, "form": {"diag": ["1", "-1"]}, "search": "no"}, "search"),
     ],
     ids=[
         "diag_not_array",
@@ -239,6 +242,9 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         "min_poly_not_array",
         "phi_not_array",
         "unknown_size_key",
+        "n_bool",
+        "search_null",
+        "search_string",
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):

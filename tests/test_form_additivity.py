@@ -5,7 +5,10 @@ added up from per-block diagonals.  The reference here ignores the blocks:
 it scales the whole dense Gram matrix on the left by Phi^(-1), flattens it
 to a matrix over D and diagonalizes it in one congruence elimination.  The
 forms are drawn over the nine standard algebras (Phi != I, quaternions, nil
-orderings), with zero and singular diagonal entries allowed.
+orderings), with zero and singular diagonal entries allowed.  The star
+pairing and the congruence transform, which the library also computes block
+by block, are checked against dense computations built here from the
+assembled Gram matrix.
 """
 
 import pytest
@@ -13,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hermsig.algebras import DElement, mat_mul  # noqa: E402
+from hermsig.algebras import QUADRATIC, DElement, base_desc, mat_mul  # noqa: E402
 from hermsig.hermitian import (  # noqa: E402
     congruence_transform,
     diagonal_form,
@@ -23,8 +26,10 @@ from hermsig.hermitian import (  # noqa: E402
     form_scale,
     nil_orderings,
     signature,
+    star_pairing_form,
 )
 from hermsig.orderings import list_orderings, sign_of  # noqa: E402
+from hermsig.qforms import signature_qf  # noqa: E402
 from hermsig.verify import standard_algebras  # noqa: E402
 
 ALGEBRAS = standard_algebras()
@@ -49,6 +54,65 @@ def reference(h):
         for P in list_orderings(A.field)
     )
     return sum(1 for x in d if not x.is_zero), sigs
+
+
+def dense_congruence(h, G):
+    """sigma(G)^t * gram * G over the whole dense Gram."""
+    A = h.owner
+    k = h.dim
+    C = h.gram
+    return [
+        [
+            sum(
+                (
+                    A.involution(G[a][i]) * C[a][b] * G[b][j]
+                    for a in range(k)
+                    for b in range(k)
+                ),
+                A.zero(),
+            )
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+
+
+def dense_star_signatures(h, b):
+    """Signatures of h * <b> from one Gram over all (slot, basis) pairs.
+
+    The pairing is (x, y) -> sum_ij Trd(sigma(x_i) C_ij y_j b) on A^k, with
+    A spanned over its center by matrix units times a basis of D (times 1
+    only in the quadratic kind, where the center is F(sqrt d)).
+    """
+    A = h.owner
+    n = A.n
+    d_basis = A.desc.basis()[: 1 if A.desc.kind == QUADRATIC else None]
+    basis = []
+    for r in range(n):
+        for c in range(n):
+            for t in d_basis:
+                entries = [[A.desc.zero()] * n for _ in range(n)]
+                entries[r][c] = t
+                basis.append(A.element(entries))
+    slots = [(i, e) for i in range(h.dim) for e in basis]
+    C = h.gram
+    zero = A.desc.zero()
+    gram = [
+        [
+            zero
+            if C[i][j].is_zero
+            else A.reduced_trace(A.involution(e) * C[i][j] * f * b)
+            for j, f in slots
+        ]
+        for i, e in slots
+    ]
+    desc = A.desc
+    if desc.dim == 4:
+        # quaternion reduced traces are F-valued
+        desc = base_desc(A.field)
+        gram = [[DElement(desc, (x.scalar_part(),)) for x in row] for row in gram]
+    _, d = diagonalize_hermitian(desc, gram)
+    return tuple(sum(sign_of(x, P) for x in d) for P in list_orderings(A.field))
 
 
 def invariants(h):
@@ -132,6 +196,7 @@ def test_additivity_and_congruence_against_dense_reference(case):
     scaled = form_scale(u, h1)
     repeated = form_repeat(ell, h1)
     moved = congruence_transform(total, G)
+    assert [list(row) for row in moved.gram] == dense_congruence(total, G)
     for h in (h1, h2, total, scaled, repeated, moved):
         assert invariants(h) == reference(h)
 
@@ -146,3 +211,22 @@ def test_additivity_and_congruence_against_dense_reference(case):
     rr, sr = invariants(repeated)
     assert (rr, sr) == (ell * r1, tuple(ell * v for v in s1))
     assert invariants(moved) == (rt, sig_total)
+
+
+@st.composite
+def star_cases(draw):
+    A = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    h1 = diagonal_form(A, draw(st.lists(symmetric_entries(A), min_size=1, max_size=2)))
+    h2 = diagonal_form(A, [draw(symmetric_entries(A))])
+    return h1, h2, draw(symmetric_entries(A))
+
+
+@settings(max_examples=25, deadline=None)
+@given(star_cases())
+def test_star_pairing_of_orthogonal_sum_against_dense_reference(case):
+    h1, h2, b = case
+    total = form_direct_sum(h1, h2)
+    paired = star_pairing_form(total, b)
+    assert paired.diag == star_pairing_form(h1, b).diag + star_pairing_form(h2, b).diag
+    signatures = tuple(signature_qf(paired, P) for P in list_orderings(b.owner.field))
+    assert signatures == dense_star_signatures(total, b)

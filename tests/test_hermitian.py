@@ -25,6 +25,7 @@ from hermsig.hermitian import (
     signature,
     signature_vector,
     star_pairing,
+    star_pairing_form,
     trace_transfer,
 )
 from hermsig.orderings import NumberField, list_orderings, sign_of
@@ -317,3 +318,11 @@ def test_block_diagonals_stay_small(monkeypatch):
     assert 0 < len(sizes) <= 8 and max(sizes) <= M2.n
     assert vectors[1] == tuple(3 * v for v in vectors[0])
     assert vectors[2] == tuple(2 * v for v in vectors[0])
+
+    # the star pairing is taken one block at a time too: each one-entry
+    # block gives a Gram of dim_Z M_2(Q) = 4 rows
+    monkeypatch.undo()
+    monkeypatch.setattr(hermitian, "diagonalize_hermitian", recording)
+    sizes.clear()
+    paired = star_pairing_form(h, random_symmetric_unit(M2, rng, 2))
+    assert paired.dim == 32 and sizes == [4] * 8
