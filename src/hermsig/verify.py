@@ -459,8 +459,7 @@ def criterion_z_witness_small_scale(algebras, rng, height: int = 5) -> Criterion
                 else:
                     found += 1
         # non-diagonal Gram matrices, entries of small height
-        extra = _small_gram_forms(A)
-        for h in extra:
+        for h in _small_gram_forms(A, 30 * height):
             if not h.is_nonsingular or signature(h, P) != 0:
                 continue
             w = find_Z_witness(h, cone)
@@ -475,8 +474,8 @@ def criterion_z_witness_small_scale(algebras, rng, height: int = 5) -> Criterion
     )
 
 
-def _small_gram_forms(A, count: int = 150):
-    """Deterministic sample of 2x2 hermitian Grams with small entries."""
+def _small_gram_forms(A, count: int):
+    """The first `count` of a fixed shuffle of 2x2 hermitian Grams with small entries."""
     from .hermitian import HermitianForm
 
     out = []
@@ -496,7 +495,7 @@ def _small_gram_forms(A, count: int = 150):
                     combos.append((c1, c2, quad))
     rng2 = random.Random(4177)
     rng2.shuffle(combos)
-    for c1, c2, off in combos[: count * 10]:
+    for c1, c2, off in combos[:count]:
         diag1 = desc.from_field(field.from_rational(c1))
         diag2 = desc.from_field(field.from_rational(c2))
         beta = DElement(desc, tuple(field.from_rational(v) for v in off))
@@ -505,8 +504,6 @@ def _small_gram_forms(A, count: int = 150):
             [A.element([[beta.conj()]]), A.element([[diag2]])],
         ]
         out.append(HermitianForm(A, gram))
-        if len(out) >= count:
-            break
     return out
 
 

@@ -7,7 +7,8 @@ with -s to see them).  The same code path backs the `verify` CLI command.
 
 import pytest
 
-from hermsig.verify import ALL_CRITERIA, run_suite
+from hermsig import cones, hermitian, verify
+from hermsig.verify import ALL_CRITERIA, SIZE_KEYS, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -27,3 +28,46 @@ def test_criterion(name, suite_results):
     result = suite_results[name]
     print(result.line())
     assert result.passed, result.details
+
+
+
+# per sizes key, a call its criterion makes a number of times that grows
+# with that size
+WORK = {
+    "sturm_instances": (verify, "sturm_sequence"),
+    "trace_transfer": (verify, "trace_transfer"),
+    "congruence": (verify, "congruence_transform"),
+    "nil_forms": (verify, "trace_transfer"),
+    "max_trials": (hermitian, "random_symmetric_unit"),
+    "cone_equality": (verify, "cone_membership"),
+    "axiom_samples": (verify, "sample_cone_member"),
+    "same_signature": (verify, "sample_cone_member"),
+    "mideal": (verify, "random_symmetric_unit"),
+    "z_height": (hermitian.HermitianForm, "__init__"),
+    "star_members": (verify, "star_pairing"),
+    "extension_samples": (cones, "sample_cone_member"),
+}
+
+
+def test_work_table_covers_every_size_key():
+    assert set(WORK) == set(SIZE_KEYS)
+
+
+@pytest.mark.parametrize("key", SIZE_KEYS)
+def test_size_key_sets_the_work(key, monkeypatch):
+    name = dict(zip(SIZE_KEYS, ALL_CRITERIA))[key]
+    owner, attr = WORK[key]
+    real = getattr(owner, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    counts = []
+    for size in (1, 2):
+        calls.clear()
+        run_suite(seed=0, only=[name], sizes={key: size})
+        counts.append(len(calls))
+    assert 0 < counts[0] < counts[1]
