@@ -433,9 +433,8 @@ def criterion_mideal(algebras, rng, per_algebra: int = 100) -> CriterionResult:
 
 
 def _height_fractions(limit: int):
-    return sorted(
-        {Fraction(num, den) for num in range(1, limit + 1) for den in range(1, limit + 1)}
-    )
+    heights = range(1, limit + 1)
+    return sorted({Fraction(num, den) for num in heights for den in heights})
 
 
 def criterion_z_witness_small_scale(algebras, rng, height: int = 5) -> CriterionResult:
@@ -475,7 +474,7 @@ def criterion_z_witness_small_scale(algebras, rng, height: int = 5) -> Criterion
 
 
 def _small_gram_forms(A, count: int):
-    """The first `count` of a fixed shuffle of 2x2 hermitian Grams with small entries."""
+    """The first `count` of a fixed shuffle of small-entry 2x2 hermitian Grams."""
     from .hermitian import HermitianForm
 
     out = []
