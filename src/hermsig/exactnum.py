@@ -24,7 +24,8 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -209,14 +210,44 @@ def _count_changes(signs) -> int:
     return changes
 
 
+def _primitive_integer(f: Polynomial) -> tuple[int, ...]:
+    """Coprime integer coefficients of a positive multiple of a nonzero f."""
+    cs = f.coeffs
+    den = math.lcm(*(c.denominator for c in cs))
+    nums = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*nums)
+    return tuple(n // g for n in nums)
+
+
 @dataclass(frozen=True)
 class SturmSequence:
     """Signed remainder chain; ends at a gcd of the two seed polynomials."""
 
     polys: tuple[Polynomial, ...]
+    _ints: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # every member is nonzero: the chain stops before a zero remainder
+        object.__setattr__(
+            self, "_ints", tuple(_primitive_integer(f) for f in self.polys)
+        )
 
     def changes_at(self, x) -> int:
-        return _count_changes(sign(f(x)) for f in self.polys)
+        """Sign changes at the rational x = p/q, q > 0.
+
+        Each member f is read as q^deg(f) * f(p/q) on its positive integer
+        multiple, an integer of the same sign, evaluated by Horner.
+        """
+        p, q = x.numerator, x.denominator
+        values = []
+        for cs in self._ints:
+            acc = cs[-1]
+            qk = 1
+            for c in cs[-2::-1]:
+                qk *= q
+                acc = acc * p + c * qk
+            values.append(acc)
+        return _count_changes(sign(v) for v in values)
 
     def changes_neg_inf(self) -> int:
         return _count_changes(

@@ -179,7 +179,7 @@ def _block_diagonal(A: AlgebraWithInvolution, block) -> tuple[FieldElement, ...]
     diagonalized once per algebra.
     """
     key = tuple(
-        c.coords
+        (c.nums, c.den)
         for row in block
         for e in row
         for entry_row in e.entries

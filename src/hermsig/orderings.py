@@ -6,6 +6,16 @@ element a at an ordering is one localized Tarski query: the Sturm chain
 seeded with (p, p'*a mod p), read across the isolating interval, drops by
 exactly sgn a(root), zero included.  Real closures are never materialized.
 
+A field element is integer numerators over one denominator in the power
+basis, sum_i nums[i] x^i / den, always canonical: den > 0 and
+gcd(den, *nums) == 1, so equal values compare and hash equal.  Products
+reduce modulo scale * p, the monic minimal polynomial cleared of
+denominators once per field; each reduction step multiplies the partial
+product and its denominator by scale, so a non-integral p stays exact.
+Inversion solves the multiplication-matrix system by fraction-free
+(Bareiss) elimination.  `FieldElement.coords` is the fraction view of the
+same coordinates.
+
 Fields memoize their ordering list; the cache is idempotent, so concurrent
 readers at worst recompute.
 """
@@ -28,6 +38,7 @@ from .errors import (
 from .exactnum import (
     Interval,
     Polynomial,
+    _primitive_integer,
     _tarski_chain,
     is_squarefree,
     isolate_real_roots,
@@ -48,19 +59,15 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _rational_root_screen(p: Polynomial) -> None:
+def _rational_root_screen(p: Polynomial, ints: tuple[int, ...]) -> None:
     """Reject min_poly of degree > 1 with an obvious rational root.
 
-    Full irreducibility over Q stays the caller's contract; a reducible
+    `ints` are p's coefficients cleared of denominators.  Full
+    irreducibility over Q stays the caller's contract; a reducible
     polynomial that slips past this screen surfaces later as NotInvertible.
     """
     if p.degree <= 1:
         return
-    # integer-scale the coefficients
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
     if ints[0] == 0:
         raise ReducibleMinPoly("zero is a root")
     for num in _divisors(ints[0]):
@@ -79,9 +86,14 @@ class NumberField:
             raise ValueError("minimal polynomial must have degree >= 1")
         if not is_squarefree(p):
             raise NotSquarefree("minimal polynomial is not squarefree")
-        _rational_root_screen(p)
+        # scale * p = scale * x^d + sum_j r_j x^j with integers scale > 0 and
+        # r_j; reduction rewrites c x^(i+d) as -(c / scale) sum_j r_j x^(i+j)
+        ints = _primitive_integer(p)
+        _rational_root_screen(p, ints)
         self.min_poly = p
         self.degree = p.degree
+        self._scale = ints[-1]
+        self._reducer = tuple((j, r) for j, r in enumerate(ints[:-1]) if r)
         self._orderings: tuple[OrderingHandle, ...] | None = None
 
     def __eq__(self, other) -> bool:
@@ -94,118 +106,190 @@ class NumberField:
         return f"NumberField({[str(c) for c in self.min_poly.coeffs]})"
 
     def element(self, coords) -> "FieldElement":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError("coordinate length does not match field degree")
-        return FieldElement(self, coords)
+        den = math.lcm(*(c.denominator for c in coords))
+        # over the lcm of reduced denominators the numerators share no factor
+        return FieldElement(
+            self, tuple(c.numerator * (den // c.denominator) for c in coords), den
+        )
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element([q] + [0] * (self.degree - 1))
+        q = Fraction(q)
+        return FieldElement(
+            self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator
+        )
 
     def zero(self) -> "FieldElement":
-        return self.from_rational(0)
+        return FieldElement(self, (0,) * self.degree, 1)
 
     def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        return FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
             # Q[x]/(x - c): the generator is the rational c itself
             return self.from_rational(-self.min_poly.coeffs[0])
-        return self.element([0, 1] + [0] * (self.degree - 2))
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
+
+
+def _canonical(owner: NumberField, nums, den: int) -> "FieldElement":
+    """The element nums/den, for den > 0, with the common factor removed."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        return FieldElement(owner, tuple(n // g for n in nums), den // g)
+    return FieldElement(owner, tuple(nums), den)
 
 
 @dataclass(frozen=True, slots=True)
 class FieldElement:
-    owner: NumberField
-    coords: tuple[Fraction, ...]
+    """sum_i nums[i] x^i / den, with den > 0 and gcd(den, *nums) == 1.
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.owner != other.owner:
-            raise FieldMismatch()
+    The representation is canonical, so equal values compare and hash equal.
+    """
+
+    owner: NumberField
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Power-basis coordinates as fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.nums)
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(
-            self.owner, tuple(a + b for a, b in zip(self.coords, other.coords))
+        owner = self.owner
+        if other.owner is not owner and other.owner != owner:
+            raise FieldMismatch()
+        da, db = self.den, other.den
+        if da == db:
+            nums = [a + b for a, b in zip(self.nums, other.nums)]
+            if da == 1:
+                return FieldElement(owner, tuple(nums), 1)
+            return _canonical(owner, nums, da)
+        return _canonical(
+            owner, [a * db + b * da for a, b in zip(self.nums, other.nums)], da * db
         )
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(
-            self.owner, tuple(a - b for a, b in zip(self.coords, other.coords))
+        owner = self.owner
+        if other.owner is not owner and other.owner != owner:
+            raise FieldMismatch()
+        da, db = self.den, other.den
+        if da == db:
+            nums = [a - b for a, b in zip(self.nums, other.nums)]
+            if da == 1:
+                return FieldElement(owner, tuple(nums), 1)
+            return _canonical(owner, nums, da)
+        return _canonical(
+            owner, [a * db - b * da for a, b in zip(self.nums, other.nums)], da * db
         )
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.owner, tuple(-a for a in self.coords))
+        return FieldElement(self.owner, tuple(-a for a in self.nums), self.den)
 
     def scale(self, q) -> "FieldElement":
         q = Fraction(q)
-        return FieldElement(self.owner, tuple(a * q for a in self.coords))
+        n = q.numerator
+        return _canonical(
+            self.owner, [a * n for a in self.nums], self.den * q.denominator
+        )
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
             if isinstance(other, (int, Fraction)):
                 return self.scale(other)
             return NotImplemented
-        self._check(other)
-        deg = self.owner.degree
+        owner = self.owner
+        if other.owner is not owner and other.owner != owner:
+            raise FieldMismatch()
+        deg = owner.degree
+        den = self.den * other.den
         if deg == 1:
-            return FieldElement(self.owner, (self.coords[0] * other.coords[0],))
-        prod = [Fraction(0)] * (2 * deg - 1)
-        nontrivial = False
-        for i, a in enumerate(self.coords):
+            return _canonical(owner, (self.nums[0] * other.nums[0],), den)
+        prod = [0] * (2 * deg - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                nontrivial = True
-                for j, b in enumerate(other.coords):
+                for j, b in enumerate(other.nums, i):
                     if b:
-                        prod[i + j] += a * b
-        if not nontrivial:
-            return self
-        # reduce modulo the monic minimal polynomial
-        mp = self.owner.min_poly.coeffs
-        for i in range(len(prod) - 1, deg - 1, -1):
+                        prod[j] += a * b
+        # reduce modulo the integer-scaled minimal polynomial, top term first
+        scale, reducer = owner._scale, owner._reducer
+        for i in range(2 * deg - 2, deg - 1, -1):
             c = prod[i]
             if c:
-                prod[i] = Fraction(0)
-                for j in range(deg):
-                    prod[i - deg + j] -= c * mp[j]
-        return FieldElement(self.owner, tuple(prod[:deg]))
+                if scale != 1:
+                    for k in range(i):
+                        prod[k] *= scale
+                    den *= scale
+                base = i - deg
+                for j, r in reducer:
+                    prod[base + j] -= c * r
+        del prod[deg:]
+        return _canonical(owner, prod, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Inverse via the extended Euclidean algorithm with min_poly."""
+        """Inverse by fraction-free (Bareiss) elimination.
+
+        Column j of the integer matrix M is scale^j * (nums * x^j mod p), so
+        M z = den * e_1 gives the inverse's coordinates scale^j * z_j.  The
+        Gauss-Jordan form keeps every entry an integer and ends with det(M)
+        on the whole diagonal; M is singular exactly when the element is a
+        zero divisor, which for irreducible p means zero.
+        """
         if self.is_zero:
             raise NotInvertible("zero element")
-        a = Polynomial(self.coords)
-        p = self.owner.min_poly
-        # extended gcd: track s with s*a = g (mod p)
-        r0, r1 = p, a
-        s0, s1 = Polynomial([]), Polynomial([1])
-        while not r1.is_zero:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise NotInvertible("gcd with minimal polynomial is not constant")
-        inv = s0 * (Fraction(1) / r0.coeffs[0])
-        coords = list(inv.coeffs[: self.owner.degree])
-        coords += [Fraction(0)] * (self.owner.degree - len(coords))
-        return FieldElement(self.owner, tuple(coords))
+        owner = self.owner
+        deg = owner.degree
+        scale, reducer = owner._scale, owner._reducer
+        col = list(self.nums)
+        cols = [col]
+        for _ in range(deg - 1):
+            top = col[-1]
+            col = [0] + (col[:-1] if scale == 1 else [scale * c for c in col[:-1]])
+            for j, r in reducer:
+                col[j] -= top * r
+            cols.append(col)
+        rows = [[c[i] for c in cols] + [0] for i in range(deg)]
+        rows[0][deg] = self.den
+        prev = 1
+        for k in range(deg):
+            piv = next((r for r in range(k, deg) if rows[r][k]), None)
+            if piv is None:
+                raise NotInvertible("gcd with minimal polynomial is not constant")
+            rows[k], rows[piv] = rows[piv], rows[k]
+            pivot_row = rows[k]
+            p = pivot_row[k]
+            for i in range(deg):
+                if i != k:
+                    row = rows[i]
+                    f = row[k]
+                    rows[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            prev = p
+        # det * z_i sits at the end of row i; coordinate i is scale^i * z_i
+        sgn = 1 if prev > 0 else -1
+        nums = []
+        w = sgn
+        for row in rows:
+            nums.append(w * row[deg])
+            w *= scale
+        return _canonical(owner, nums, sgn * prev)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -257,12 +341,13 @@ def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
     endpoints are not roots of min_poly, the chain seeded with
     (min_poly, min_poly' * alpha mod min_poly) drops by sgn alpha(root).
     """
-    if alpha.owner != P.owner:
+    if alpha.owner is not P.owner and alpha.owner != P.owner:
         raise FieldMismatch()
     if alpha.is_rational:
-        return sign(alpha.coords[0])
+        return sign(alpha.nums[0])
     iv = P.isolating
-    chain = _tarski_chain(P.owner.min_poly, Polynomial(alpha.coords))
+    # alpha * den: a positive scale leaves the count unchanged
+    chain = _tarski_chain(P.owner.min_poly, Polynomial(alpha.nums))
     return chain.count_in(iv.lo, iv.hi)
 
 
@@ -298,7 +383,9 @@ class FieldEmbedding:
     def push(self, alpha: FieldElement) -> FieldElement:
         if alpha.owner != self.src:
             raise FieldMismatch()
-        return _eval_poly_at(Polynomial(alpha.coords), self.image)
+        return _eval_poly_at(Polynomial(alpha.nums), self.image).scale(
+            Fraction(1, alpha.den)
+        )
 
     def restrict(self, Q: OrderingHandle) -> OrderingHandle:
         """The ordering of F induced by the ordering Q of L."""
