@@ -428,6 +428,22 @@ class AlgebraWithInvolution:
             acc = acc + acc.conj()
         return acc
 
+    def reduced_trace_of_product(
+        self, x: "AlgebraElement", y: "AlgebraElement"
+    ) -> DElement:
+        """reduced_trace(x * y) from the n^2 products x_ik * y_ki alone."""
+        self._own(x)
+        self._own(y)
+        n = self.n
+        acc = self.desc.zero()
+        for i, row in enumerate(x.entries):
+            for k in range(n):
+                if not row[k].is_zero:
+                    acc = acc + row[k] * y.entries[k][i]
+        if self.desc.kind == QUATERNION:
+            acc = acc + acc.conj()
+        return acc
+
     def _own(self, x: "AlgebraElement") -> None:
         if x.owner is not self:
             raise FieldMismatch("element belongs to a different algebra")

@@ -554,7 +554,7 @@ def _star_gram_diagonal(h: HermitianForm, b: AlgebraElement):
                     m = A.multiply(c, fb)
                     for e, s in enumerate(sigmas):
                         gram[i * N + e][j * N + f] = lift(
-                            A.reduced_trace(A.multiply(s, m))
+                            A.reduced_trace_of_product(s, m)
                         )
         out.extend(diagonalize_hermitian(desc, gram)[1])
     return tuple(out)
