@@ -434,12 +434,11 @@ class AlgebraWithInvolution:
         """reduced_trace(x * y) from the n^2 products x_ik * y_ki alone."""
         self._own(x)
         self._own(y)
-        n = self.n
         acc = self.desc.zero()
         for i, row in enumerate(x.entries):
-            for k in range(n):
-                if not row[k].is_zero:
-                    acc = acc + row[k] * y.entries[k][i]
+            for k, s in enumerate(row):
+                if not s.is_zero:
+                    acc = acc + s * y.entries[k][i]
         if self.desc.kind == QUATERNION:
             acc = acc + acc.conj()
         return acc
