@@ -77,14 +77,11 @@ def field_and_coords(draw, count):
     return min_poly, coords
 
 
-FIELDS = {}
+FIELDS = {tuple(p): NumberField(p) for p in MIN_POLYS}
 
 
 def field(min_poly):
-    key = tuple(Fraction(c) for c in min_poly)
-    if key not in FIELDS:
-        FIELDS[key] = NumberField(min_poly)
-    return FIELDS[key]
+    return FIELDS[tuple(min_poly)]
 
 
 @settings(max_examples=200, deadline=None)
