@@ -1,16 +1,21 @@
-"""Layer microbenchmarks of the arithmetic kernels, written to BENCH_7.json.
+"""Layer microbenchmarks of the arithmetic kernels, written to BENCH_8.json.
 
   PYTHONPATH=<checkout>/src python3 bench/kernels.py
 
 Times each operation on fixed operands and records the best of several
 repeats in microseconds: `Fraction` mul; `FieldElement` mul and add at
 degree 1, 2 and 4; `inverse` at degree 2 and 4; `sign_of` at degree 4;
-quaternion `DElement` mul at degree 1 and 4.  The operands are those of
-`perfbench/tracer.py`'s kernel timings.  The hermsig measured is whichever
-one PYTHONPATH imports, so the same script times any checkout; its figures
-go into one column of BENCH_7.json (next to this directory), named by the
-checkout's git commit, with "+dirty" when its src/ has uncommitted
-changes, and the other columns are kept.
+quaternion `DElement` mul at degree 1 and 4; and, over the Hamilton
+quaternions H = (-1,-1)_Q, `AlgebraElement ==` on two equal but separately
+built 2 x 2 matrices, one `diagonalize_hermitian` of a 4 x 4 hermitian
+matrix, and one `signature` of the 2 x 2 form over M_2(H) whose flattened
+Gram is that matrix (the form is built anew and the algebra's memo of block
+diagonals emptied on each call, so the diagonalization is timed too).  The
+operands are those of `perfbench/tracer.py`'s kernel timings.  The hermsig
+measured is whichever one PYTHONPATH imports, so the same script times any
+checkout; its figures go into one column of BENCH_8.json (next to this
+directory), named by the checkout's git commit, with "+dirty" when its src/
+has uncommitted changes, and the other columns are kept.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import hermsig
-from hermsig.algebras import DElement, quaternion_desc
+from hermsig.algebras import DElement, make_algebra, quaternion_desc
+from hermsig.hermitian import HermitianForm, diagonalize_hermitian, signature
 from hermsig.orderings import NumberField, list_orderings, sign_of
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_7.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_8.json"
 REPEATS = 15
 TARGET_S = 0.02  # time per repeat
 
@@ -44,6 +50,53 @@ def _quaternions(field):
     a = DElement(desc, tuple(_element(field, X[i:] + X[:i]) for i in range(4)))
     b = DElement(desc, tuple(_element(field, Y[i:] + Y[:i]) for i in range(4)))
     return a, b
+
+
+def _hermitian_matrix(desc, size):
+    """M + theta(M)^t for a fixed size x size matrix M over D."""
+    coords = X + Y
+
+    def entry(i, j):
+        start = i * size + j
+        return DElement(
+            desc,
+            tuple(
+                desc.field.from_rational(coords[(start + k) % len(coords)])
+                for k in range(desc.dim)
+            ),
+        )
+
+    return [[entry(i, j) + entry(j, i).conj() for j in range(size)] for i in range(size)]
+
+
+def _hamilton_operations() -> dict:
+    """Equality, diagonalization and signature over H = (-1,-1)_Q."""
+    qq = NumberField([0, 1])
+    minus_one = qq.from_rational(-1)
+    desc = quaternion_desc(qq, minus_one, minus_one)
+    M2H = make_algebra(desc, 2)
+    S = _hermitian_matrix(desc, 4)
+
+    def block(a, b):
+        return M2H.element([[S[2 * a + r][2 * b + c] for c in range(2)] for r in range(2)])
+
+    x = block(0, 1)
+    # the same values in distinct objects, so equality reads every entry
+    y = M2H.element(
+        [[DElement(desc, tuple(qq.element(c.coords) for c in e.comps)) for e in row] for row in x.entries]
+    )
+    gram = [[block(a, b) for b in range(2)] for a in range(2)]
+    P = list_orderings(qq)[0]
+
+    def fresh_signature():
+        M2H._diagonal_memo.clear()
+        return signature(HermitianForm(M2H, gram), P)
+
+    return {
+        "algebra_eq.quaternion.m2": lambda: x == y,
+        "diagonalize_hermitian.quaternion.4x4": lambda: diagonalize_hermitian(desc, S),
+        "signature.quaternion.m2": fresh_signature,
+    }
 
 
 def operations() -> dict:
@@ -67,6 +120,7 @@ def operations() -> dict:
     ops["sign_of.deg4"] = lambda: sign_of(x[4], ordering)
     ops["delement_mul.quaternion.deg1"] = lambda: q1 * r1
     ops["delement_mul.quaternion.deg4"] = lambda: q4 * r4
+    ops.update(_hamilton_operations())
     return ops
 
 

@@ -30,6 +30,7 @@ from .algebras import (
     DivisionAlgebraDesc,
     base_desc,
     make_algebra,
+    nil_orderings,
     quadratic_desc,
     quaternion_desc,
     quaternion_division_check,
@@ -41,7 +42,6 @@ from .hermitian import (
     diagonalize_hermitian,
     local_degree_nP,
     max_signature_mP,
-    nil_orderings,
     signature,
     signature_vector,
     star_pairing,

@@ -5,6 +5,15 @@ The coefficient algebra D is one of F, F(sqrt d), or the quaternion algebra
 conjugation).  Algebras are always presented in the normal form M_n(D) with
 the involution x -> Phi * theta(x)^t * Phi^(-1) for a theta-symmetric
 invertible Phi; arbitrary structure-constant presentations are out of scope.
+
+This module is the only one that knows Phi.  `AlgebraWithInvolution.unscale`
+(m -> Phi^(-1) m) sends the symmetric elements onto the theta-hermitian
+matrices, and `rescale` (m -> Phi m) sends them back; both are the identity
+when Phi = I.  Hermitian forms diagonalize unscaled blocks, and the positive
+cones are the rescaled images of the P-semidefinite hermitian matrices.  The
+rule for where A splits lives here too: `nil_orderings` lists the orderings
+at which every signature over (A, sigma) vanishes.  Algebra elements are
+canonical, so two of them are equal exactly when their entries are.
 """
 
 from __future__ import annotations
@@ -26,7 +35,9 @@ from .orderings import (
     FieldElement,
     FieldEmbedding,
     NumberField,
+    OrderingHandle,
     list_orderings,
+    sign_of,
 )
 from .qforms import QuadraticForm, signature_qf
 
@@ -313,12 +324,6 @@ def mat_inv(x):
     return inv
 
 
-def mat_eq(x, y) -> bool:
-    return all(
-        (a - b).is_zero for rx, ry in zip(x, y) for a, b in zip(rx, ry)
-    )
-
-
 # ---------------------------------------------------------------------------
 # the algebra M_n(D) with involution Int(Phi) o theta^t
 
@@ -335,28 +340,25 @@ class AlgebraWithInvolution:
         phi = [list(row) for row in phi]
         if len(phi) != n or any(len(row) != n for row in phi):
             raise ValueError("phi must be an n x n matrix")
-        if not mat_eq(mat_theta_t(phi), phi):
+        if mat_theta_t(phi) != phi:
             raise PhiNotSymmetric()
         try:
             self._phi_inv = mat_inv(phi)
         except NotInvertible:
             raise PhiSingular() from None
         self.phi = [tuple(row) for row in phi]
-        self._phi_is_identity = mat_eq(phi, mat_identity(desc, n))
+        self._phi_is_identity = phi == mat_identity(desc, n)
         self._nil: tuple | None = None
         # Gram block coordinates -> diagonal, filled by hermitian forms
         self._diagonal_memo: dict = {}
         if desc.kind == QUATERNION:
-            from .orderings import sign_of
-
             try:
-                orderings = list_orderings(desc.field)
+                nil_everywhere = len(nil_orderings(self)) == len(
+                    list_orderings(desc.field)
+                )
             except HermsigError:
-                orderings = ()
-            if orderings and all(
-                sign_of(desc.a, P) > 0 or sign_of(desc.b, P) > 0
-                for P in orderings
-            ):
+                nil_everywhere = False
+            if nil_everywhere:
                 warnings.warn(
                     "DNotDivisionAtAnyOrdering: the quaternion algebra splits "
                     "at every ordering, so every signature vanishes",
@@ -392,13 +394,25 @@ class AlgebraWithInvolution:
             ]
         )
 
-    def involution(self, x: "AlgebraElement") -> "AlgebraElement":
-        self._own(x)
-        theta = mat_theta_t(x.entries)
+    def unscale(self, m):
+        """Phi^(-1) * m for an n x n matrix m over D; m itself when Phi = I."""
         if self._phi_is_identity:
-            return self.element(theta)
-        m = mat_mul(self.phi, mat_mul(theta, self._phi_inv))
-        return self.element(m)
+            return m
+        return mat_mul(self._phi_inv, m)
+
+    def rescale(self, m):
+        """Phi * m for an n x n matrix m over D; m itself when Phi = I."""
+        if self._phi_is_identity:
+            return m
+        return mat_mul(self.phi, m)
+
+    def involution(self, x: "AlgebraElement") -> "AlgebraElement":
+        """Phi theta(x)^t Phi^(-1), read as Phi theta(Phi^(-1) x)^t.
+
+        The two agree because Phi^(-1) is theta-symmetric along with Phi.
+        """
+        self._own(x)
+        return self.element(self.rescale(mat_theta_t(self.unscale(x.entries))))
 
     def multiply(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
         self._own(x)
@@ -450,19 +464,21 @@ class AlgebraWithInvolution:
 
 @dataclass(frozen=True)
 class AlgebraElement:
+    """An n x n matrix over D in a given algebra.
+
+    Equality is the dataclass's: the same algebra and equal entries, which
+    is equality of elements because field elements are canonical.
+    """
+
     owner: AlgebraWithInvolution
     entries: tuple[tuple[DElement, ...], ...]
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.owner is not other.owner:
-            raise FieldMismatch()
 
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+        self.owner._own(other)
         return AlgebraElement(
             self.owner,
             tuple(
@@ -481,17 +497,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            self._check(other)
-            return AlgebraElement(
-                self.owner,
-                tuple(
-                    tuple(r)
-                    for r in mat_mul(
-                        [list(r) for r in self.entries],
-                        [list(r) for r in other.entries],
-                    )
-                ),
-            )
+            return self.owner.multiply(self, other)
         if isinstance(other, (int, Fraction)):
             other = self.owner.field.from_rational(other)
         if isinstance(other, FieldElement):
@@ -506,19 +512,36 @@ class AlgebraElement:
             return self.__mul__(other)
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.owner is other.owner
-            and (self - other).is_zero
-        )
-
     def __repr__(self) -> str:
         return f"AlgebraElement(n={self.owner.n})"
 
 
 def make_algebra(desc: DivisionAlgebraDesc, n: int, phi=None) -> AlgebraWithInvolution:
     return AlgebraWithInvolution(desc, n, phi)
+
+
+def nil_orderings(A: AlgebraWithInvolution) -> tuple[OrderingHandle, ...]:
+    """Orderings at which every signature over (A, sigma) vanishes.
+
+    Base kind: none.  Quadratic kind d: the orderings with d > 0, where the
+    center splits.  Quaternion kind (a,b): the orderings where a > 0 or
+    b > 0, where D splits and the involution type flips.
+    """
+    if A._nil is None:
+        d = A.desc
+        if d.kind == BASE:
+            A._nil = ()
+        elif d.kind == QUADRATIC:
+            A._nil = tuple(
+                P for P in list_orderings(A.field) if sign_of(d.d, P) > 0
+            )
+        else:
+            A._nil = tuple(
+                P
+                for P in list_orderings(A.field)
+                if sign_of(d.a, P) > 0 or sign_of(d.b, P) > 0
+            )
+    return A._nil
 
 
 # ---------------------------------------------------------------------------

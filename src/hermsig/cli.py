@@ -16,12 +16,8 @@ import sys
 from .errors import HermsigError, ParseError
 from .exactnum import count_roots_with_signs
 from .orderings import embed_field, list_orderings
-from .algebras import random_field_element
-from .hermitian import (
-    local_degree_nP,
-    nil_orderings,
-    signature_vector,
-)
+from .algebras import nil_orderings, random_field_element
+from .hermitian import local_degree_nP, sample_symmetric, signature_vector
 from .cones import (
     PositiveConeHandle,
     cone_axioms_check,
@@ -29,7 +25,6 @@ from .cones import (
     extend_cone,
     list_positive_cones,
     sample_cone_member,
-    sample_symmetric,
 )
 from .wittideal import (
     ZWitness,
@@ -69,7 +64,8 @@ def _ordering_by_index(field, index):
 def _cone_from_config(A, config) -> PositiveConeHandle:
     P = _ordering_by_index(A.field, config.get("ordering_index", 0))
     orientation = config.get("orientation", 1)
-    if isinstance(orientation, bool) or orientation not in (1, -1):
+    # exactly an int: JSON true and -1.0 compare equal to 1 and -1
+    if type(orientation) is not int or orientation not in (1, -1):
         raise ParseError("orientation must be 1 or -1")
     return PositiveConeHandle(A, P, orientation)
 
@@ -305,6 +301,7 @@ def run(argv=None) -> int:
 
     handler, _ = _COMMANDS[args.command]
     try:
+        jsonio.parse_count(args.bound, "--bound")
         config = _load_config(args.config) if args.config else {}
         report, ok = handler(config, args.seed, args.bound)
     except HermsigError as e:

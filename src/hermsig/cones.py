@@ -1,9 +1,11 @@
 """Positive cones on (A, sigma) and certified membership.
 
-At each non-nil ordering the two positive cones are the images of the
-positive semidefinite matrices under scaling by Phi, one per orientation.
-Membership is decided by diagonalizing the scaled element and checking the
-signs of the diagonal; the transform and diagonal form the certificate.
+At each non-nil ordering P the two positive cones are the images of the
+P-semidefinite theta-hermitian matrices under x -> eps Phi x, one per
+orientation eps.  That map is the algebra's `rescale` (times eps), and
+membership inverts it with `unscale`: b is in the cone exactly when
+eps Phi^(-1) b diagonalizes by congruence to entries that are >= 0 at P.
+The transform and the diagonal form the certificate.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from .algebras import (
     mat_inv,
     mat_mul,
     mat_theta_t,
+    nil_orderings,
     push_algebra_element,
     random_d_matrix,
     random_field_element,
 )
-from .hermitian import diagonalize_hermitian, nil_orderings
+from .hermitian import diagonalize_hermitian
 from .orderings import FieldElement, FieldEmbedding, OrderingHandle, list_orderings, sign_of
 
 
@@ -52,7 +55,7 @@ class PositiveConeHandle:
 
 
 def _cone_element(cone: PositiveConeHandle, G, us) -> AlgebraElement:
-    """eps * Phi * theta(G)^t diag(u) G; the Phi product is skipped for Phi = I."""
+    """eps * Phi * theta(G)^t diag(u) G."""
     A = cone.algebra
     desc = A.desc
     diag = [
@@ -60,9 +63,7 @@ def _cone_element(cone: PositiveConeHandle, G, us) -> AlgebraElement:
         for i, u in enumerate(us)
     ]
     elt = mat_mul(mat_theta_t(G), mat_mul(diag, G))
-    if not A._phi_is_identity:
-        elt = mat_mul([list(r) for r in A.phi], elt)
-    return A.element(elt) * Fraction(cone.orientation)
+    return A.element(A.rescale(elt)) * Fraction(cone.orientation)
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class ConeWitness:
 
     def reconstruct(self, cone: PositiveConeHandle) -> AlgebraElement:
         """Rebuild the certified element from the transform and diagonal."""
-        g_inv = mat_inv([list(row) for row in self.transform])
+        g_inv = mat_inv(self.transform)
         return _cone_element(cone, g_inv, self.diagonal)
 
 
@@ -99,10 +100,8 @@ def cone_membership(
         raise FieldMismatch()
     if not A.is_symmetric(b):
         raise NotSymmetric()
-    scaled = (b * Fraction(cone.orientation)).entries
-    if not A._phi_is_identity:
-        scaled = mat_mul(A._phi_inv, scaled)
-    return psd_membership(A.desc, scaled, cone.ordering)
+    unscaled = A.unscale((b * Fraction(cone.orientation)).entries)
+    return psd_membership(A.desc, unscaled, cone.ordering)
 
 
 def list_positive_cones(A: AlgebraWithInvolution) -> tuple[PositiveConeHandle, ...]:
@@ -138,9 +137,14 @@ def harrison_sigma(A: AlgebraWithInvolution, elements) -> tuple[PositiveConeHand
 # deterministic sampling of cone members
 
 
-def random_field_nonneg(field, P: OrderingHandle, rng, height: int = 4, strict: bool = False):
+# coordinate heights of the sampled nonnegative scalars and transforms
+_SCALAR_HEIGHT = 4
+_TRANSFORM_HEIGHT = 2
+
+
+def random_field_nonneg(field, P: OrderingHandle, rng, strict: bool = False):
     while True:
-        x = random_field_element(field, rng, height)
+        x = random_field_element(field, rng, _SCALAR_HEIGHT)
         s = sign_of(x, P)
         if s == 0:
             if strict:
@@ -149,9 +153,9 @@ def random_field_nonneg(field, P: OrderingHandle, rng, height: int = 4, strict: 
         return x if s > 0 else -x
 
 
-def random_invertible_d_matrix(desc: DivisionAlgebraDesc, n: int, rng, height: int = 2):
+def random_invertible_d_matrix(desc: DivisionAlgebraDesc, n: int, rng):
     while True:
-        M = random_d_matrix(desc, n, rng, height)
+        M = random_d_matrix(desc, n, rng, _TRANSFORM_HEIGHT)
         try:
             mat_inv(M)
         except NotInvertible:
@@ -160,11 +164,11 @@ def random_invertible_d_matrix(desc: DivisionAlgebraDesc, n: int, rng, height: i
 
 
 def sample_cone_member(
-    cone: PositiveConeHandle, rng, height: int = 2, invertible: bool = False
+    cone: PositiveConeHandle, rng, invertible: bool = False
 ) -> AlgebraElement:
     """eps * Phi * theta(G)^t diag(u) G for random G and P-nonnegative u."""
     A = cone.algebra
-    G = random_invertible_d_matrix(A.desc, A.n, rng, height)
+    G = random_invertible_d_matrix(A.desc, A.n, rng)
     us = [
         random_field_nonneg(A.field, cone.ordering, rng, strict=invertible)
         for _ in range(A.n)
@@ -172,11 +176,6 @@ def sample_cone_member(
     if not invertible and us and rng.random() < 0.3:
         us[rng.randrange(len(us))] = A.field.zero()
     return _cone_element(cone, G, us)
-
-
-def sample_symmetric(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraElement:
-    x = A.element(random_d_matrix(A.desc, A.n, rng, height))
-    return x + A.involution(x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 library.  It works over any (D, theta); a quadratic form over F is the
 hermitian form over the base kind (F, id), for which hermitian means
 symmetric, so Gram matrices of quadratic forms (the first-kind star
-pairing, `jsonio.parse_qform`) are diagonalized here as well.
+pairing) are diagonalized here as well.
 
 A `HermitianForm` is an orthogonal sum of square Gram blocks over A:
 diagonal forms are sums of one-entry blocks, and direct sums, scalings,
@@ -14,16 +14,17 @@ its blocks: signatures, the star pairing (one star Gram per block), the
 congruence transform (a sum over nonzero block entries) and the trace
 transfer (one division-ring diagonalization per block).  The dense `gram`
 is only an assembled view for reports.  Each block's diagonal is computed
-in two explicit steps: scale the block on the left by Phi^(-1) (skipped
-when Phi is the identity), then flatten the m x m matrix over M_n(D) to an
-mn x mn theta-hermitian matrix over D and diagonalize it by congruence.
+in two explicit steps: unscale each entry by Phi^(-1) with the algebra's
+`unscale`, then flatten the m x m matrix over M_n(D) to an mn x mn
+theta-hermitian matrix over D and diagonalize it by congruence.
 Block diagonals are cached on the form and memoized on the algebra; scaling
 a form by u in F scales its cached diagonals by u.  With the reference form
 fixed as the one-dimensional form on Phi itself, the scaling sends the
 reference to the identity matrix, so no further sign normalization is
 needed: the signature at a non-nil ordering is the count of positive minus
 negative entries over all block diagonals, which is the additivity of the
-signature on orthogonal sums.  At nil orderings every signature is zero.
+signature on orthogonal sums.  At nil orderings (`algebras.nil_orderings`)
+every signature is zero.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from .algebras import (
     DivisionAlgebraDesc,
     base_desc,
     mat_identity,
-    mat_mul,
+    mat_theta_t,
+    nil_orderings,
     random_d_matrix,
 )
 from .orderings import FieldElement, OrderingHandle, list_orderings, sign_of
@@ -57,15 +59,6 @@ from .qforms import QuadraticForm, tensor
 
 # ---------------------------------------------------------------------------
 # hermitian congruence diagonalization over (D, theta)
-
-
-def _is_hermitian_d(B) -> bool:
-    n = len(B)
-    for i in range(n):
-        for j in range(n):
-            if not (B[i][j] - B[j][i].conj()).is_zero:
-                return False
-    return True
 
 
 def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
@@ -83,7 +76,7 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
     if any(len(row) != ell for row in B):
         raise NotHermitian("matrix is not square")
     B = [list(row) for row in B]
-    if not _is_hermitian_d(B):
+    if mat_theta_t(B) != B:
         raise NotHermitian()
     G = mat_identity(desc, ell)
 
@@ -172,7 +165,7 @@ def flatten_blocks(A: AlgebraWithInvolution, blocks):
 
 
 def _block_diagonal(A: AlgebraWithInvolution, block) -> tuple[FieldElement, ...]:
-    """Diagonal of one Gram block, scaled by Phi^(-1) and flattened.
+    """Diagonal of one Gram block, unscaled by Phi^(-1) and flattened.
 
     Memoized on the algebra by the block's coordinates, so a block that
     recurs (a reused sample, a cone member rebuilt with its sign) is
@@ -188,16 +181,8 @@ def _block_diagonal(A: AlgebraWithInvolution, block) -> tuple[FieldElement, ...]
     )
     d = A._diagonal_memo.get(key)
     if d is None:
-        scaled = [
-            [
-                e.entries
-                if A._phi_is_identity or e.is_zero
-                else mat_mul(A._phi_inv, e.entries)
-                for e in row
-            ]
-            for row in block
-        ]
-        _, d = diagonalize_hermitian(A.desc, flatten_blocks(A, scaled))
+        unscaled = [[A.unscale(e.entries) for e in row] for row in block]
+        _, d = diagonalize_hermitian(A.desc, flatten_blocks(A, unscaled))
         A._diagonal_memo[key] = d
     return d
 
@@ -385,33 +370,7 @@ def congruence_transform(h: HermitianForm, G) -> HermitianForm:
 
 
 # ---------------------------------------------------------------------------
-# nil orderings, local degrees, signatures
-
-
-def nil_orderings(A: AlgebraWithInvolution) -> tuple[OrderingHandle, ...]:
-    """Orderings at which every signature over (A, sigma) vanishes.
-
-    Base kind: none.  Quadratic kind d: the orderings with d > 0, where the
-    center splits.  Quaternion kind (a,b): the orderings where a > 0 or
-    b > 0, where D splits and the involution type flips.
-    """
-    if A._nil is None:
-        kind = A.desc.kind
-        if kind == BASE:
-            A._nil = ()
-        elif kind == QUADRATIC:
-            A._nil = tuple(
-                P
-                for P in list_orderings(A.field)
-                if sign_of(A.desc.d, P) > 0
-            )
-        else:
-            A._nil = tuple(
-                P
-                for P in list_orderings(A.field)
-                if sign_of(A.desc.a, P) > 0 or sign_of(A.desc.b, P) > 0
-            )
-    return A._nil
+# local degrees, signatures
 
 
 @dataclass(frozen=True)
@@ -448,13 +407,6 @@ class SignatureVector:
         for P, v in zip(list_orderings(self.algebra.field), self.values):
             if P in nil and v != 0:
                 raise AssertionError("nonzero signature at a nil ordering")
-
-    def to_report(self) -> list[dict]:
-        nil = set(nil_orderings(self.algebra))
-        return [
-            {"ordering_index": P.root_index, "nil": P in nil, "signature": v}
-            for P, v in zip(list_orderings(self.algebra.field), self.values)
-        ]
 
 
 def signature_vector(h: HermitianForm) -> SignatureVector:
@@ -569,16 +521,14 @@ def star_pairing(a: AlgebraElement, b: AlgebraElement) -> QuadraticForm:
     are its field coefficients.
     """
     A = a.owner
-    if not A.is_symmetric(a) or not A.is_symmetric(b):
+    if not A.is_symmetric(a):
         raise NotSymmetric()
     try:
         A.invert(a)
         A.invert(b)
     except NotInvertible:
         raise NotInvertible("star pairing needs invertible arguments") from None
-    h = diagonal_form(A, [a])
-    d = _star_gram_diagonal(h, b)
-    return QuadraticForm(A.field, d)
+    return star_pairing_form(diagonal_form(A, [a]), b)
 
 
 def star_pairing_form(h: HermitianForm, b: AlgebraElement) -> QuadraticForm:
@@ -594,13 +544,16 @@ def star_pairing_form(h: HermitianForm, b: AlgebraElement) -> QuadraticForm:
 # maximal signatures
 
 
+def sample_symmetric(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraElement:
+    """x + sigma(x) for a random x with entries of the given height."""
+    x = A.element(random_d_matrix(A.desc, A.n, rng, height))
+    return x + A.involution(x)
+
+
 def random_symmetric_unit(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraElement:
     """A random invertible element of Sym(A, sigma), by rejection."""
     while True:
-        x = A.element(random_d_matrix(A.desc, A.n, rng, height))
-        s = x + A.involution(x)
-        if s.is_zero:
-            continue
+        s = sample_symmetric(A, rng, height)
         try:
             A.invert(s)
         except NotInvertible:

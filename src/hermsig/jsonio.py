@@ -28,11 +28,7 @@ from .algebras import (
     quadratic_desc,
     quaternion_desc,
 )
-from .hermitian import HermitianForm, diagonal_form, diagonalize_hermitian
-
-
-def frac_to_str(x: Fraction) -> str:
-    return str(x)
+from .hermitian import HermitianForm, diagonal_form
 
 
 def parse_frac(v) -> Fraction:
@@ -55,10 +51,6 @@ def parse_count(v, what: str) -> int:
     return v
 
 
-def poly_to_json(p: Polynomial) -> list[str]:
-    return [frac_to_str(c) for c in p.coeffs]
-
-
 def parse_poly(v) -> Polynomial:
     if not isinstance(v, list):
         raise ParseError("polynomial must be an array of rationals")
@@ -66,17 +58,7 @@ def parse_poly(v) -> Polynomial:
 
 
 def interval_to_json(iv: Interval) -> list[str]:
-    return [frac_to_str(iv.lo), frac_to_str(iv.hi)]
-
-
-def parse_interval(v) -> Interval:
-    if not isinstance(v, list) or len(v) != 2:
-        raise ParseError("interval must be a two-element array")
-    return Interval(parse_frac(v[0]), parse_frac(v[1]))
-
-
-def field_to_json(F: NumberField) -> dict:
-    return {"min_poly": poly_to_json(F.min_poly)}
+    return [str(iv.lo), str(iv.hi)]
 
 
 def parse_field(v) -> NumberField:
@@ -91,7 +73,7 @@ def parse_field(v) -> NumberField:
 
 
 def element_to_json(x: FieldElement) -> list[str]:
-    return [frac_to_str(c) for c in x.coords]
+    return [str(c) for c in x.coords]
 
 
 def parse_element(F: NumberField, v) -> FieldElement:
@@ -124,16 +106,6 @@ def parse_delement(desc: DivisionAlgebraDesc, v) -> DElement:
     )
 
 
-def desc_to_json(desc: DivisionAlgebraDesc) -> dict:
-    out = {"kind": desc.kind}
-    if desc.kind == QUADRATIC:
-        out["d"] = element_to_json(desc.d)
-    elif desc.kind == QUATERNION:
-        out["a"] = element_to_json(desc.a)
-        out["b"] = element_to_json(desc.b)
-    return out
-
-
 def parse_desc(F: NumberField, v) -> DivisionAlgebraDesc:
     if not isinstance(v, dict) or "kind" not in v:
         raise ParseError("division descriptor needs a kind")
@@ -152,15 +124,6 @@ def parse_desc(F: NumberField, v) -> DivisionAlgebraDesc:
     except ValueError as e:
         raise ParseError(str(e)) from e
     raise ParseError(f"unknown division kind {kind!r}")
-
-
-def algebra_to_json(A: AlgebraWithInvolution) -> dict:
-    return {
-        "field": field_to_json(A.field),
-        "division": desc_to_json(A.desc),
-        "n": A.n,
-        "phi": [[delement_to_json(e) for e in row] for row in A.phi],
-    }
 
 
 def parse_algebra(v) -> AlgebraWithInvolution:
@@ -203,12 +166,6 @@ def parse_algebra_element(A: AlgebraWithInvolution, v) -> AlgebraElement:
     return A.element(rows)
 
 
-def form_to_json(h: HermitianForm) -> dict:
-    return {
-        "gram": [[algebra_element_to_json(e) for e in row] for row in h.gram]
-    }
-
-
 def parse_hermitian_form(A: AlgebraWithInvolution, v) -> HermitianForm:
     if not isinstance(v, dict):
         raise ParseError("form descriptor must be an object")
@@ -232,21 +189,6 @@ def parse_hermitian_form(A: AlgebraWithInvolution, v) -> HermitianForm:
 
 def qform_to_json(q: QuadraticForm) -> dict:
     return {"diag": [element_to_json(d) for d in q.diag]}
-
-
-def parse_qform(F: NumberField, v) -> QuadraticForm:
-    if not isinstance(v, dict):
-        raise ParseError("quadratic form descriptor must be an object")
-    if "diag" in v:
-        return QuadraticForm(F, [parse_element(F, d) for d in v["diag"]])
-    if "gram" in v:
-        desc = base_desc(F)
-        gram = [
-            [desc.from_field(parse_element(F, e)) for e in row] for row in v["gram"]
-        ]
-        _, d = diagonalize_hermitian(desc, gram)
-        return QuadraticForm(F, d)
-    raise ParseError("quadratic form descriptor needs diag or gram")
 
 
 def witness_to_json(w) -> dict:

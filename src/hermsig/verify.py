@@ -30,6 +30,7 @@ from .algebras import (
     DElement,
     base_desc,
     make_algebra,
+    nil_orderings,
     quadratic_desc,
     quaternion_desc,
     random_field_element,
@@ -39,8 +40,8 @@ from .hermitian import (
     diagonal_form,
     local_degree_nP,
     max_signature_mP,
-    nil_orderings,
     random_symmetric_unit,
+    sample_symmetric,
     signature,
     signature_vector,
     star_pairing,
@@ -53,7 +54,6 @@ from .cones import (
     extend_cone,
     list_positive_cones,
     sample_cone_member,
-    sample_symmetric,
 )
 from .wittideal import (
     ZWitness,

@@ -210,11 +210,14 @@ def verify_witness(w: ZWitness, h: HermitianForm, cone: PositiveConeHandle) -> b
     return ev["match"]
 
 
+# the torsion check repeats each sample 2 to _TORSION_MAX times
+_TORSION_MAX = 8
+
+
 def mideal_check(
     cone: PositiveConeHandle,
     samples,
     rng,
-    torsion_max: int = 8,
     membership=None,
 ) -> dict:
     """Sampled m-ideal suite for (I_P, N_P) over the given cone.
@@ -289,7 +292,7 @@ def mideal_check(
 
     checked = viol = 0
     for s in samples:
-        for ell in range(2, torsion_max + 1):
+        for ell in range(2, _TORSION_MAX + 1):
             if membership(form_repeat(ell, s)):
                 checked += 1
                 if not membership(s):

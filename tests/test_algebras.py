@@ -13,6 +13,7 @@ from hermsig.algebras import (
     base_desc,
     extend_scalars,
     make_algebra,
+    mat_theta_t,
     push_algebra_element,
     quadratic_desc,
     quaternion_desc,
@@ -143,6 +144,12 @@ def test_involution_properties(algebra_zoo):
             assert A.involution(A.multiply(x, y)) == A.multiply(
                 A.involution(y), A.involution(x)
             )
+            # Phi^(-1) is undone by Phi, and it carries exactly the
+            # symmetric elements onto the theta-hermitian matrices
+            assert A.element(A.rescale(A.unscale(x.entries))) == x
+            for z in (x, x + A.involution(x)):
+                m = [list(row) for row in A.unscale(z.entries)]
+                assert A.is_symmetric(z) == (mat_theta_t(m) == m)
         assert A.involution(A.identity()) == A.identity()
         assert A.is_symmetric(A.phi_element())
 

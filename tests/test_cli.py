@@ -220,6 +220,15 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         ("verify", {"sizes": {"axiom_samples": "x"}}, "axiom_samples"),
         ("member", {"algebra": RT2_BASE, "element": "1", "ordering_index": True}, "ordering_index"),
         ("member", {"algebra": RT2_BASE, "element": "1", "orientation": True}, "orientation"),
+        (
+            "extend",
+            {
+                "algebra": M2Q,
+                "embedding": {"dst_field": {"min_poly": ["-2", "0", "1"]}, "image": ["0", "0"]},
+                "orientation": -1.0,
+            },
+            "orientation",
+        ),
         ("verify", {"criteria": "cone_axioms"}, "array of criterion names"),
         ("count-roots", {"m": ["-2", "0", "1"], "conditions": 5}, "conditions"),
         ("extend", {"algebra": RT2_BASE, "embedding": [1]}, "embedding"),
@@ -236,6 +245,7 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         "size_not_int",
         "index_bool",
         "orientation_bool",
+        "orientation_float",
         "criteria_string",
         "conditions_not_array",
         "embedding_not_object",
@@ -253,3 +263,12 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):
     report = json.loads(out)
     assert report["error"] == "ParseError"
     assert fragment in report["message"]
+
+
+def test_negative_bound_exit_2(tmp_path, capsys):
+    config = {"algebra": M2Q, "form": {"diag": ["1", "-1"]}, "search": True}
+    code, out = _run(tmp_path, capsys, "np", config, extra=("--bound", "-1"))
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "ParseError"
+    assert "--bound" in report["message"]

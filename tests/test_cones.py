@@ -26,12 +26,12 @@ from hermsig.cones import (
     project_pi,
     psd_membership,
     sample_cone_member,
-    sample_symmetric,
 )
 from hermsig.hermitian import (
     congruence_transform,
     diagonal_form,
     local_degree_nP,
+    sample_symmetric,
     signature,
 )
 from hermsig.orderings import NumberField, embed_field, list_orderings

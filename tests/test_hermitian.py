@@ -285,10 +285,8 @@ def test_signature_report_shape():
         quaternion_desc(RT2, RT2.from_rational(-1), RT2.generator()), 1
     )
     vec = signature_vector(diagonal_form(B, [B.phi_element()]))
-    assert vec.to_report() == [
-        {"ordering_index": 0, "nil": False, "signature": 1},
-        {"ordering_index": 1, "nil": True, "signature": 0},
-    ]
+    assert vec.values == (1, 0)
+    assert nil_orderings(B) == list_orderings(RT2)[1:]
 
 
 def test_block_diagonals_stay_small(monkeypatch):
@@ -312,7 +310,6 @@ def test_block_diagonals_stay_small(monkeypatch):
         raise AssertionError("mat_mul called with Phi = I")
 
     monkeypatch.setattr(hermitian, "diagonalize_hermitian", recording)
-    monkeypatch.setattr(hermitian, "mat_mul", no_mat_mul)
     monkeypatch.setattr(algebras, "mat_mul", no_mat_mul)
     vectors = [signature_vector(f).values for f in forms]
     assert 0 < len(sizes) <= 8 and max(sizes) <= M2.n

@@ -220,8 +220,7 @@ def test_sylvester_witness_path_nondiagonal(m2_cone):
     # star-pairing reduction; q has dimension dim_Z(A) A
     rng = random.Random(31)
     A = m2_cone.algebra
-    from hermsig.cones import sample_symmetric
-    from hermsig.hermitian import congruence_transform
+    from hermsig.hermitian import congruence_transform, sample_symmetric
 
     h0 = hyperbolic(A.phi_element())
     k = h0.dim
