@@ -1,4 +1,4 @@
-"""Layer microbenchmarks of the arithmetic kernels, written to BENCH_8.json.
+"""Layer microbenchmarks of the arithmetic kernels, written to BENCH_9.json.
 
   PYTHONPATH=<checkout>/src python3 bench/kernels.py
 
@@ -10,29 +10,45 @@ quaternions H = (-1,-1)_Q, `AlgebraElement ==` on two equal but separately
 built 2 x 2 matrices, one `diagonalize_hermitian` of a 4 x 4 hermitian
 matrix, and one `signature` of the 2 x 2 form over M_2(H) whose flattened
 Gram is that matrix (the form is built anew and the algebra's memo of block
-diagonals emptied on each call, so the diagonalization is timed too).  The
-operands are those of `perfbench/tracer.py`'s kernel timings.  The hermsig
-measured is whichever one PYTHONPATH imports, so the same script times any
-checkout; its figures go into one column of BENCH_8.json (next to this
-directory), named by the checkout's git commit, with "+dirty" when its src/
-has uncommitted changes, and the other columns are kept.
+diagonals emptied on each call, so the diagonalization is timed too).  Over
+M_2(H) it also times `star_pairing(a, a)` of a fixed positive definite unit a
+and one `sylvester_reduction` of a fixed 2-entry diagonal form against a,
+each with the memo emptied on each call, and one `cli.run` of the
+`orderings` command on a fixed quartic field, stdout discarded.  The
+arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
+The hermsig measured is whichever one PYTHONPATH imports, so the same
+script times any checkout; its figures go into one column of BENCH_9.json
+(next to this directory), named by the checkout's git commit, with "+dirty"
+when its src/ has uncommitted changes, and the other columns are kept.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import platform
 import subprocess
+import tempfile
 import timeit
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import hermsig
+from hermsig import cli
 from hermsig.algebras import DElement, make_algebra, quaternion_desc
-from hermsig.hermitian import HermitianForm, diagonalize_hermitian, signature
+from hermsig.cones import PositiveConeHandle
+from hermsig.hermitian import (
+    HermitianForm,
+    diagonal_form,
+    diagonalize_hermitian,
+    signature,
+    star_pairing,
+)
 from hermsig.orderings import NumberField, list_orderings, sign_of
+from hermsig.wittideal import sylvester_reduction
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_8.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_9.json"
 REPEATS = 15
 TARGET_S = 0.02  # time per repeat
 
@@ -92,11 +108,46 @@ def _hamilton_operations() -> dict:
         M2H._diagonal_memo.clear()
         return signature(HermitianForm(M2H, gram), P)
 
+    def m(*rows):
+        return M2H.element(
+            [[DElement(desc, tuple(qq.from_rational(c) for c in e)) for e in row] for row in rows]
+        )
+
+    a = m([(2, 0, 0, 0), (1, 0, 1, 0)], [(1, 0, -1, 0), (5, 0, 0, 0)])
+    units = [
+        m([(2, 0, 0, 0), (1, 1, 0, 0)], [(1, -1, 0, 0), (3, 0, 0, 0)]),
+        m([(1, 0, 0, 0), (0, 1, 1, 0)], [(0, -1, -1, 0), (-4, 0, 0, 0)]),
+    ]
+    cone = PositiveConeHandle(M2H, P, 1)
+
+    def fresh_star_pairing():
+        M2H._diagonal_memo.clear()
+        return star_pairing(a, a)
+
+    def fresh_sylvester():
+        M2H._diagonal_memo.clear()
+        return sylvester_reduction(diagonal_form(M2H, units), a, cone)
+
     return {
         "algebra_eq.quaternion.m2": lambda: x == y,
         "diagonalize_hermitian.quaternion.4x4": lambda: diagonalize_hermitian(desc, S),
         "signature.quaternion.m2": fresh_signature,
+        "star_pairing.quaternion.m2": fresh_star_pairing,
+        "sylvester_reduction.quaternion.m2": fresh_sylvester,
     }
+
+
+def _cli_operations() -> dict:
+    """One `orderings` job through `cli.run`, parser included."""
+    tmp = tempfile.TemporaryDirectory()
+    config = Path(tmp.name) / "orderings.json"
+    config.write_text(json.dumps({"field": {"min_poly": ["1", "0", "-10", "0", "1"]}}))
+
+    def run_orderings(tmp=tmp):
+        with redirect_stdout(io.StringIO()):
+            return cli.run(["orderings", "--config", str(config)])
+
+    return {"cli_run.orderings": run_orderings}
 
 
 def operations() -> dict:
@@ -121,6 +172,7 @@ def operations() -> dict:
     ops["delement_mul.quaternion.deg1"] = lambda: q1 * r1
     ops["delement_mul.quaternion.deg4"] = lambda: q4 * r4
     ops.update(_hamilton_operations())
+    ops.update(_cli_operations())
     return ops
 
 

@@ -215,15 +215,11 @@ def _cmd_verify(config, seed, bound):
     if only is not None:
         if not isinstance(only, list) or not all(isinstance(c, str) for c in only):
             raise ParseError("criteria must be an array of criterion names")
-        unknown = set(only) - set(ALL_CRITERIA)
-        if unknown:
-            raise ParseError(f"unknown criteria: {sorted(unknown)}")
+        jsonio.check_keys(only, ALL_CRITERIA, "criteria")
     sizes = config.get("sizes", {})
     if not isinstance(sizes, dict):
         raise ParseError("sizes must be an object")
-    unknown = set(sizes) - set(SIZE_KEYS)
-    if unknown:
-        raise ParseError(f"unknown sizes keys: {sorted(unknown)}")
+    jsonio.check_keys(sizes, SIZE_KEYS, "sizes keys")
     for key, value in sizes.items():
         jsonio.parse_count(value, f"sizes.{key}")
     results = run_suite(seed=seed, only=only, sizes=sizes)
@@ -239,17 +235,20 @@ def _cmd_verify(config, seed, bound):
     return report, ok
 
 
+_CONE_KEYS = {"ordering_index", "orientation"}  # read by _cone_from_config
+
+# command -> (handler, the config keys it reads; any other key is an error)
 _COMMANDS = {
-    "orderings": (_cmd_orderings, True),
-    "nil": (_cmd_nil, True),
-    "signature": (_cmd_signature, True),
-    "cones": (_cmd_cones, True),
-    "member": (_cmd_member, True),
-    "np": (_cmd_np, True),
-    "sylvester": (_cmd_sylvester, True),
-    "count-roots": (_cmd_count_roots, True),
-    "extend": (_cmd_extend, True),
-    "verify": (_cmd_verify, False),
+    "orderings": (_cmd_orderings, {"field"}),
+    "nil": (_cmd_nil, {"algebra"}),
+    "signature": (_cmd_signature, {"algebra", "form"}),
+    "cones": (_cmd_cones, {"algebra", "samples"}),
+    "member": (_cmd_member, {"algebra", "element", *_CONE_KEYS}),
+    "np": (_cmd_np, {"algebra", "form", "search", *_CONE_KEYS}),
+    "sylvester": (_cmd_sylvester, {"algebra", "form", "element", *_CONE_KEYS}),
+    "count-roots": (_cmd_count_roots, {"m", "conditions"}),
+    "extend": (_cmd_extend, {"algebra", "embedding", "target_ordering_index", "samples", *_CONE_KEYS}),
+    "verify": (_cmd_verify, {"criteria", "sizes"}),
 }
 
 
@@ -293,16 +292,17 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--bound", type=int, default=8)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_config) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON job config (optional for verify)")
     args = parser.parse_args(argv)
+    if args.config is None and args.command != "verify":
+        parser.error(f"{args.command} needs --config")
 
-    handler, _ = _COMMANDS[args.command]
+    handler, keys = _COMMANDS[args.command]
     try:
         jsonio.parse_count(args.bound, "--bound")
         config = _load_config(args.config) if args.config else {}
+        jsonio.check_keys(config, keys, "config keys")
         report, ok = handler(config, args.seed, args.bound)
     except HermsigError as e:
         error = {"error": e.code, "message": str(e)}

@@ -25,6 +25,11 @@ needed: the signature at a non-nil ordering is the count of positive minus
 negative entries over all block diagonals, which is the additivity of the
 signature on orthogonal sums.  At nil orderings (`algebras.nil_orderings`)
 every signature is zero.
+
+The same memoized diagonal decides whether a symmetric x is a unit
+(`is_unit`: no zero in the diagonal of <x>), over every D, split quaternions
+included; the star pairing, the unit sampler and the Sylvester reduction ask
+it instead of inverting by row reduction.
 """
 
 from __future__ import annotations
@@ -152,16 +157,8 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
 
 
 def flatten_blocks(A: AlgebraWithInvolution, blocks):
-    k = len(blocks)
-    n = A.n
-    out = [[None] * (k * n) for _ in range(k * n)]
-    for i in range(k):
-        for j in range(k):
-            entries = blocks[i][j]
-            for r in range(n):
-                for c in range(n):
-                    out[i * n + r][j * n + c] = entries[r][c]
-    return out
+    """The k x k matrix of n x n matrices over D as one kn x kn matrix."""
+    return [[x for m in row for x in m[r]] for row in blocks for r in range(A.n)]
 
 
 def _block_diagonal(A: AlgebraWithInvolution, block) -> tuple[FieldElement, ...]:
@@ -208,10 +205,8 @@ class HermitianForm:
         k = len(gram)
         if any(len(row) != k for row in gram):
             raise NotHermitian("Gram matrix is not square")
-        for row in gram:
-            for e in row:
-                if e.owner is not owner:
-                    raise FieldMismatch()
+        if any(e.owner is not owner for row in gram for e in row):
+            raise FieldMismatch()
         for i in range(k):
             for j in range(k):
                 if gram[i][j].is_zero and gram[j][i].is_zero:
@@ -322,15 +317,12 @@ def form_scale(u: FieldElement, h: HermitianForm) -> HermitianForm:
 
 
 def form_tensor_qf(q: QuadraticForm, h: HermitianForm) -> HermitianForm:
-    """Tensor of a diagonal quadratic form with a hermitian form."""
+    """The orthogonal sum of <u> tensor h over q's entries u; empty if q is."""
     if q.owner != h.owner.field:
         raise FieldMismatch()
-    out = None
+    out = HermitianForm._orthogonal_sum(h.owner, ())
     for u in q.diag:
-        piece = form_scale(u, h)
-        out = piece if out is None else form_direct_sum(out, piece)
-    if out is None:
-        raise ValueError("empty quadratic form")
+        out = form_direct_sum(out, form_scale(u, h))
     return out
 
 
@@ -339,6 +331,20 @@ def form_repeat(ell: int, h: HermitianForm) -> HermitianForm:
     return HermitianForm._orthogonal_sum(
         h.owner, h.blocks * ell, h._diagonals * ell
     )
+
+
+def _entry_form(x: AlgebraElement) -> HermitianForm:
+    """The one-dimensional form <x> on an x already known to be symmetric."""
+    return HermitianForm._orthogonal_sum(x.owner, [((x,),)])
+
+
+def is_unit(x: AlgebraElement) -> bool:
+    """Whether x, which the caller has checked symmetric, is invertible in A.
+
+    theta(G)^t Phi^(-1) x G = diag(d) with G invertible, so x is a unit
+    exactly when the memoized diagonal d of <x> has no zero.
+    """
+    return _entry_form(x).is_nonsingular
 
 
 def hyperbolic(a: AlgebraElement) -> HermitianForm:
@@ -458,19 +464,14 @@ def trace_transfer(h: HermitianForm) -> QuadraticForm:
 
 def _center_basis(A: AlgebraWithInvolution) -> list[AlgebraElement]:
     """Basis of A as a Z(A)-space, as single-entry matrices."""
-    out = []
-    dim_d = 1 if A.desc.kind == QUADRATIC else A.desc.dim
-    for r in range(A.n):
-        for c in range(A.n):
-            for t in range(dim_d):
-                entries = [
-                    [A.desc.zero() for _ in range(A.n)] for _ in range(A.n)
-                ]
-                comps = [A.field.zero()] * A.desc.dim
-                comps[t] = A.field.one()
-                entries[r][c] = DElement(A.desc, tuple(comps))
-                out.append(A.element(entries))
-    return out
+    n, zero = A.n, A.desc.zero()
+    units = A.desc.basis()[: 1 if A.desc.kind == QUADRATIC else A.desc.dim]
+    return [
+        A.element([[t if (i, j) == (r, c) else zero for j in range(n)] for i in range(n)])
+        for r in range(n)
+        for c in range(n)
+        for t in units
+    ]
 
 
 def _star_gram_diagonal(h: HermitianForm, b: AlgebraElement):
@@ -515,20 +516,18 @@ def _star_gram_diagonal(h: HermitianForm, b: AlgebraElement):
 def star_pairing(a: AlgebraElement, b: AlgebraElement) -> QuadraticForm:
     """Diagonalization of <a> * <b>, the form (x,y) -> Trd(sigma(x) a y b).
 
-    Both arguments must be symmetric units.  The result is presented as a
-    diagonal form over F of dimension dim_Z(A) A; in the quadratic-kind case
-    the underlying form is iota-hermitian over Z(A) and the diagonal entries
-    are its field coefficients.
+    Both arguments must be symmetric units: a non-symmetric a or b raises
+    NotSymmetric before either is tested with `is_unit`.  The result is
+    presented as a diagonal form over F of dimension dim_Z(A) A; in the
+    quadratic-kind case the underlying form is iota-hermitian over Z(A) and
+    the diagonal entries are its field coefficients.
     """
     A = a.owner
-    if not A.is_symmetric(a):
+    if not (A.is_symmetric(a) and A.is_symmetric(b)):
         raise NotSymmetric()
-    try:
-        A.invert(a)
-        A.invert(b)
-    except NotInvertible:
-        raise NotInvertible("star pairing needs invertible arguments") from None
-    return star_pairing_form(diagonal_form(A, [a]), b)
+    if not (is_unit(a) and is_unit(b)):
+        raise NotInvertible("star pairing needs invertible arguments")
+    return QuadraticForm(A.field, _star_gram_diagonal(_entry_form(a), b))
 
 
 def star_pairing_form(h: HermitianForm, b: AlgebraElement) -> QuadraticForm:
@@ -551,14 +550,14 @@ def sample_symmetric(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraE
 
 
 def random_symmetric_unit(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraElement:
-    """A random invertible element of Sym(A, sigma), by rejection."""
+    """A random invertible element of Sym(A, sigma), by rejection.
+
+    Draws are tested with `is_unit`, which leaves <s>'s diagonal memoized.
+    """
     while True:
         s = sample_symmetric(A, rng, height)
-        try:
-            A.invert(s)
-        except NotInvertible:
-            continue
-        return s
+        if is_unit(s):
+            return s
 
 
 def max_signature_mP(

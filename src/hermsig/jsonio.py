@@ -51,6 +51,13 @@ def parse_count(v, what: str) -> int:
     return v
 
 
+def check_keys(v, allowed, what: str) -> None:
+    """Reject the keys of an object (or names in an array) outside a declared set."""
+    unknown = set(v) - set(allowed)
+    if unknown:
+        raise ParseError(f"unknown {what}: {sorted(unknown)}")
+
+
 def parse_poly(v) -> Polynomial:
     if not isinstance(v, list):
         raise ParseError("polynomial must be an array of rationals")
@@ -129,6 +136,7 @@ def parse_desc(F: NumberField, v) -> DivisionAlgebraDesc:
 def parse_algebra(v) -> AlgebraWithInvolution:
     if not isinstance(v, dict):
         raise ParseError("algebra descriptor must be an object")
+    check_keys(v, ("field", "division", "n", "phi"), "algebra keys")
     try:
         F = parse_field(v["field"])
         desc = parse_desc(F, v["division"])

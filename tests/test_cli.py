@@ -20,6 +20,7 @@ RT2_BASE = {
     "division": {"kind": "base"},
     "n": 1,
 }
+M2Q_PHI = {**M2Q, "phi": [[["1"], ["0"]], [["0"], ["-1"]]]}
 RT2_NIL_QUAT = {
     "field": {"min_poly": ["-2", "0", "1"]},
     "division": {"kind": "quaternion", "a": ["-1", "0"], "b": ["0", "1"]},
@@ -238,6 +239,12 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         ("nil", {"algebra": {**M2Q, "n": True}}, "n must be"),
         ("np", {"algebra": M2Q, "form": {"diag": ["1", "-1"]}, "search": None}, "search"),
         ("np", {"algebra": M2Q, "form": {"diag": ["1", "-1"]}, "search": "no"}, "search"),
+        (
+            "member",
+            {"algebra": M2Q_PHI, "element": [["2", "1"], ["-1", "-3"]], "orientaton": -1},
+            "orientaton",
+        ),
+        ("nil", {"algebra": {**M2Q, "phy": [["1"]]}}, "phy"),
     ],
     ids=[
         "diag_not_array",
@@ -255,6 +262,8 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         "n_bool",
         "search_null",
         "search_string",
+        "unknown_config_key",
+        "unknown_algebra_key",
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):
@@ -263,6 +272,14 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):
     report = json.loads(out)
     assert report["error"] == "ParseError"
     assert fragment in report["message"]
+
+
+def test_missing_config_exit_2(capsys):
+    # every command but verify reads its job from --config
+    with pytest.raises(SystemExit) as exc:
+        run(["signature"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_negative_bound_exit_2(tmp_path, capsys):

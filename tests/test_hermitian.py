@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+import sympy
+
 from hermsig.errors import NilOrdering, NotHermitian
 from hermsig.algebras import (
     DElement,
     base_desc,
     make_algebra,
+    mat_identity,
+    mat_mul,
     quadratic_desc,
     quaternion_desc,
 )
@@ -17,11 +21,14 @@ from hermsig.hermitian import (
     diagonalize_hermitian,
     form_direct_sum,
     form_repeat,
+    form_tensor_qf,
     hyperbolic,
+    is_unit,
     local_degree_nP,
     max_signature_mP,
     nil_orderings,
     random_symmetric_unit,
+    sample_symmetric,
     signature,
     signature_vector,
     star_pairing,
@@ -29,7 +36,7 @@ from hermsig.hermitian import (
     trace_transfer,
 )
 from hermsig.orderings import NumberField, list_orderings, sign_of
-from hermsig.qforms import signature_qf
+from hermsig.qforms import QuadraticForm, signature_qf
 
 QQ = NumberField([0, 1])
 RT2 = NumberField([-2, 0, 1])
@@ -253,6 +260,57 @@ def test_star_pairing_quadratic_center():
     assert signature_qf(q, P) == 1
 
 
+def test_star_pairing_on_split_quaternion_unit():
+    # over the split quaternions (-1,2)_Q, row reduction by pivots of
+    # nonzero norm misses some units; the hermitian diagonal does not
+    with pytest.warns(UserWarning, match="DNotDivisionAtAnyOrdering"):
+        A = make_algebra(quaternion_desc(QQ, QQ.from_rational(-1), QQ.from_rational(2)), 3)
+    rng = random.Random(1)
+    x = [sample_symmetric(A, rng, 1) for _ in range(88)][87]
+    assert is_unit(x)
+    q = star_pairing(x, x)
+    assert q.dim == 36
+
+    # a two-sided inverse, solved for independently over Q: y -> x * y is
+    # Q-linear in the 36 coordinates of y
+    basis = []
+    for r in range(3):
+        for c in range(3):
+            for t in range(4):
+                entries = [[delt(A.desc, 0, 0, 0, 0)] * 3 for _ in range(3)]
+                entries[r][c] = delt(A.desc, *[int(i == t) for i in range(4)])
+                basis.append(entries)
+
+    def coords(m):
+        return [comp.as_fraction() for row in m for e in row for comp in e.comps]
+
+    left = sympy.Matrix([coords(mat_mul(x.entries, b)) for b in basis]).T
+    solution = left.LUsolve(sympy.Matrix(coords(mat_identity(A.desc, 3))))
+    y = [[delt(A.desc, 0, 0, 0, 0)] * 3 for _ in range(3)]
+    for coef, b in zip(solution, basis):
+        coef = Fraction(int(coef.p), int(coef.q))
+        y = [[u + v * coef for u, v in zip(ry, rb)] for ry, rb in zip(y, b)]
+    identity = mat_identity(A.desc, 3)
+    assert mat_mul(x.entries, y) == identity
+    assert mat_mul(y, x.entries) == identity
+
+
+def test_is_unit_follows_the_diagonal():
+    M2 = make_algebra(base_desc(QQ), 2)
+    assert is_unit(M2.identity())
+    singular = M2.element([[delt(M2.desc, 1), delt(M2.desc, 2)], [delt(M2.desc, 2), delt(M2.desc, 4)]])
+    assert not is_unit(singular)
+    assert not is_unit(M2.zero())
+
+
+def test_tensor_with_empty_quadratic_form():
+    M2 = make_algebra(base_desc(QQ), 2)
+    h = diagonal_form(M2, [M2.identity()])
+    empty = form_tensor_qf(QuadraticForm(QQ, []), h)
+    assert empty.dim == 0 and empty.rank() == 0
+    assert signature(empty, list_orderings(QQ)[0]) == 0
+
+
 def test_max_signature():
     rng = random.Random(9)
     P = list_orderings(QQ)[0]
@@ -298,6 +356,9 @@ def test_block_diagonals_stay_small(monkeypatch):
     M2 = make_algebra(base_desc(QQ), 2)
     rng = random.Random(88)
     h = diagonal_form(M2, [random_symmetric_unit(M2, rng, 2) for _ in range(8)])
+    b = random_symmetric_unit(M2, rng, 2)
+    # drawing units fills the memo with their diagonals; start from empty
+    M2._diagonal_memo.clear()
     forms = (h, form_repeat(3, h), form_direct_sum(h, h))
     sizes = []
     real = hermitian.diagonalize_hermitian
@@ -321,5 +382,5 @@ def test_block_diagonals_stay_small(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(hermitian, "diagonalize_hermitian", recording)
     sizes.clear()
-    paired = star_pairing_form(h, random_symmetric_unit(M2, rng, 2))
+    paired = star_pairing_form(h, b)
     assert paired.dim == 32 and sizes == [4] * 8

@@ -1,9 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
 from hermsig.errors import ExpectedNPMember
-from hermsig.algebras import base_desc, make_algebra, quaternion_desc
+from hermsig.algebras import (
+    AlgebraWithInvolution,
+    DElement,
+    base_desc,
+    make_algebra,
+    quaternion_desc,
+)
 from hermsig.cones import PositiveConeHandle, sample_cone_member
 from hermsig.hermitian import (
     diagonal_form,
@@ -89,6 +96,38 @@ def test_sylvester_reduction_quaternion(ham_cone):
     assert signature_qf(q, P0) == 4
     assert len(u) == 4 and len(v) == 0
     assert ev["match"]
+
+
+def test_sylvester_reduction_checks_each_value_once(monkeypatch):
+    # over M_2(H): h is checked once, a is checked symmetric once and found
+    # a unit from its hermitian diagonal, and nothing is inverted
+    A = make_algebra(HAM, 2)
+    cone = PositiveConeHandle(A, P0, 1)
+
+    def m(*rows):
+        return A.element([[DElement(HAM, tuple(QQ.from_rational(c) for c in e)) for e in row] for row in rows])
+
+    h = diagonal_form(
+        A,
+        [
+            m([(2, 0, 0, 0), (1, 1, 0, 0)], [(1, -1, 0, 0), (3, 0, 0, 0)]),
+            m([(1, 0, 0, 0), (0, 1, 1, 0)], [(0, -1, -1, 0), (-4, 0, 0, 0)]),
+        ],
+    )
+    a = m([(2, 0, 0, 0), (1, 0, 1, 0)], [(1, 0, -1, 0), (5, 0, 0, 0)])
+    calls = Counter()
+    for name in ("is_symmetric", "invert"):
+        real = getattr(AlgebraWithInvolution, name)
+
+        def counted(self, x, real=real, name=name):
+            calls[name] += 1
+            return real(self, x)
+
+        monkeypatch.setattr(AlgebraWithInvolution, name, counted)
+    q, u, v, ev = sylvester_reduction(h, a, cone)
+    assert calls["is_symmetric"] <= 3 and calls["invert"] == 0
+    assert q.dim == 16 and len(u) + len(v) == 32
+    assert ev["match"] and ev["rank_left"] == ev["rank_right"] == 64
 
 
 def test_sylvester_reduction_m2(m2_cone):
