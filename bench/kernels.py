@@ -1,15 +1,17 @@
-"""Layer microbenchmarks of the arithmetic kernels, written to BENCH_9.json.
+"""Layer microbenchmarks of the arithmetic kernels, written to BENCH_10.json.
 
   PYTHONPATH=<checkout>/src python3 bench/kernels.py
 
 Times each operation on fixed operands and records the best of several
 repeats in microseconds: `Fraction` mul; `FieldElement` mul and add at
 degree 1, 2 and 4; `inverse` at degree 2 and 4; `sign_of` at degree 4;
-quaternion `DElement` mul at degree 1 and 4; and, over the Hamilton
-quaternions H = (-1,-1)_Q, `AlgebraElement ==` on two equal but separately
-built 2 x 2 matrices, one `diagonalize_hermitian` of a 4 x 4 hermitian
-matrix, and one `signature` of the 2 x 2 form over M_2(H) whose flattened
-Gram is that matrix (the form is built anew and the algebra's memo of block
+`sturm_sequence` of a degree-8 polynomial and `gcd` of it and its
+derivative; `count_roots_with_signs_formula` for three quadratic conditions
+on a sextic with six rational roots; quaternion `DElement` mul at degree 1
+and 4; and, over the Hamilton quaternions H = (-1,-1)_Q, `AlgebraElement ==`
+on two equal but separately built 2 x 2 matrices, one
+`diagonalize_hermitian` of a 4 x 4 hermitian matrix, and one `signature` of
+the 2 x 2 form over M_2(H) whose flattened Gram is that matrix (the form is built anew and the algebra's memo of block
 diagonals emptied on each call, so the diagonalization is timed too).  Over
 M_2(H) it also times `star_pairing(a, a)` of a fixed positive definite unit a
 and one `sylvester_reduction` of a fixed 2-entry diagonal form against a,
@@ -17,7 +19,7 @@ each with the memo emptied on each call, and one `cli.run` of the
 `orderings` command on a fixed quartic field, stdout discarded.  The
 arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
 The hermsig measured is whichever one PYTHONPATH imports, so the same
-script times any checkout; its figures go into one column of BENCH_9.json
+script times any checkout; its figures go into one column of BENCH_10.json
 (next to this directory), named by the checkout's git commit, with "+dirty"
 when its src/ has uncommitted changes, and the other columns are kept.
 """
@@ -38,6 +40,12 @@ import hermsig
 from hermsig import cli
 from hermsig.algebras import DElement, make_algebra, quaternion_desc
 from hermsig.cones import PositiveConeHandle
+from hermsig.exactnum import (
+    Polynomial,
+    count_roots_with_signs_formula,
+    gcd,
+    sturm_sequence,
+)
 from hermsig.hermitian import (
     HermitianForm,
     diagonal_form,
@@ -48,7 +56,7 @@ from hermsig.hermitian import (
 from hermsig.orderings import NumberField, list_orderings, sign_of
 from hermsig.wittideal import sylvester_reduction
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_9.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_10.json"
 REPEATS = 15
 TARGET_S = 0.02  # time per repeat
 
@@ -169,6 +177,17 @@ def operations() -> dict:
     for d in (2, 4):
         ops[f"field_inverse.deg{d}"] = x[d].inverse
     ops["sign_of.deg4"] = lambda: sign_of(x[4], ordering)
+    deg8 = Polynomial(X + Y + [1])
+    d8 = deg8.derivative()
+    sextic = Polynomial([1])
+    for k in range(-2, 4):
+        sextic = sextic * Polynomial([-k, 1])
+    conditions = [Polynomial([X[i], Y[i], 1]) for i in range(3)]
+    ops["sturm_sequence.deg8"] = lambda: sturm_sequence(deg8)
+    ops["gcd.deg8"] = lambda: gcd(deg8, d8)
+    ops["count_roots_with_signs_formula.r3"] = lambda: count_roots_with_signs_formula(
+        sextic, conditions
+    )
     ops["delement_mul.quaternion.deg1"] = lambda: q1 * r1
     ops["delement_mul.quaternion.deg4"] = lambda: q4 * r4
     ops.update(_hamilton_operations())

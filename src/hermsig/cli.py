@@ -191,6 +191,7 @@ def _cmd_extend(config, seed, bound):
     embedding = config["embedding"]
     if not isinstance(embedding, dict):
         raise ParseError("embedding must be an object")
+    jsonio.check_keys(embedding, ("dst_field", "image"), "embedding keys")
     dst = jsonio.parse_field(embedding["dst_field"])
     image = jsonio.parse_element(dst, embedding["image"])
     emb = embed_field(A.field, dst, image)

@@ -1,8 +1,12 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Sturm chains, real root counting and isolation, Tarski queries, and counts
-of roots under simultaneous sign conditions.  All coefficients are
-``fractions.Fraction``; no floating point appears anywhere.
+of roots under simultaneous sign conditions.  `Polynomial` coefficients are
+``fractions.Fraction``; no floating point appears anywhere.  Every chain is
+built on integer coefficient tuples by primitive pseudo-remainders: each
+remainder is scaled by positive factors only and divided by its content, so
+each member is a positive multiple of the member a division over Q would
+give, and every sign-change count is the same.
 
 Sign-condition counts come in two forms.  `count_roots_with_signs` isolates
 the roots of m once and then runs one localized Tarski query per condition
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -122,14 +126,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial([])
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Polynomial(out)
+            return Polynomial(_mul(self.coeffs, other.coeffs))
         q = Fraction(other)
         return Polynomial([c * q for c in self.coeffs])
 
@@ -183,11 +180,15 @@ class Polynomial:
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm (zero for two zero inputs)."""
-    while not b.is_zero:
-        # re-normalizing each remainder keeps coefficient growth in check
-        a, b = b, (a % b).monic()
-    return a.monic()
+    """Monic gcd (zero for two zero inputs).
+
+    Computed by a primitive remainder sequence on integer coefficients;
+    every member is a nonzero rational multiple of the Euclidean one.
+    """
+    a, b = _primitive_integer(a), _primitive_integer(b)
+    while b:
+        a, b = b, _prem(a, b)
+    return Polynomial(a).monic()
 
 
 def is_squarefree(p: Polynomial) -> bool:
@@ -210,37 +211,75 @@ def _count_changes(signs) -> int:
     return changes
 
 
+def _primitive(cs) -> tuple[int, ...]:
+    """Integer list without trailing zeros, divided by its positive content."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
+
+
 def _primitive_integer(f: Polynomial) -> tuple[int, ...]:
-    """Coprime integer coefficients of a positive multiple of a nonzero f."""
-    cs = f.coeffs
-    den = math.lcm(*(c.denominator for c in cs))
-    nums = [c.numerator * (den // c.denominator) for c in cs]
-    g = math.gcd(*nums)
-    return tuple(n // g for n in nums)
+    """Coprime integer coefficients of a positive multiple of f; () for zero."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    return _primitive(c.numerator * (den // c.denominator) for c in f.coeffs)
+
+
+def _mul(a, b) -> list:
+    """Product of two coefficient sequences, integer or rational."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _prem(a, b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive positive integer multiple of a mod b, for b with b[-1] != 0.
+
+    Each step removes the leading term t of the partial remainder r as
+    (|lc b| * r - sign(lc b) * t * x^k * b) / gcd(lc b, t): the scale on r is
+    positive, so the result is a positive multiple of the remainder over Q.
+    """
+    db = len(b) - 1
+    lc = b[-1]
+    r = list(a)
+    for k in range(len(r) - 1 - db, -1, -1):
+        t = r.pop()
+        if t:
+            g = math.gcd(lc, t)
+            u, v = abs(lc) // g, (t if lc > 0 else -t) // g
+            if u != 1:
+                r = [u * c for c in r]
+            for j, c in enumerate(b[:db], k):
+                r[j] -= v * c
+    return _primitive(r)
 
 
 @dataclass(frozen=True)
 class SturmSequence:
-    """Signed remainder chain; ends at a gcd of the two seed polynomials."""
+    """Signed remainder chain; ends at a gcd of the two seed polynomials.
 
-    polys: tuple[Polynomial, ...]
-    _ints: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    Its members are primitive integer coefficient tuples, lowest degree
+    first, none zero: each is a positive multiple of the member a Euclidean
+    chain over Q would hold, so sign sequences are the same.
+    """
 
-    def __post_init__(self):
-        # every member is nonzero: the chain stops before a zero remainder
-        object.__setattr__(
-            self, "_ints", tuple(_primitive_integer(f) for f in self.polys)
-        )
+    members: tuple[tuple[int, ...], ...]
 
     def changes_at(self, x) -> int:
         """Sign changes at the rational x = p/q, q > 0.
 
-        Each member f is read as q^deg(f) * f(p/q) on its positive integer
-        multiple, an integer of the same sign, evaluated by Horner.
+        Each member f is read as q^deg(f) * f(p/q), an integer of the same
+        sign, evaluated by Horner.
         """
         p, q = x.numerator, x.denominator
         values = []
-        for cs in self._ints:
+        for cs in self.members:
             acc = cs[-1]
             qk = 1
             for c in cs[-2::-1]:
@@ -250,12 +289,13 @@ class SturmSequence:
         return _count_changes(sign(v) for v in values)
 
     def changes_neg_inf(self) -> int:
+        # (-1)**degree is -1 exactly when the member has an even length
         return _count_changes(
-            sign(f.leading) * (-1) ** f.degree for f in self.polys
+            sign(cs[-1]) if len(cs) % 2 else -sign(cs[-1]) for cs in self.members
         )
 
     def changes_pos_inf(self) -> int:
-        return _count_changes(sign(f.leading) for f in self.polys)
+        return _count_changes(sign(cs[-1]) for cs in self.members)
 
     def count_in(self, lo, hi) -> int:
         """Roots of the seed in (lo, hi]; exact for non-root endpoints."""
@@ -265,15 +305,16 @@ class SturmSequence:
         return self.changes_neg_inf() - self.changes_pos_inf()
 
 
-def _chain(f0: Polynomial, f1: Polynomial) -> SturmSequence:
+def _chain(f0: tuple[int, ...], f1: tuple[int, ...]) -> SturmSequence:
+    """Chain of primitive integer members seeded with f0 and f1 (f0 nonzero)."""
     seq = [f0]
-    if not f1.is_zero:
+    if f1:
         seq.append(f1)
         while True:
-            r = seq[-2] % seq[-1]
-            if r.is_zero:
+            r = _prem(seq[-2], seq[-1])
+            if not r:
                 break
-            seq.append(-r)
+            seq.append(tuple(-c for c in r))
     return SturmSequence(tuple(seq))
 
 
@@ -281,7 +322,8 @@ def sturm_sequence(p: Polynomial) -> SturmSequence:
     """Canonical Sturm chain seeded with (p, p')."""
     if p.is_zero:
         raise ZeroPolynomial()
-    return _chain(p, p.derivative())
+    f = _primitive_integer(p)
+    return _chain(f, _primitive([i * c for i, c in enumerate(f)][1:]))
 
 
 def count_real_roots(p: Polynomial, window: Interval | None = None) -> int:
@@ -318,7 +360,7 @@ def _squarefree_chain(p: Polynomial) -> SturmSequence:
     if p.is_zero:
         raise ZeroPolynomial()
     chain = sturm_sequence(p)
-    if chain.polys[-1].degree > 0:
+    if len(chain.members[-1]) > 1:
         raise NotSquarefree()
     return chain
 
@@ -369,18 +411,19 @@ def tarski_query(m: Polynomial, g: Polynomial) -> int:
     Computed as the sign-change difference of the chain seeded with
     (m, m'*g mod m) at -infinity and +infinity, never by evaluating at roots.
     """
-    _squarefree_chain(m)
-    return _tarski_chain(m, g).count_all()
+    chain = _squarefree_chain(m)
+    return _tarski_chain(chain.members[0], _primitive_integer(g)).count_all()
 
 
-def _tarski_chain(m: Polynomial, g: Polynomial) -> SturmSequence:
+def _tarski_chain(m: tuple[int, ...], g) -> SturmSequence:
     """Chain whose variation difference over (a, b) is TaQ(g, m; a, b).
 
+    m is primitive and g is a positive integer multiple of the condition.
     Valid for squarefree m and endpoints a, b that are not roots of m.
     Reducing m'*g mod m leaves the Cauchy index of (m'*g)/m unchanged and
     keeps every chain member below the degree of m.
     """
-    return _chain(m, (m.derivative() * g) % m)
+    return _chain(m, _prem(_mul([i * c for i, c in enumerate(m)][1:], g), m))
 
 
 def _check_sign_conditions(m: Polynomial, gs) -> tuple[list, SturmSequence]:
@@ -410,7 +453,7 @@ def count_roots_with_signs(m: Polynomial, gs) -> int:
     for g in gs:
         if not roots:
             break
-        local = _tarski_chain(m, g)
+        local = _tarski_chain(chain.members[0], _primitive_integer(g))
         roots = [iv for iv in roots if local.count_in(iv.lo, iv.hi) == 1]
     return len(roots)
 
@@ -423,14 +466,16 @@ def count_roots_with_signs_formula(m: Polynomial, gs) -> int:
     their values at the roots of m unchanged.  Costs 2**r Tarski queries;
     kept as the isolation-free reference path.
     """
-    gs, _ = _check_sign_conditions(m, gs)
+    gs, chain = _check_sign_conditions(m, gs)
+    m = chain.members[0]
     r = len(gs)
-    powers = [(g % m, (g * g) % m) for g in gs]
+    gs = [_primitive_integer(g) for g in gs]
+    powers = [(_prem(g, m), _prem(_mul(g, g), m)) for g in gs]
     total = 0
     for factors in itertools.product(*powers):
-        ge = Polynomial([1])
+        ge = (1,)
         for f in factors:
-            ge = (ge * f) % m
+            ge = _prem(_mul(ge, f), m)
         total += _tarski_chain(m, ge).count_all()
     if total % (1 << r):
         raise AssertionError("sign-condition count is not divisible by 2^r")

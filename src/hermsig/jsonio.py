@@ -71,6 +71,7 @@ def interval_to_json(iv: Interval) -> list[str]:
 def parse_field(v) -> NumberField:
     if not isinstance(v, dict) or "min_poly" not in v:
         raise ParseError("field descriptor needs a min_poly")
+    check_keys(v, ("min_poly",), "field keys")
     if not isinstance(v["min_poly"], list):
         raise ParseError("min_poly must be an array of rationals")
     try:
@@ -113,24 +114,28 @@ def parse_delement(desc: DivisionAlgebraDesc, v) -> DElement:
     )
 
 
+# each division kind's builder and the components it reads besides the kind
+_DIVISION_KINDS = {
+    BASE: (base_desc, ()),
+    QUADRATIC: (quadratic_desc, ("d",)),
+    QUATERNION: (quaternion_desc, ("a", "b")),
+}
+
+
 def parse_desc(F: NumberField, v) -> DivisionAlgebraDesc:
     if not isinstance(v, dict) or "kind" not in v:
         raise ParseError("division descriptor needs a kind")
     kind = v["kind"]
+    if not isinstance(kind, str) or kind not in _DIVISION_KINDS:
+        raise ParseError(f"unknown division kind {kind!r}")
+    build, components = _DIVISION_KINDS[kind]
+    check_keys(v, ("kind", *components), f"{kind} division keys")
     try:
-        if kind == BASE:
-            return base_desc(F)
-        if kind == QUADRATIC:
-            return quadratic_desc(F, parse_element(F, v["d"]))
-        if kind == QUATERNION:
-            return quaternion_desc(
-                F, parse_element(F, v["a"]), parse_element(F, v["b"])
-            )
+        return build(F, *(parse_element(F, v[c]) for c in components))
     except KeyError as e:
         raise ParseError(f"missing component {e}") from e
     except ValueError as e:
         raise ParseError(str(e)) from e
-    raise ParseError(f"unknown division kind {kind!r}")
 
 
 def parse_algebra(v) -> AlgebraWithInvolution:
@@ -177,6 +182,8 @@ def parse_algebra_element(A: AlgebraWithInvolution, v) -> AlgebraElement:
 def parse_hermitian_form(A: AlgebraWithInvolution, v) -> HermitianForm:
     if not isinstance(v, dict):
         raise ParseError("form descriptor must be an object")
+    # exactly one of diag and gram
+    check_keys(v, ("diag",) if "diag" in v else ("gram",), "form keys")
     if "diag" in v:
         if not isinstance(v["diag"], list):
             raise ParseError("form diag must be an array of algebra elements")

@@ -92,6 +92,7 @@ class NumberField:
         _rational_root_screen(p, ints)
         self.min_poly = p
         self.degree = p.degree
+        self._ints = ints
         self._scale = ints[-1]
         self._reducer = tuple((j, r) for j, r in enumerate(ints[:-1]) if r)
         self._orderings: tuple[OrderingHandle, ...] | None = None
@@ -347,7 +348,7 @@ def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
         return sign(alpha.nums[0])
     iv = P.isolating
     # alpha * den: a positive scale leaves the count unchanged
-    chain = _tarski_chain(P.owner.min_poly, Polynomial(alpha.nums))
+    chain = _tarski_chain(P.owner._ints, alpha.nums)
     return chain.count_in(iv.lo, iv.hi)
 
 

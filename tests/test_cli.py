@@ -245,6 +245,9 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
             "orientaton",
         ),
         ("nil", {"algebra": {**M2Q, "phy": [["1"]]}}, "phy"),
+        ("signature", {"algebra": M2Q, "form": {"diag": ["1"], "gram": [["-1"]]}}, "gram"),
+        ("nil", {"algebra": {**M2Q, "division": {"kind": "base", "d": "-1"}}}, "'d'"),
+        ("orderings", {"field": {"min_poly": ["-2", "0", "1"], "degree": 2}}, "degree"),
     ],
     ids=[
         "diag_not_array",
@@ -264,6 +267,9 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         "search_string",
         "unknown_config_key",
         "unknown_algebra_key",
+        "diag_with_gram",
+        "base_division_with_d",
+        "unknown_field_key",
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):

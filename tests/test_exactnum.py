@@ -50,20 +50,22 @@ def test_gcd_and_squarefree():
 
 
 def test_sturm_sequence_x2_minus_2():
-    # hand computation: remainder of (x^2-2, 2x) is -2, negated to 2
+    # hand computation: p' = 2x has primitive part x; the remainder of
+    # (x^2-2, x) is -2, primitive part -1, negated to 1
     chain = sturm_sequence(X2_MINUS_2)
-    assert [f.coeffs for f in chain.polys] == [(-2, 0, 1), (0, 2), (2,)]
+    assert chain.members == ((-2, 0, 1), (0, 1), (1,))
 
 
 def test_sturm_sequence_linear():
     chain = sturm_sequence(P(-1, 1))
-    assert [f.coeffs for f in chain.polys] == [(-1, 1), (1,)]
+    assert chain.members == ((-1, 1), (1,))
 
 
 def test_sturm_sequence_non_squarefree_ends_at_gcd():
-    # x^2 has remainder 0 against 2x: the chain stops at 2x
+    # x^2 has remainder 0 against x, the primitive part of 2x: the chain
+    # stops at x
     chain = sturm_sequence(P(0, 0, 1))
-    assert [f.coeffs for f in chain.polys] == [(0, 0, 1), (0, 2)]
+    assert chain.members == ((0, 0, 1), (0, 1))
 
 
 def test_sturm_zero_polynomial_rejected():
