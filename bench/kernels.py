@@ -11,8 +11,9 @@ on a sextic with six rational roots; quaternion `DElement` mul at degree 1
 and 4; and, over the Hamilton quaternions H = (-1,-1)_Q, `AlgebraElement ==`
 on two equal but separately built 2 x 2 matrices, one
 `diagonalize_hermitian` of a 4 x 4 hermitian matrix, and one `signature` of
-the 2 x 2 form over M_2(H) whose flattened Gram is that matrix (the form is built anew and the algebra's memo of block
-diagonals emptied on each call, so the diagonalization is timed too).  Over
+the 2 x 2 form over M_2(H) whose flattened Gram is that matrix (the form is
+built anew and the algebra's memo of block diagonals emptied on each call,
+so the diagonalization is timed too).  Over
 M_2(H) it also times `star_pairing(a, a)` of a fixed positive definite unit a
 and one `sylvester_reduction` of a fixed 2-entry diagonal form against a,
 each with the memo emptied on each call, and one `cli.run` of the

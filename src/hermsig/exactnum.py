@@ -150,9 +150,6 @@ class Polynomial:
                     rem[k + j] -= c * b
         return Polynomial(quo), Polynomial(rem[: other.degree])
 
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -462,9 +459,10 @@ def count_roots_with_signs_formula(m: Polynomial, gs) -> int:
     """`count_roots_with_signs` by the paper's averaged inclusion-exclusion.
 
     The count equals 2**(-r) * sum_e TaQ(g1**e1 * ... * gr**er, m) over the
-    exponent vectors e in {1,2}**r; products are reduced mod m, which leaves
-    their values at the roots of m unchanged.  Costs 2**r Tarski queries;
-    kept as the isolation-free reference path.
+    exponent vectors e in {1,2}**r; products are reduced mod m and scaled
+    by positive integers, which leaves their signs at the roots of m
+    unchanged.  Costs 2**r Tarski queries; kept as the isolation-free
+    reference path.
     """
     gs, chain = _check_sign_conditions(m, gs)
     m = chain.members[0]

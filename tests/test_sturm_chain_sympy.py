@@ -13,7 +13,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from hermsig.exactnum import (  # noqa: E402
     Polynomial,
@@ -76,14 +76,14 @@ def _squarefree(f):
 @given(_poly())
 def test_sturm_members_match_sympy(coeffs):
     f = _sympy_poly(coeffs)
-    hypothesis.assume(_squarefree(f))
+    assume(_squarefree(f))
     members = sturm_sequence(Polynomial(coeffs)).members
     expected = sympy.sturm(f)
     assert len(members) == len(expected)
     # sympy divides p by its leading coefficient before building the chain
     sgn = 1 if coeffs[-1] > 0 else -1
     for member, e in zip(members, expected):
-        assert _positive_multiple(member, sympy.Poly(e, X), sgn)
+        assert _positive_multiple(member, e, sgn)
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,7 +107,7 @@ def test_non_squarefree_chain_ends_at_gcd(coeffs):
 @settings(max_examples=150, deadline=None)
 @given(_poly(), _poly())
 def test_tarski_seed_is_positive_multiple_of_remainder(m, g):
-    hypothesis.assume(len(m) > 1)
+    assume(len(m) > 1)
     chain = _tarski_chain(_primitive_integer(Polynomial(m)), _primitive_integer(Polynomial(g)))
     fm = _sympy_poly(m)
     rem = sympy.rem(fm.diff(X) * _sympy_poly(g), fm)
