@@ -1,14 +1,17 @@
-"""Layer microbenchmarks of the arithmetic kernels, written to BENCH_10.json.
+"""Layer microbenchmarks of the arithmetic kernels, written to BENCH_11.json.
 
   PYTHONPATH=<checkout>/src python3 bench/kernels.py
 
 Times each operation on fixed operands and records the best of several
 repeats in microseconds: `Fraction` mul; `FieldElement` mul and add at
 degree 1, 2 and 4; `inverse` at degree 2 and 4; `sign_of` at degree 4;
+building the `NumberField` x^4 - 180 (screens included);
 `sturm_sequence` of a degree-8 polynomial and `gcd` of it and its
 derivative; `count_roots_with_signs_formula` for three quadratic conditions
 on a sextic with six rational roots; quaternion `DElement` mul at degree 1
-and 4; and, over the Hamilton quaternions H = (-1,-1)_Q, `AlgebraElement ==`
+and 4, quadratic `DElement` mul over Q(sqrt 2) with d = sqrt 2, and the
+quaternion norm at degree 4; and, over the Hamilton quaternions
+H = (-1,-1)_Q, `AlgebraElement ==`
 on two equal but separately built 2 x 2 matrices, one
 `diagonalize_hermitian` of a 4 x 4 hermitian matrix, and one `signature` of
 the 2 x 2 form over M_2(H) whose flattened Gram is that matrix (the form is
@@ -16,11 +19,13 @@ built anew and the algebra's memo of block diagonals emptied on each call,
 so the diagonalization is timed too).  Over
 M_2(H) it also times `star_pairing(a, a)` of a fixed positive definite unit a
 and one `sylvester_reduction` of a fixed 2-entry diagonal form against a,
-each with the memo emptied on each call, and one `cli.run` of the
-`orderings` command on a fixed quartic field, stdout discarded.  The
+each with the memo emptied on each call, and one `cli.run` each of the
+`orderings` command on a fixed quartic field and of the `member` command
+for a fixed 2 x 2 hermitian matrix over (-1,-1) on the quartic field
+x^4 - 180, stdout discarded.  The
 arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
 The hermsig measured is whichever one PYTHONPATH imports, so the same
-script times any checkout; its figures go into one column of BENCH_10.json
+script times any checkout; its figures go into one column of BENCH_11.json
 (next to this directory), named by the checkout's git commit, with "+dirty"
 when its src/ has uncommitted changes, and the other columns are kept.
 """
@@ -39,7 +44,7 @@ from pathlib import Path
 
 import hermsig
 from hermsig import cli
-from hermsig.algebras import DElement, make_algebra, quaternion_desc
+from hermsig.algebras import DElement, make_algebra, quadratic_desc, quaternion_desc
 from hermsig.cones import PositiveConeHandle
 from hermsig.exactnum import (
     Polynomial,
@@ -57,7 +62,7 @@ from hermsig.hermitian import (
 from hermsig.orderings import NumberField, list_orderings, sign_of
 from hermsig.wittideal import sylvester_reduction
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_10.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_11.json"
 REPEATS = 15
 TARGET_S = 0.02  # time per repeat
 
@@ -146,17 +151,43 @@ def _hamilton_operations() -> dict:
     }
 
 
+# a 2 x 2 hermitian matrix over (-1,-1) on Q[y]/(y^4 - 180): scalar diagonal,
+# off-diagonal beta and theta(beta), each component a power-basis vector
+_BETA = [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["2", "0", "0", "0"], ["0", "0", "1", "0"]]
+_THETA_BETA = [["1", "1", "0", "0"], ["0", "-1", "0", "0"], ["-2", "0", "0", "0"], ["0", "0", "-1", "0"]]
+_MEMBER = {
+    "algebra": {
+        "division": {"kind": "quaternion", "a": "-1", "b": "-1"},
+        "field": {"min_poly": ["-180", "0", "0", "0", "1"]},
+        "n": 2,
+    },
+    "element": [
+        ["70", _BETA],
+        [_THETA_BETA, "90"],
+    ],
+    "ordering_index": 1,
+    "orientation": 1,
+}
+
+
 def _cli_operations() -> dict:
-    """One `orderings` job through `cli.run`, parser included."""
+    """One `orderings` and one `member` job through `cli.run`, parser included."""
     tmp = tempfile.TemporaryDirectory()
-    config = Path(tmp.name) / "orderings.json"
-    config.write_text(json.dumps({"field": {"min_poly": ["1", "0", "-10", "0", "1"]}}))
+    configs = {
+        "orderings": {"field": {"min_poly": ["1", "0", "-10", "0", "1"]}},
+        "member": _MEMBER,
+    }
+    ops = {}
+    for command, config in configs.items():
+        path = Path(tmp.name) / f"{command}.json"
+        path.write_text(json.dumps(config))
 
-    def run_orderings(tmp=tmp):
-        with redirect_stdout(io.StringIO()):
-            return cli.run(["orderings", "--config", str(config)])
+        def run(command=command, path=path, tmp=tmp):
+            with redirect_stdout(io.StringIO()):
+                return cli.run([command, "--config", str(path)])
 
-    return {"cli_run.orderings": run_orderings}
+        ops[f"cli_run.{command}"] = run
+    return ops
 
 
 def operations() -> dict:
@@ -178,6 +209,7 @@ def operations() -> dict:
     for d in (2, 4):
         ops[f"field_inverse.deg{d}"] = x[d].inverse
     ops["sign_of.deg4"] = lambda: sign_of(x[4], ordering)
+    ops["number_field.quartic"] = lambda: NumberField([-180, 0, 0, 0, 1])
     deg8 = Polynomial(X + Y + [1])
     d8 = deg8.derivative()
     sextic = Polynomial([1])
@@ -191,6 +223,11 @@ def operations() -> dict:
     )
     ops["delement_mul.quaternion.deg1"] = lambda: q1 * r1
     ops["delement_mul.quaternion.deg4"] = lambda: q4 * r4
+    sqrt2 = quadratic_desc(fields[2], fields[2].generator())
+    s2 = DElement(sqrt2, (x[2], y[2]))
+    t2 = DElement(sqrt2, (y[2], x[2]))
+    ops["delement_mul.quadratic.deg2"] = lambda: s2 * t2
+    ops["delement_norm.quaternion.deg4"] = q4.norm
     ops.update(_hamilton_operations())
     ops.update(_cli_operations())
     return ops

@@ -6,6 +6,14 @@ conjugation).  Algebras are always presented in the normal form M_n(D) with
 the involution x -> Phi * theta(x)^t * Phi^(-1) for a theta-symmetric
 invertible Phi; arbitrary structure-constant presentations are out of scope.
 
+An element of D is one canonical integer block (see `DElement`).  D has
+the basis of words e_p = u^(p_0) v^(p_1) in anticommuting units, u^2 = d or
+a and v^2 = b, so e_p e_q = (-1)^(p_1 q_0) (u^2)^(p_0 q_0) (v^2)^(p_1 q_1)
+e_(p xor q).  Each descriptor folds these constants once into an integer
+table; one routine multiplies blocks through it (integer convolution, one
+reduction modulo the cleared minimal polynomial, one gcd), and the norm
+x * theta(x) through the diagonal table (1, -u^2, -v^2, u^2 v^2).
+
 This module is the only one that knows Phi.  `AlgebraWithInvolution.unscale`
 (m -> Phi^(-1) m) sends the symmetric elements onto the theta-hermitian
 matrices, and `rescale` (m -> Phi m) sends them back; both are the identity
@@ -19,6 +27,7 @@ canonical, so two of them are equal exactly when their entries are.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +45,7 @@ from .orderings import (
     FieldEmbedding,
     NumberField,
     OrderingHandle,
+    _canonical,
     list_orderings,
     sign_of,
 )
@@ -51,10 +61,61 @@ _DIMS = {BASE: 1, QUADRATIC: 2, QUATERNION: 4}
 def _is_rational_square(q: Fraction) -> bool:
     if q < 0:
         return False
-    from math import isqrt
-
     n, d = q.numerator, q.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
+
+
+def _table(field: NumberField, entries, out_dim: int) -> tuple:
+    """The terms c x_p y_q e_r, entries[p] listing (q, r, c), in integers.
+
+    Returns (field, rows, width, size, den): rows[i] lists (j, o, n) for each
+    term n * x[i] * y[j], n a coefficient of some c over the common
+    denominator den, on slot o of out_dim unreduced polynomials of `width`
+    coefficients each (size slots).
+    """
+    deg = field.degree
+    den = math.lcm(*(c.den for row in entries for *_, c in row))
+    support = [k for row in entries for *_, c in row for k, n in enumerate(c.nums) if n]
+    width = 2 * deg - 1 + max(support)
+    rows = []
+    for row, i in itertools.product(entries, range(deg)):
+        rows.append(tuple(
+            (q * deg + j, r * width + i + j + k, n * (den // c.den))
+            for q, r, c in row for k, n in enumerate(c.nums) if n for j in range(deg)
+        ))
+    return field, rows, width, out_dim * width, den
+
+
+def _product(table: tuple, x, xden: int, y, yden: int):
+    """Integer block and denominator of x * y through `table`, gcd not taken.
+
+    Components are reduced modulo the cleared minimal polynomial, top term
+    first; when it is not integral each step scales the whole block, so the
+    block keeps one denominator.
+    """
+    field, rows, width, size, den = table
+    acc = [0] * size
+    for i, a in enumerate(x):
+        if a:
+            for j, o, n in rows[i]:
+                if y[j]:
+                    acc[o] += n * a * y[j]
+    den *= xden * yden
+    deg = field.degree
+    if width > deg:
+        scale, reducer = field._scale, field._reducer
+        starts = range(0, size, width)
+        for t in range(width - 1, deg - 1, -1):
+            tops = acc[t::width]
+            if any(tops):
+                if scale != 1:
+                    acc = [v * scale for v in acc]
+                    den *= scale
+                for s, c in zip(starts, tops):
+                    for j, r in reducer if c else ():
+                        acc[s + t - deg + j] -= c * r
+        acc = [v for s in starts for v in acc[s : s + deg]]
+    return acc, den
 
 
 @dataclass(frozen=True)
@@ -82,112 +143,135 @@ class DivisionAlgebraDesc:
                 raise ZeroElement("quaternion kind needs nonzero a, b")
             if self.a.owner != self.field or self.b.owner != self.field:
                 raise FieldMismatch()
+        squares = {BASE: (), QUADRATIC: (self.d,), QUATERNION: (self.a, self.b)}
+        one, dim = self.field.one(), self.dim
+        u, v = (*squares[self.kind], one, one)[:2]
+        # (u^2)^(p_0 q_0) (v^2)^(p_1 q_1), indexed by the bits of p & q
+        power = (one, u, v, u * v)
+
+        def const(p, q):
+            return -power[p & q] if p >> 1 & q & 1 else power[p & q]
+
+        mul = [[(q, p ^ q, const(p, q)) for q in range(dim)] for p in range(dim)]
+        # theta(e_p) = -e_p for p > 0, and the cross terms of x theta(x) cancel
+        norm = [[(p, 0, -const(p, p) if p else one)] for p in range(dim)]
+        # derived data, outside the dataclass fields, equality and hash
+        object.__setattr__(self, "_mul", _table(self.field, mul, dim))
+        object.__setattr__(self, "_norm", _table(self.field, norm, 1))
 
     @property
     def dim(self) -> int:
         return _DIMS[self.kind]
 
+    def _unit(self, c: FieldElement, p: int = 0) -> "DElement":
+        pad = (0,) * self.field.degree
+        return _make(self, pad * p + c.nums + pad * (self.dim - 1 - p), c.den)
+
     def zero(self) -> "DElement":
-        z = self.field.zero()
-        return DElement(self, (z,) * self.dim)
+        return self._unit(self.field.zero())
 
     def one(self) -> "DElement":
-        comps = [self.field.one()] + [self.field.zero()] * (self.dim - 1)
-        return DElement(self, tuple(comps))
+        return self._unit(self.field.one())
 
     def from_field(self, c: FieldElement) -> "DElement":
         if c.owner != self.field:
             raise FieldMismatch()
-        comps = [c] + [self.field.zero()] * (self.dim - 1)
-        return DElement(self, tuple(comps))
+        return self._unit(c)
 
     def basis(self) -> tuple["DElement", ...]:
-        out = []
-        for i in range(self.dim):
-            comps = [self.field.zero()] * self.dim
-            comps[i] = self.field.one()
-            out.append(DElement(self, tuple(comps)))
-        return tuple(out)
+        return tuple(self._unit(self.field.one(), p) for p in range(self.dim))
 
 
-@dataclass(frozen=True)
 class DElement:
-    """Element of D in the basis {1}, {1, sqrt d} or {1, i, j, k}."""
+    """Element of D in the basis {1}, {1, sqrt d} or {1, i, j, k}.
 
-    desc: DivisionAlgebraDesc
-    comps: tuple[FieldElement, ...]
+    One integer block: `nums` holds the deg F power-basis numerators of each
+    component in turn, over one denominator `den`, with den > 0 and
+    gcd(den, *nums) == 1, so equal values compare and hash equal.  `comps`
+    is the field-element view; elements are never mutated.
+    """
+
+    __slots__ = ("desc", "nums", "den")
+
+    def __init__(self, desc: DivisionAlgebraDesc, comps):
+        if len(comps) != desc.dim or any(c.owner != desc.field for c in comps):
+            raise FieldMismatch(f"{desc.kind} element needs {desc.dim} components in F")
+        # over the lcm of canonical denominators the numerators share no factor
+        den = math.lcm(*(c.den for c in comps))
+        self.desc, self.den = desc, den
+        self.nums = tuple(n * (den // c.den) for c in comps for n in c.nums)
+
+    @property
+    def comps(self) -> tuple[FieldElement, ...]:
+        field, nums, deg = self.desc.field, self.nums, self.desc.field.degree
+        return tuple(
+            _canonical(field, nums[s : s + deg], self.den) for s in range(0, len(nums), deg)
+        )
 
     def _check(self, other: "DElement") -> None:
-        if self.desc != other.desc:
+        if other.desc is not self.desc and other.desc != self.desc:
             raise FieldMismatch()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DElement):
+            return NotImplemented
+        # tuple equality tests the descriptors by identity before ==
+        return (self.nums, self.den, self.desc) == (other.nums, other.den, other.desc)
+
+    def __hash__(self) -> int:
+        return hash((self.desc, self.nums, self.den))
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.comps)
+        return not any(self.nums)
 
     @property
     def is_scalar(self) -> bool:
         """True when all non-identity components vanish."""
-        return all(c.is_zero for c in self.comps[1:])
+        return not any(self.nums[self.desc.field.degree :])
 
     def scalar_part(self) -> FieldElement:
         if not self.is_scalar:
             raise ValueError("element has non-identity components")
-        return self.comps[0]
+        field = self.desc.field
+        return _canonical(field, self.nums[: field.degree], self.den)
 
     def __add__(self, other: "DElement") -> "DElement":
         self._check(other)
-        if self.is_zero:
+        if not any(self.nums):
             return other
-        if other.is_zero:
+        if not any(other.nums):
             return self
-        return DElement(
-            self.desc, tuple(a + b for a, b in zip(self.comps, other.comps))
-        )
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "DElement") -> "DElement":
         self._check(other)
-        return DElement(
-            self.desc, tuple(a - b for a, b in zip(self.comps, other.comps))
-        )
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "DElement":
-        return DElement(self.desc, tuple(-a for a in self.comps))
+        return _make(self.desc, tuple(-a for a in self.nums), self.den)
 
     def scale(self, c: FieldElement) -> "DElement":
-        return DElement(self.desc, tuple(a * c for a in self.comps))
+        desc = self.desc
+        if c.owner is not desc.field and c.owner != desc.field:
+            raise FieldMismatch()
+        if c.is_rational:
+            return _make(desc, [a * c.nums[0] for a in self.nums], self.den * c.den)
+        # c is central, so x c = c x, and c's block is the sparser left factor
+        return _make(desc, *_product(desc._mul, c.nums, c.den, self.nums, self.den))
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
+        if not isinstance(other, DElement):
+            if isinstance(other, (int, Fraction)):
+                other = self.desc.field.from_rational(other)
             return self.scale(other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(self.desc.field.from_rational(other))
         self._check(other)
-        if self.is_zero:
+        if not any(self.nums):
             return self
-        if other.is_zero:
+        if not any(other.nums):
             return other
-        x, y = self.comps, other.comps
-        kind = self.desc.kind
-        if kind == BASE:
-            return DElement(self.desc, (x[0] * y[0],))
-        if kind == QUADRATIC:
-            d = self.desc.d
-            return DElement(
-                self.desc,
-                (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
-            )
-        a, b = self.desc.a, self.desc.b
-        ab = a * b
-        return DElement(
-            self.desc,
-            (
-                x[0] * y[0] + a * x[1] * y[1] + b * x[2] * y[2] - ab * x[3] * y[3],
-                x[0] * y[1] + x[1] * y[0] - b * x[2] * y[3] + b * x[3] * y[2],
-                x[0] * y[2] + x[2] * y[0] + a * x[1] * y[3] - a * x[3] * y[1],
-                x[0] * y[3] + x[3] * y[0] + x[1] * y[2] - x[2] * y[1],
-            ),
-        )
+        desc = self.desc
+        return _make(desc, *_product(desc._mul, self.nums, self.den, other.nums, other.den))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -196,25 +280,14 @@ class DElement:
 
     def conj(self) -> "DElement":
         """Canonical involution: sign flip on all non-identity components."""
-        return DElement(
-            self.desc, (self.comps[0],) + tuple(-c for c in self.comps[1:])
-        )
+        deg, nums = self.desc.field.degree, self.nums
+        return _make(self.desc, nums[:deg] + tuple(-a for a in nums[deg:]), self.den)
 
     def norm(self) -> FieldElement:
         """x * conj(x), always a field element."""
-        kind = self.desc.kind
-        x = self.comps
-        if kind == BASE:
-            return x[0] * x[0]
-        if kind == QUADRATIC:
-            return x[0] * x[0] - self.desc.d * x[1] * x[1]
-        a, b = self.desc.a, self.desc.b
-        return (
-            x[0] * x[0]
-            - a * x[1] * x[1]
-            - b * x[2] * x[2]
-            + a * b * x[3] * x[3]
-        )
+        desc = self.desc
+        nums, den = _product(desc._norm, self.nums, self.den, self.nums, self.den)
+        return _canonical(desc.field, nums, den)
 
     def inverse(self) -> "DElement":
         n = self.norm()
@@ -224,6 +297,23 @@ class DElement:
 
     def __repr__(self) -> str:
         return f"DElement({self.desc.kind}, {self.comps})"
+
+
+def _make(desc: DivisionAlgebraDesc, nums, den: int) -> DElement:
+    """The element with block nums/den, den > 0, common factor removed."""
+    g = math.gcd(den, *nums)
+    x = object.__new__(DElement)
+    x.desc, x.den = desc, den // g
+    x.nums = tuple(n // g for n in nums) if g != 1 else tuple(nums)
+    return x
+
+
+def _sum(x: DElement, y: DElement, sign: int) -> DElement:
+    """x + sign * y for elements of one D."""
+    da, db = x.den, y.den
+    if da == db:
+        return _make(x.desc, [a + sign * b for a, b in zip(x.nums, y.nums)], da)
+    return _make(x.desc, [a * db + sign * b * da for a, b in zip(x.nums, y.nums)], da * db)
 
 
 def base_desc(field: NumberField) -> DivisionAlgebraDesc:

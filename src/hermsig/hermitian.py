@@ -169,12 +169,11 @@ def _block_diagonal(A: AlgebraWithInvolution, block) -> tuple[FieldElement, ...]
     diagonalized once per algebra.
     """
     key = tuple(
-        (c.nums, c.den)
+        (x.nums, x.den)
         for row in block
         for e in row
         for entry_row in e.entries
         for x in entry_row
-        for c in x.comps
     )
     d = A._diagonal_memo.get(key)
     if d is None:

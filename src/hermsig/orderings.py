@@ -59,22 +59,30 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _rational_root_screen(p: Polynomial, ints: tuple[int, ...]) -> None:
-    """Reject min_poly of degree > 1 with an obvious rational root.
+def _rational_root_screen(ints: tuple[int, ...]) -> None:
+    """Reject a min_poly of degree > 1 with an obvious rational root.
 
-    `ints` are p's coefficients cleared of denominators.  Full
-    irreducibility over Q stays the caller's contract; a reducible
-    polynomial that slips past this screen surfaces later as NotInvertible.
+    `ints` are the minimal polynomial's coefficients cleared of
+    denominators, lowest first.  Each candidate num/d of the rational root
+    theorem is tested in integers: d^deg * p(num/d), by homogeneous Horner,
+    is zero exactly when num/d is a root.  Full irreducibility over Q stays
+    the caller's contract; a reducible polynomial that slips past this
+    screen surfaces later as NotInvertible.
     """
-    if p.degree <= 1:
+    deg = len(ints) - 1
+    if deg <= 1:
         return
     if ints[0] == 0:
         raise ReducibleMinPoly("zero is a root")
     for num in _divisors(ints[0]):
         for d in _divisors(ints[-1]):
-            for s in (1, -1):
-                if p(Fraction(s * num, d)) == 0:
-                    raise ReducibleMinPoly(f"rational root {s * num}/{d}")
+            for r in (num, -num):
+                v, dk = ints[-1], 1
+                for c in reversed(ints[:-1]):
+                    dk *= d
+                    v = v * r + c * dk
+                if v == 0:
+                    raise ReducibleMinPoly(f"rational root {r}/{d}")
 
 
 class NumberField:
@@ -89,7 +97,7 @@ class NumberField:
         # scale * p = scale * x^d + sum_j r_j x^j with integers scale > 0 and
         # r_j; reduction rewrites c x^(i+d) as -(c / scale) sum_j r_j x^(i+j)
         ints = _primitive_integer(p)
-        _rational_root_screen(p, ints)
+        _rational_root_screen(ints)
         self.min_poly = p
         self.degree = p.degree
         self._ints = ints

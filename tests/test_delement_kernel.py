@@ -1,0 +1,222 @@
+"""Division-algebra arithmetic against independent references.
+
+`DElement` holds one integer block over one denominator and multiplies
+through a structure-constant table per descriptor.  Two references check it:
+
+- the benchmark's `perfbench/exact.py` `Division`, which shares no code with
+  hermsig and models Q[x]/(x^d - c) for d in {1, 2, 4} with fractions;
+- for minimal polynomials that reference cannot model (non-integral, or not
+  of the form x^d - c), the hand-written per-kind product and norm formulas
+  over `FieldElement`.
+
+Every kind is covered: base, quadratic, definite (-1, -1), split (1, 1) and
+quaternions with a non-rational a (the field generator).
+"""
+
+import math
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from hermsig.algebras import (  # noqa: E402
+    BASE,
+    QUADRATIC,
+    QUATERNION,
+    DElement,
+    DivisionAlgebraDesc,
+    base_desc,
+    quadratic_desc,
+    quaternion_desc,
+)
+from hermsig.orderings import NumberField  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import exact  # noqa: E402
+
+COORD = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+
+
+def _descs(field: NumberField) -> list[DivisionAlgebraDesc]:
+    """Every kind over field, with a non-rational a when the degree allows."""
+    c = field.from_rational
+    g = field.generator()
+    out = [
+        base_desc(field),
+        quadratic_desc(field, c(-1)),
+        quaternion_desc(field, c(-1), c(-1)),
+        quaternion_desc(field, c(1), c(1)),
+        quaternion_desc(field, c(Fraction(-2, 3)), c(5)),
+    ]
+    if field.degree > 1:
+        out += [quadratic_desc(field, g), quaternion_desc(field, g, c(-3))]
+    return out
+
+
+# (d, c) of exact.Field Q[x]/(x^d - c), and the same field in hermsig
+EXACT_FIELDS = [(1, 0), (2, 2), (4, 2), (4, 180)]
+EXACT_CASES = [
+    (d, c, desc)
+    for d, c in EXACT_FIELDS
+    for desc in _descs(NumberField([-c] + [0] * (d - 1) + [1]))
+]
+
+# minimal polynomials exact.py cannot model
+OTHER_FIELDS = [
+    NumberField([-1, 0, 3]),  # monic x^2 - 1/3
+    NumberField([5, -1, 0, Fraction(2, 3), 7]),  # denominators 21 and 7
+    NumberField([1, 3, 0, 2]),  # monic x^3 + 3/2 x + 1/2
+]
+OTHER_CASES = [desc for F in OTHER_FIELDS for desc in _descs(F)]
+ALL_DESCS = [desc for *_, desc in EXACT_CASES] + OTHER_CASES
+
+
+@st.composite
+def elements(draw, desc, count):
+    deg = desc.field.degree
+    return [
+        DElement(
+            desc,
+            tuple(
+                desc.field.element([draw(COORD) for _ in range(deg)])
+                for _ in range(desc.dim)
+            ),
+        )
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def case_and_elements(draw, cases, count):
+    case = draw(st.sampled_from(cases))
+    desc = case[-1] if isinstance(case, tuple) else case
+    return case, draw(elements(desc, count))
+
+
+def _exact_division(d: int, c: int, desc: DivisionAlgebraDesc):
+    F = exact.Field(d, c)
+    lift = lambda x: tuple(x.coords)  # noqa: E731
+    params = {"d": desc.d, "a": desc.a, "b": desc.b}
+    return exact.Division(
+        F, desc.kind, **{k: lift(v) for k, v in params.items() if v is not None}
+    )
+
+
+def _to_exact(x: DElement):
+    return tuple(tuple(c.coords) for c in x.comps)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case_and_elements(EXACT_CASES, 2))
+def test_matches_exact_division(drawn):
+    (d, c, desc), (x, y) = drawn
+    D = _exact_division(d, c, desc)
+    ex, ey = _to_exact(x), _to_exact(y)
+    assert _to_exact(x * y) == D.mul(ex, ey)
+    assert _to_exact(x + y) == D.add(ex, ey)
+    assert _to_exact(x - y) == D.sub(ex, ey)
+    assert _to_exact(x.conj()) == D.conj(ex)
+    assert tuple(x.norm().coords) == D.norm(ex)
+
+
+def formula_mul(x: DElement, y: DElement) -> DElement:
+    """The per-kind product formulas over FieldElement."""
+    desc = x.desc
+    a, b = x.comps, y.comps
+    if desc.kind == BASE:
+        return DElement(desc, (a[0] * b[0],))
+    if desc.kind == QUADRATIC:
+        d = desc.d
+        return DElement(desc, (a[0] * b[0] + d * a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
+    p, q = desc.a, desc.b
+    pq = p * q
+    return DElement(
+        desc,
+        (
+            a[0] * b[0] + p * a[1] * b[1] + q * a[2] * b[2] - pq * a[3] * b[3],
+            a[0] * b[1] + a[1] * b[0] - q * a[2] * b[3] + q * a[3] * b[2],
+            a[0] * b[2] + a[2] * b[0] + p * a[1] * b[3] - p * a[3] * b[1],
+            a[0] * b[3] + a[3] * b[0] + a[1] * b[2] - a[2] * b[1],
+        ),
+    )
+
+
+def formula_norm(x: DElement):
+    desc, a = x.desc, x.comps
+    if desc.kind == BASE:
+        return a[0] * a[0]
+    if desc.kind == QUADRATIC:
+        return a[0] * a[0] - desc.d * a[1] * a[1]
+    p, q = desc.a, desc.b
+    return a[0] * a[0] - p * a[1] * a[1] - q * a[2] * a[2] + p * q * a[3] * a[3]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case_and_elements(OTHER_CASES, 2), COORD)
+def test_matches_per_kind_formulas(drawn, q):
+    desc, (x, y) = drawn
+    assert x * y == formula_mul(x, y)
+    assert x.norm() == formula_norm(x)
+    assert x + y == DElement(desc, tuple(s + t for s, t in zip(x.comps, y.comps)))
+    assert x.conj() == DElement(desc, (x.comps[0],) + tuple(-s for s in x.comps[1:]))
+    g = desc.field.generator() + desc.field.from_rational(q)
+    for c in (g, desc.field.from_rational(q)):
+        want = DElement(desc, tuple(s * c for s in x.comps))
+        assert x.scale(c) == want == x * c == c * x
+
+
+def assert_canonical(x: DElement):
+    deg = x.desc.field.degree
+    assert len(x.nums) == x.desc.dim * deg
+    assert all(type(n) is int for n in x.nums)
+    assert type(x.den) is int and x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(case_and_elements(ALL_DESCS, 3))
+def test_blocks_are_canonical(drawn):
+    desc, (x, y, z) = drawn
+    for v in (x, y, x * y, x + y, x - y, -x, x.conj(), (x + y) - y, y.scale(desc.field.generator())):
+        assert_canonical(v)
+        assert DElement(desc, v.comps) == v
+    # equal values built along different paths compare and hash equal
+    for u, v in ((x + y) - y, x), (x * (y + z), x * y + x * z), ((x * y) * z, x * (y * z)):
+        assert u == v and hash(u) == hash(v)
+        assert (u.nums, u.den) == (v.nums, v.den)
+    if x.norm().is_zero:
+        return
+    one = desc.one()
+    assert x * x.inverse() == one == x.inverse() * x
+
+
+def test_descriptor_check_is_by_value():
+    F = NumberField([-2, 0, 1])
+    d1 = quaternion_desc(F, F.from_rational(-1), F.from_rational(-1))
+    d2 = quaternion_desc(NumberField([-2, 0, 1]), F.from_rational(-1), F.from_rational(-1))
+    assert d1 is not d2
+    i1, i2 = d1.basis()[1], d2.basis()[1]
+    assert i1 == i2 and hash(i1) == hash(i2)
+    assert i1 * i2 == d2.from_field(F.from_rational(-1))
+    assert i1 != quaternion_desc(F, F.from_rational(-1), F.from_rational(-3)).basis()[1]
+
+
+@pytest.mark.parametrize("kind", [QUADRATIC, QUATERNION])
+def test_unit_products_follow_the_presentation(kind):
+    # u^2 = d or a, v^2 = b, uv = -vu = k
+    F = NumberField([-3, 0, 1])
+    g, c = F.generator(), F.from_rational
+    desc = quadratic_desc(F, g) if kind == QUADRATIC else quaternion_desc(F, g, c(7))
+    units = desc.basis()
+    assert units[1] * units[1] == desc.from_field(g)
+    if kind == QUATERNION:
+        one, i, j, k = units
+        assert i * j == k == -(j * i)
+        assert j * j == desc.from_field(c(7))
+        assert k * k == desc.from_field(-(g * c(7)))
+        assert i * k == j.scale(g) and k * i == -j.scale(g)
+        assert j * k == -i.scale(c(7)) and k * j == i.scale(c(7))

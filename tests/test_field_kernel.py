@@ -6,6 +6,8 @@ holds coordinates as fractions, multiplies by schoolbook convolution and
 reduces by the monic minimal polynomial directly; zero divisors are read
 off sympy's polynomial gcd.  The fields run over degrees 1 to 4 and include
 a non-integral monic minimal polynomial and the reducible x^4 - 5x^2 + 6.
+The integer rational-root screen of `NumberField` is checked against
+sympy's factorization over Q.
 """
 
 import math
@@ -17,8 +19,8 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hermsig.errors import FieldMismatch, NotInvertible  # noqa: E402
-from hermsig.orderings import NumberField  # noqa: E402
+from hermsig.errors import FieldMismatch, NotInvertible, ReducibleMinPoly  # noqa: E402
+from hermsig.orderings import NumberField, _rational_root_screen  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -194,3 +196,21 @@ def test_equal_distinct_fields_combine(case):
     assert (a * b).coords == tuple(ref_mul(p, x, y))
     assert (a + b).coords == tuple(s + t for s, t in zip(x, y))
     assert (b - a).coords == tuple(t - s for s, t in zip(x, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=2, max_size=4),
+    st.integers(-30, 30).filter(bool),
+)
+def test_rational_root_screen_matches_sympy(low, lead):
+    ints = tuple(low) + (lead,)
+    linear = [
+        g for g, _ in sympy.Poly(list(reversed(ints)), X).factor_list()[1] if g.degree() == 1
+    ]
+    try:
+        _rational_root_screen(ints)
+    except ReducibleMinPoly:
+        assert linear
+    else:
+        assert not linear

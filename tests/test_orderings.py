@@ -32,6 +32,19 @@ def test_field_construction_screens():
         NumberField([0, 0, 1])  # x^2
 
 
+@pytest.mark.parametrize(
+    "min_poly, root",
+    [
+        ([-4, 0, 1], "2/1"),
+        ([3, -4, 1], "1/1"),
+        ([Fraction(-1, 4), 0, 1], "1/2"),
+    ],
+)
+def test_rational_root_screen_names_the_root(min_poly, root):
+    with pytest.raises(ReducibleMinPoly, match=f"^rational root {root}$"):
+        NumberField(min_poly)
+
+
 def test_list_orderings():
     assert len(list_orderings(QQ)) == 1
     assert len(list_orderings(RT2)) == 2
