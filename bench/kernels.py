@@ -1,14 +1,17 @@
-"""Layer microbenchmarks of the arithmetic kernels, written to BENCH_11.json.
+"""Layer microbenchmarks of the arithmetic kernels, written to a BENCH file.
 
-  PYTHONPATH=<checkout>/src python3 bench/kernels.py
+  PYTHONPATH=<checkout>/src python3 bench/kernels.py BENCH_<n>.json
 
 Times each operation on fixed operands and records the best of several
 repeats in microseconds: `Fraction` mul; `FieldElement` mul and add at
 degree 1, 2 and 4; `inverse` at degree 2 and 4; `sign_of` at degree 4;
 building the `NumberField` x^4 - 180 (screens included);
-`sturm_sequence` of a degree-8 polynomial and `gcd` of it and its
-derivative; `count_roots_with_signs_formula` for three quadratic conditions
-on a sextic with six rational roots; quaternion `DElement` mul at degree 1
+`sturm_sequence` of a degree-8 polynomial, `gcd` of it and its derivative,
+and `isolate_real_roots` of it (four real roots);
+`count_roots_with_signs_formula` for three quadratic conditions on a sextic
+with six rational roots (each call gets a fresh copy of its polynomial, so
+the chain a `Polynomial` keeps is built every time); one
+`criterion_sturm_oracle` of 30 instances from `random.Random(0)`; quaternion `DElement` mul at degree 1
 and 4, quadratic `DElement` mul over Q(sqrt 2) with d = sqrt 2, and the
 quaternion norm at degree 4; and, over the Hamilton quaternions
 H = (-1,-1)_Q, `AlgebraElement ==`
@@ -25,16 +28,19 @@ for a fixed 2 x 2 hermitian matrix over (-1,-1) on the quartic field
 x^4 - 180, stdout discarded.  The
 arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
 The hermsig measured is whichever one PYTHONPATH imports, so the same
-script times any checkout; its figures go into one column of BENCH_11.json
-(next to this directory), named by the checkout's git commit, with "+dirty"
-when its src/ has uncommitted changes, and the other columns are kept.
+script times any checkout; its figures go into one column of the JSON file
+named on the command line, named by the checkout's git commit, with
+"+dirty" when its src/ has uncommitted changes, and the other columns of
+that file are kept.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import platform
+import random
 import subprocess
 import tempfile
 import timeit
@@ -50,6 +56,7 @@ from hermsig.exactnum import (
     Polynomial,
     count_roots_with_signs_formula,
     gcd,
+    isolate_real_roots,
     sturm_sequence,
 )
 from hermsig.hermitian import (
@@ -60,9 +67,9 @@ from hermsig.hermitian import (
     star_pairing,
 )
 from hermsig.orderings import NumberField, list_orderings, sign_of
+from hermsig.verify import criterion_sturm_oracle
 from hermsig.wittideal import sylvester_reduction
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_11.json"
 REPEATS = 15
 TARGET_S = 0.02  # time per repeat
 
@@ -216,11 +223,13 @@ def operations() -> dict:
     for k in range(-2, 4):
         sextic = sextic * Polynomial([-k, 1])
     conditions = [Polynomial([X[i], Y[i], 1]) for i in range(3)]
-    ops["sturm_sequence.deg8"] = lambda: sturm_sequence(deg8)
+    ops["sturm_sequence.deg8"] = lambda: sturm_sequence(Polynomial(deg8.coeffs))
     ops["gcd.deg8"] = lambda: gcd(deg8, d8)
+    ops["isolate_real_roots.deg8"] = lambda: isolate_real_roots(Polynomial(deg8.coeffs))
     ops["count_roots_with_signs_formula.r3"] = lambda: count_roots_with_signs_formula(
-        sextic, conditions
+        Polynomial(sextic.coeffs), conditions
     )
+    ops["verify_sturm.30"] = lambda: criterion_sturm_oracle(random.Random(0), 30)
     ops["delement_mul.quaternion.deg1"] = lambda: q1 * r1
     ops["delement_mul.quaternion.deg4"] = lambda: q4 * r4
     sqrt2 = quadratic_desc(fields[2], fields[2].generator())
@@ -270,8 +279,11 @@ def checkout_label() -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Time the kernel rows into one column of a BENCH file.")
+    parser.add_argument("out", type=Path, help="JSON file to add the column to, e.g. BENCH_12.json")
+    out = parser.parse_args().out
     column = best_us(operations())
-    data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    data = json.loads(out.read_text()) if out.exists() else {}
     data["unit"] = "us"
     data["method"] = (
         f"best of {REPEATS} round-robin timeit repeats of about {TARGET_S} s per operation"
@@ -282,7 +294,7 @@ def main() -> None:
         "machine": platform.machine(),
     }
     data.setdefault("columns", {})[checkout_label()] = column
-    OUT.write_text(json.dumps(data, indent=2) + "\n")
+    out.write_text(json.dumps(data, indent=2) + "\n")
     for name, us in column.items():
         print(f"{name:32s} {us:10.3f} us")
 

@@ -6,7 +6,15 @@ of roots under simultaneous sign conditions.  `Polynomial` coefficients are
 built on integer coefficient tuples by primitive pseudo-remainders: each
 remainder is scaled by positive factors only and divided by its content, so
 each member is a positive multiple of the member a division over Q would
-give, and every sign-change count is the same.
+give, and every sign-change count is the same.  A `Polynomial` keeps its
+own Sturm chain once built, so the squarefree test (the chain's last
+member is gcd(p, p')), isolation and refinement of one polynomial share it.
+
+Isolation runs on an integer grid.  Every endpoint is a dyadic multiple of
+the Cauchy bound N/D, so intervals are bisected as integer numerators over
+D*2**k; each midpoint is one integer reading of the chain, which gives both
+its variation and whether the midpoint is a root.  `Fraction`s appear only
+in the returned `Interval`s.
 
 Sign-condition counts come in two forms.  `count_roots_with_signs` isolates
 the roots of m once and then runs one localized Tarski query per condition
@@ -15,6 +23,9 @@ of conditions.  `count_roots_with_signs_formula` is the paper's averaged
 inclusion-exclusion over the 2**r exponent vectors in {1,2}**r; it stays as
 the isolation-free reference and is cross-checked against the first path
 and against isolate-and-evaluate by the `sturm_sign_count_oracle` criterion.
+Neither computes a separate gcd: for squarefree m the Tarski chain seeded
+with (m, m'*g mod m) ends at gcd(m, g), so a condition sharing a root with
+m is rejected from the last member of a chain the count builds anyway.
 
 Conventions:
   * coefficient sequences are lowest degree first;
@@ -71,20 +82,18 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
 
 class Polynomial:
     """Univariate polynomial over Q, coefficients lowest degree first."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_sturm")
 
     def __init__(self, coeffs):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._sturm: SturmSequence | None = None  # filled by sturm_sequence
 
     @property
     def is_zero(self) -> bool:
@@ -132,24 +141,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact quotient and remainder; ``other`` must be nonzero."""
-        if other.is_zero:
-            raise ZeroPolynomial("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial([]), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Polynomial(quo), Polynomial(rem[: other.degree])
-
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -158,16 +149,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Bounds for the value set on [lo, hi], by interval Horner."""
-        if self.is_zero:
-            return Fraction(0), Fraction(0)
-        alo = ahi = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-            alo, ahi = min(cands) + c, max(cands) + c
-        return alo, ahi
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -189,22 +170,17 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def is_squarefree(p: Polynomial) -> bool:
-    if p.is_zero:
-        return False
-    if p.degree <= 1:
-        return True
-    return gcd(p, p.derivative()).degree == 0
+    """Whether p is nonzero with gcd(p, p') constant: its Sturm chain's end."""
+    return not p.is_zero and len(sturm_sequence(p).members[-1]) == 1
 
 
-def _count_changes(signs) -> int:
-    changes = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            changes += 1
-        prev = s
+def _count_changes(values) -> int:
+    """Sign changes along a sequence of numbers, zeros deleted."""
+    changes, neg = 0, None
+    for v in values:
+        if v:
+            changes += neg is not None and (v < 0) != neg
+            neg = v < 0
     return changes
 
 
@@ -268,13 +244,13 @@ class SturmSequence:
 
     members: tuple[tuple[int, ...], ...]
 
-    def changes_at(self, x) -> int:
-        """Sign changes at the rational x = p/q, q > 0.
+    def read(self, p: int, q: int) -> tuple[int, int]:
+        """The first member's value and the sign changes at p/q, q > 0.
 
-        Each member f is read as q^deg(f) * f(p/q), an integer of the same
-        sign, evaluated by Horner.
+        p/q need not be in lowest terms.  Each member f is read as
+        q^deg(f) * f(p/q), an integer of the same sign, by Horner; the first
+        of these integers is zero exactly when p/q is a root of the seed.
         """
-        p, q = x.numerator, x.denominator
         values = []
         for cs in self.members:
             acc = cs[-1]
@@ -283,16 +259,20 @@ class SturmSequence:
                 qk *= q
                 acc = acc * p + c * qk
             values.append(acc)
-        return _count_changes(sign(v) for v in values)
+        return values[0], _count_changes(values)
+
+    def changes_at(self, x) -> int:
+        """Sign changes at the rational x."""
+        return self.read(x.numerator, x.denominator)[1]
 
     def changes_neg_inf(self) -> int:
         # (-1)**degree is -1 exactly when the member has an even length
         return _count_changes(
-            sign(cs[-1]) if len(cs) % 2 else -sign(cs[-1]) for cs in self.members
+            cs[-1] if len(cs) % 2 else -cs[-1] for cs in self.members
         )
 
     def changes_pos_inf(self) -> int:
-        return _count_changes(sign(cs[-1]) for cs in self.members)
+        return _count_changes(cs[-1] for cs in self.members)
 
     def count_in(self, lo, hi) -> int:
         """Roots of the seed in (lo, hi]; exact for non-root endpoints."""
@@ -316,17 +296,21 @@ def _chain(f0: tuple[int, ...], f1: tuple[int, ...]) -> SturmSequence:
 
 
 def sturm_sequence(p: Polynomial) -> SturmSequence:
-    """Canonical Sturm chain seeded with (p, p')."""
-    if p.is_zero:
-        raise ZeroPolynomial()
-    f = _primitive_integer(p)
-    return _chain(f, _primitive([i * c for i, c in enumerate(f)][1:]))
+    """Canonical Sturm chain seeded with (p, p'), built once per polynomial.
+
+    The chain is kept on p, so the squarefree test, isolation, refinement
+    and sign-condition counts on the same `Polynomial` share one chain.
+    """
+    if p._sturm is None:
+        if p.is_zero:
+            raise ZeroPolynomial()
+        f = _primitive_integer(p)
+        p._sturm = _chain(f, _primitive([i * c for i, c in enumerate(f)][1:]))
+    return p._sturm
 
 
 def count_real_roots(p: Polynomial, window: Interval | None = None) -> int:
     """Number of distinct real roots of p, in the window or on the whole line."""
-    if p.is_zero:
-        raise ZeroPolynomial()
     chain = sturm_sequence(p)
     if window is None:
         return chain.count_all()
@@ -344,7 +328,9 @@ def isolate_real_roots(p: Polynomial) -> list[Interval]:
     """Disjoint rational intervals, one simple root each, ordered by midpoint.
 
     No endpoint is a root of p.  Raises NotSquarefree unless p is squarefree,
-    read off the end of p's own Sturm chain; callers need not normalize p.
+    read off the end of the Sturm chain p keeps; callers need not normalize p.
+    Bisection runs on integers over the denominators D*2**k of the Cauchy
+    bound's dyadic grid, reading the chain once per midpoint.
     """
     return _isolate(p, _squarefree_chain(p))
 
@@ -354,8 +340,6 @@ def _squarefree_chain(p: Polynomial) -> SturmSequence:
 
     The chain ends at gcd(p, p'), so it doubles as the squarefree test.
     """
-    if p.is_zero:
-        raise ZeroPolynomial()
     chain = sturm_sequence(p)
     if len(chain.members[-1]) > 1:
         raise NotSquarefree()
@@ -365,39 +349,52 @@ def _squarefree_chain(p: Polynomial) -> SturmSequence:
 def _isolate(p: Polynomial, chain: SturmSequence) -> list[Interval]:
     """Isolating intervals of squarefree p, given its Sturm chain.
 
-    No endpoint is a root of p: endpoints are +/-bound, bisection midpoints
-    that are not roots, or the non-root ends of a window carved around a
-    rational root.
+    Every endpoint is j*B/2**k for the Cauchy bound B = N/D, so each
+    interval is carried as integer numerators over one denominator D*2**k,
+    with the variations of the chain at both ends.  A bisection reads the
+    chain once, at the midpoint, and the same reading says whether the
+    midpoint is a root.  No endpoint is a root of p: endpoints are +/-B,
+    bisection midpoints that are not roots, or the non-root ends of a
+    window carved around a rational root.
     """
     if p.degree == 0:
         return []
     bound = _root_bound(p)
-    out: list[Interval] = []
-    stack = [(-bound, bound)]
+    n, q = bound.numerator, bound.denominator
+    read = chain.read
+    found = []
+    stack = [(-n, n, q, read(-n, q)[1], read(n, q)[1])]
     while stack:
-        lo, hi = stack.pop()
-        c = chain.count_in(lo, hi)
+        lo, hi, q, v_lo, v_hi = stack.pop()
+        c = v_lo - v_hi
         if c == 0:
             continue
         if c == 1:
-            out.append(Interval(lo, hi))
+            found.append((lo, hi, q))
             continue
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            # rational root exactly at the midpoint: carve out a window
-            # around it with non-root endpoints, then recurse on the sides
-            delta = (hi - lo) / 4
-            while True:
-                a, b = mid - delta, mid + delta
-                if p(a) != 0 and p(b) != 0 and chain.count_in(a, b) == 1:
+        mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
+        value, v_mid = read(mid, q)
+        if value:
+            stack.append((lo, mid, q, v_lo, v_mid))
+            stack.append((mid, hi, q, v_mid, v_hi))
+            continue
+        # rational root exactly at the midpoint: carve out the window
+        # mid -/+ delta with non-root ends, delta a quarter of the width
+        # halved until it holds one root, then recurse on the sides
+        delta = hi - lo
+        lo, mid, hi, q = 4 * lo, 4 * mid, 4 * hi, 4 * q
+        while True:
+            a, b = mid - delta, mid + delta
+            value_a, v_a = read(a, q)
+            if value_a:
+                value_b, v_b = read(b, q)
+                if value_b and v_a - v_b == 1:
                     break
-                delta /= 2
-            out.append(Interval(a, b))
-            stack.append((lo, a))
-            stack.append((b, hi))
-        else:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+            lo, mid, hi, q = 2 * lo, 2 * mid, 2 * hi, 2 * q
+        found.append((a, b, q))
+        stack.append((lo, a, q, v_lo, v_a))
+        stack.append((b, hi, q, v_b, v_hi))
+    out = [Interval(Fraction(lo, q), Fraction(hi, q)) for lo, hi, q in found]
     out.sort(key=lambda iv: iv.mid)
     return out
 
@@ -423,34 +420,42 @@ def _tarski_chain(m: tuple[int, ...], g) -> SturmSequence:
     return _chain(m, _prem(_mul([i * c for i, c in enumerate(m)][1:], g), m))
 
 
-def _check_sign_conditions(m: Polynomial, gs) -> tuple[list, SturmSequence]:
-    """Validate a sign-condition query; return the conditions and m's chain."""
+def _check_sign_conditions(m: Polynomial, gs) -> tuple[SturmSequence, list]:
+    """Validate a sign-condition query; return m's chain and integer conditions.
+
+    Coprimality of m and each condition is left to the callers, who read it
+    off the Tarski chains they build anyway.
+    """
     gs = list(gs)
     if not gs:
         raise EmptyConditions()
     chain = _squarefree_chain(m)
-    for g in gs:
-        if g.is_zero or gcd(m, g).degree > 0:
-            raise SignConditionDegenerate()
-    return gs, chain
+    if any(g.is_zero for g in gs):
+        raise SignConditionDegenerate()
+    return chain, [_primitive_integer(g) for g in gs]
 
 
 def count_roots_with_signs(m: Polynomial, gs) -> int:
     """Number of real roots c of m with g(c) > 0 for every g in gs.
 
-    Isolates the roots of m once.  For each condition g, one localized
-    Tarski query decides sgn g(c) at every root c still counted: across an
-    isolating interval (a, b) of c, the chain seeded with (m, m'*g mod m)
-    drops by exactly sgn g(c), because a and b are not roots of m and g is
-    coprime to m.  Roots failing a condition leave before the next one, so
-    the work is one isolation plus at most r chains.
+    Isolates the roots of m once, on its own Sturm chain.  For each
+    condition g, one localized Tarski query decides sgn g(c) at every root c
+    still counted: across an isolating interval (a, b) of c, the chain
+    seeded with (m, m'*g mod m) drops by exactly sgn g(c), because a and b
+    are not roots of m and g is coprime to m.  All these chains are built
+    before isolating: for squarefree m each one ends at gcd(m, g), so a
+    nonconstant last member rejects a condition sharing a root with m, even
+    one that comes after the roots have run out.  The work is one isolation
+    plus r chains.
     """
-    gs, chain = _check_sign_conditions(m, gs)
+    chain, gs = _check_sign_conditions(m, gs)
+    queries = [_tarski_chain(chain.members[0], g) for g in gs]
+    if any(len(local.members[-1]) > 1 for local in queries):
+        raise SignConditionDegenerate()
     roots = _isolate(m, chain)
-    for g in gs:
+    for local in queries:
         if not roots:
             break
-        local = _tarski_chain(chain.members[0], _primitive_integer(g))
         roots = [iv for iv in roots if local.count_in(iv.lo, iv.hi) == 1]
     return len(roots)
 
@@ -461,48 +466,60 @@ def count_roots_with_signs_formula(m: Polynomial, gs) -> int:
     The count equals 2**(-r) * sum_e TaQ(g1**e1 * ... * gr**er, m) over the
     exponent vectors e in {1,2}**r; products are reduced mod m and scaled
     by positive integers, which leaves their signs at the roots of m
-    unchanged.  Costs 2**r Tarski queries; kept as the isolation-free
-    reference path.
+    unchanged.  The first vector is (1, ..., 1), whose chain ends at
+    gcd(m, g1 * ... * gr): a nonconstant end rejects the query.  Costs 2**r
+    Tarski queries; kept as the isolation-free reference path.
     """
-    gs, chain = _check_sign_conditions(m, gs)
+    chain, gs = _check_sign_conditions(m, gs)
     m = chain.members[0]
     r = len(gs)
-    gs = [_primitive_integer(g) for g in gs]
     powers = [(_prem(g, m), _prem(_mul(g, g), m)) for g in gs]
     total = 0
-    for factors in itertools.product(*powers):
+    for k, factors in enumerate(itertools.product(*powers)):
         ge = (1,)
         for f in factors:
             ge = _prem(_mul(ge, f), m)
-        total += _tarski_chain(m, ge).count_all()
+        local = _tarski_chain(m, ge)
+        if k == 0 and len(local.members[-1]) > 1:
+            raise SignConditionDegenerate()
+        total += local.count_all()
     if total % (1 << r):
         raise AssertionError("sign-condition count is not divisible by 2^r")
     return total >> r
 
 
 def refine_interval(p: Polynomial, iv: Interval, width: Fraction) -> Interval:
-    """Shrink an isolating interval to the requested width by bisection."""
+    """Shrink an isolating interval to the requested width by bisection.
+
+    The ends are carried as integer numerators over one denominator, and
+    each midpoint is one reading of p's Sturm chain, as in isolation.
+    """
     if p.is_zero:
         raise ZeroPolynomial()
     width = Fraction(width)
+    chain = sturm_sequence(p)
+    q = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    lo = iv.lo.numerator * (q // iv.lo.denominator)
+    hi = iv.hi.numerator * (q // iv.hi.denominator)
+    value_lo, v_lo = chain.read(lo, q)
     if iv.width == 0:
-        if p(iv.lo) == 0:
+        if value_lo == 0:
             return iv
         raise NotIsolating()
-    chain = sturm_sequence(p)
-    if p(iv.lo) == 0:
+    if value_lo == 0:
         raise NotIsolating("left endpoint is a root")
-    if chain.count_in(iv.lo, iv.hi) != 1:
+    value_hi, v_hi = chain.read(hi, q)
+    if v_lo - v_hi != 1:
         raise NotIsolating()
-    lo, hi = iv.lo, iv.hi
-    if p(hi) == 0:
-        return Interval(hi, hi)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            return Interval(mid, mid)
-        if chain.count_in(lo, mid) == 1:
+    if value_hi == 0:
+        return Interval(iv.hi, iv.hi)
+    while (hi - lo) * width.denominator > width.numerator * q:
+        mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
+        value, v_mid = chain.read(mid, q)
+        if value == 0:
+            return Interval(Fraction(mid, q), Fraction(mid, q))
+        if v_lo - v_mid == 1:
             hi = mid
         else:
-            lo = mid
-    return Interval(lo, hi)
+            lo, v_lo = mid, v_mid
+    return Interval(Fraction(lo, q), Fraction(hi, q))

@@ -346,10 +346,6 @@ def is_unit(x: AlgebraElement) -> bool:
     return _entry_form(x).is_nonsingular
 
 
-def hyperbolic(a: AlgebraElement) -> HermitianForm:
-    return diagonal_form(a.owner, [a, -a])
-
-
 def congruence_transform(h: HermitianForm, G) -> HermitianForm:
     """The form with Gram sigma(G)^t * C * G for G over A, as one block.
 

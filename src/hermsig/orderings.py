@@ -408,14 +408,6 @@ class FieldEmbedding:
                 return P
         raise AssertionError("generator image matches no isolating interval")
 
-    def compatible_orderings(self, P: OrderingHandle) -> tuple[OrderingHandle, ...]:
-        """Orderings of L restricting to P; may be empty."""
-        if P.owner != self.src:
-            raise FieldMismatch()
-        return tuple(
-            Q for Q in list_orderings(self.dst) if self.restrict(Q) == P
-        )
-
 
 def _eval_poly_at(p: Polynomial, x: FieldElement) -> FieldElement:
     acc = x.owner.zero()

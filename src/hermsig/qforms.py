@@ -59,12 +59,6 @@ def tensor(a: QuadraticForm, b: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(a.owner, [x * y for x in a.diag for y in b.diag])
 
 
-def form_sum(a: QuadraticForm, b: QuadraticForm) -> QuadraticForm:
-    if a.owner != b.owner:
-        raise FieldMismatch()
-    return QuadraticForm(a.owner, a.diag + b.diag)
-
-
 def pfister(us) -> QuadraticForm:
     """The 2^k-dimensional form <1,u_1> x ... x <1,u_k>."""
     us = list(us)

@@ -9,7 +9,9 @@ defaults; a seed makes every run reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,27 +125,55 @@ def _random_poly(rng, max_deg, max_coeff):
     return Polynomial(coeffs + [lead])
 
 
+def _integer_coeffs(f) -> list[int]:
+    """Integer coefficients of a positive multiple of the polynomial f."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (den // c.denominator) for c in f.coeffs]
+
+
+def _scaled_value(cs, p, q) -> int:
+    """q^deg * f(p/q), of the sign of f(p/q), for integer coefficients cs."""
+    acc, qk = cs[-1], 1
+    for c in cs[-2::-1]:
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
 def _oracle_sign_at_root(g, p, chain, iv):
     """Sign of g at the isolated root of p: interval refinement only.
 
     `chain` is the Sturm chain of p and `iv` an isolating interval whose
     endpoints are not roots of p; each step keeps the half holding the root.
+    The ends are integers lo/q and hi/q over one denominator: step k of the
+    interval Horner bound of g is scaled by q^k, and p and g are read at the
+    midpoint as q^deg times their values, so every test is an integer sign.
     """
-    lo, hi = iv.lo, iv.hi
+    gs, ps = _integer_coeffs(g), _integer_coeffs(p)
+    q = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    lo = iv.lo.numerator * (q // iv.lo.denominator)
+    hi = iv.hi.numerator * (q // iv.hi.denominator)
+    v_lo = chain.read(lo, q)[1]
     while True:
-        lo_v, hi_v = g.eval_interval(lo, hi)
-        if lo_v > 0:
+        g_lo = g_hi = gs[-1]
+        qk = 1
+        for c in gs[-2::-1]:
+            qk *= q
+            cands = (g_lo * lo, g_lo * hi, g_hi * lo, g_hi * hi)
+            g_lo, g_hi = min(cands) + c * qk, max(cands) + c * qk
+        if g_lo > 0:
             return 1
-        if hi_v < 0:
+        if g_hi < 0:
             return -1
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            v = g(mid)
+        mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
+        if _scaled_value(ps, mid, q) == 0:
+            v = _scaled_value(gs, mid, q)
             return (v > 0) - (v < 0)
-        if chain.count_in(lo, mid) == 1:
+        v_mid = chain.read(mid, q)[1]
+        if v_lo - v_mid == 1:
             hi = mid
         else:
-            lo = mid
+            lo, v_lo = mid, v_mid
 
 
 def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
@@ -592,78 +622,45 @@ def criterion_extension(fields, rng, samples: int = 200) -> CriterionResult:
     )
 
 
-# The suite in run order: (criterion, sizes key, default size, run).  Every
-# criterion draws from one rng shared in this order; `run` takes
-# (fields, algebras, rng, size) and looks its criterion up when called.
+# The suite in run order: (criterion, sizes key, default size, function
+# name, what it reads besides the rng and the size).  Every criterion draws
+# from one rng shared in this order.  Functions are looked up by name when
+# run, and the standard fields and algebras are built only when a picked
+# criterion reads them; building them draws nothing.
 _SUITE = (
-    (
-        "sturm_sign_count_oracle", "sturm_instances", 1000,
-        lambda fields, algebras, rng, n: criterion_sturm_oracle(rng, n),
-    ),
-    (
-        "trace_transfer_consistency", "trace_transfer", 500,
-        lambda fields, algebras, rng, n: criterion_trace_transfer(algebras, rng, n),
-    ),
-    (
-        "congruence_invariance", "congruence", 500,
-        lambda fields, algebras, rng, n: criterion_congruence_invariance(
-            algebras, rng, n
-        ),
-    ),
-    (
-        "nil_vanishing", "nil_forms", 200,
-        lambda fields, algebras, rng, n: criterion_nil_vanishing(algebras, rng, n),
-    ),
+    ("sturm_sign_count_oracle", "sturm_instances", 1000, "criterion_sturm_oracle", None),
+    ("trace_transfer_consistency", "trace_transfer", 500, "criterion_trace_transfer", "algebras"),
+    ("congruence_invariance", "congruence", 500, "criterion_congruence_invariance", "algebras"),
+    ("nil_vanishing", "nil_forms", 200, "criterion_nil_vanishing", "algebras"),
     (
         "max_signature_equals_local_degree", "max_trials", 500,
-        lambda fields, algebras, rng, n: criterion_max_equals_local_degree(
-            algebras, rng, n
-        ),
+        "criterion_max_equals_local_degree", "algebras",
     ),
     (
         "cone_membership_psd_vs_signature", "cone_equality", 500,
-        lambda fields, algebras, rng, n: criterion_cone_equality(algebras, rng, n),
+        "criterion_cone_equality", "algebras",
     ),
-    (
-        "cone_axioms", "axiom_samples", 200,
-        lambda fields, algebras, rng, n: criterion_cone_axioms(algebras, rng, n),
-    ),
-    (
-        "same_signature_on_cones", "same_signature", 200,
-        lambda fields, algebras, rng, n: criterion_same_signature(algebras, rng, n),
-    ),
-    (
-        "mideal_suite", "mideal", 100,
-        lambda fields, algebras, rng, n: criterion_mideal(algebras, rng, n),
-    ),
-    (
-        "z_witness_small_scale", "z_height", 5,
-        lambda fields, algebras, rng, n: criterion_z_witness_small_scale(
-            algebras, rng, n
-        ),
-    ),
-    (
-        "star_ratio_constancy", "star_members", 10,
-        lambda fields, algebras, rng, n: criterion_star_ratio(algebras, rng, n),
-    ),
-    (
-        "cone_extension", "extension_samples", 200,
-        lambda fields, algebras, rng, n: criterion_extension(fields, rng, n),
-    ),
+    ("cone_axioms", "axiom_samples", 200, "criterion_cone_axioms", "algebras"),
+    ("same_signature_on_cones", "same_signature", 200, "criterion_same_signature", "algebras"),
+    ("mideal_suite", "mideal", 100, "criterion_mideal", "algebras"),
+    ("z_witness_small_scale", "z_height", 5, "criterion_z_witness_small_scale", "algebras"),
+    ("star_ratio_constancy", "star_members", 10, "criterion_star_ratio", "algebras"),
+    ("cone_extension", "extension_samples", 200, "criterion_extension", "fields"),
 )
-ALL_CRITERIA = tuple(name for name, _, _, _ in _SUITE)
-SIZE_KEYS = tuple(key for _, key, _, _ in _SUITE)
+ALL_CRITERIA = tuple(entry[0] for entry in _SUITE)
+SIZE_KEYS = tuple(entry[1] for entry in _SUITE)
 
 
 def run_suite(seed: int = 0, only=None, sizes=None) -> list[CriterionResult]:
     """Run the property suite; `sizes` may shrink sample counts for smoke runs."""
     sizes = sizes or {}
-    fields = standard_fields()
-    algebras = standard_algebras(fields)
+    fields = functools.cache(standard_fields)
+    reads = {"fields": fields, "algebras": functools.cache(lambda: standard_algebras(fields()))}
     rng = random.Random(seed)
     picked = set(only or ALL_CRITERIA)
-    return [
-        run(fields, algebras, rng, sizes.get(key, default))
-        for name, key, default, run in _SUITE
-        if name in picked
-    ]
+    results = []
+    for name, key, default, fn, what in _SUITE:
+        if name in picked:
+            data = (reads[what](),) if what else ()
+            results.append(globals()[fn](*data, rng, sizes.get(key, default)))
+    return results

@@ -37,8 +37,6 @@ def test_polynomial_normalization_and_arithmetic():
     assert P(1, 2, 0, 0).coeffs == (1, 2)
     assert P(0, 0).is_zero
     assert (P(1, 1) * P(-1, 1)).coeffs == (-1, 0, 1)
-    q, r = P(-2, 0, 1).divmod(P(0, 2))
-    assert q.coeffs == (0, Fraction(1, 2)) and r.coeffs == (-2,)
     assert P(-2, 0, 1)(Fraction(3, 2)) == Fraction(1, 4)
 
 
@@ -101,7 +99,7 @@ def test_isolate_x2_minus_2():
 def test_isolate_rational_root():
     ivs = isolate_real_roots(P(0, 1))  # x
     assert len(ivs) == 1
-    assert ivs[0].contains(0)
+    assert ivs[0].lo <= 0 <= ivs[0].hi
 
 
 def test_isolate_three_roots():
@@ -112,6 +110,54 @@ def test_isolate_three_roots():
         assert count_real_roots(p, iv) == 1
     for a, b in zip(ivs, ivs[1:]):
         assert a.hi <= b.lo
+
+
+def _prod(*ps):
+    out = P(1)
+    for p in ps:
+        out = out * p
+    return out
+
+
+# isolating intervals, then each refined to width 1/64, as recorded before
+# isolation moved to an integer grid; x^3 - x, x(4x^2 - 1)(x - 3) and
+# x^3 - 2x have roots on bisection midpoints, so windows are carved
+PINNED_ISOLATION = [
+    (P(0, -1, 0, 1),
+     ["[-2, -1/2]", "[-1/2, 1/2]", "[1/2, 2]"],
+     ["[-257/256, -127/128]", "[0, 0]", "[127/128, 257/256]"]),
+    (_prod(P(0, 1), P(-1, 0, 4), P(-3, 1)),
+     ["[-4, -1/4]", "[-1/4, 1/4]", "[1/4, 17/8]", "[17/8, 4]"],
+     ["[-263/512, -511/1024]", "[0, 0]", "[511/1024, 263/512]", "[3061/1024, 769/256]"]),
+    (X2_MINUS_2, ["[-3, 0]", "[0, 3]"], ["[-363/256, -45/32]", "[45/32, 363/256]"]),
+    (P(0, -2, 0, 1),
+     ["[-3, -3/4]", "[-3/4, 3/4]", "[3/4, 3]"],
+     ["[-363/256, -1443/1024]", "[0, 0]", "[1443/1024, 363/256]"]),
+    (P(1, 0, -10, 0, 1),
+     ["[-11/2, -11/4]", "[-11/4, 0]", "[0, 11/4]", "[11/4, 11/2]"],
+     ["[-3223/1024, -803/256]", "[-165/512, -319/1024]", "[319/1024, 165/512]",
+      "[803/256, 3223/1024]"]),
+    (P(0, 1), ["[-1, 1]"], ["[0, 0]"]),
+    (_prod(*[P(-k, 1) for k in range(1, 7)]),
+     ["[0, 1765/1024]", "[1765/1024, 5295/2048]", "[5295/2048, 1765/512]",
+      "[1765/512, 8825/2048]", "[8825/2048, 5295/1024]", "[5295/1024, 1765/256]"],
+     ["[65305/65536, 132375/131072]", "[65305/32768, 262985/131072]",
+      "[195915/65536, 393595/131072]", "[524205/131072, 262985/65536]",
+      "[654815/131072, 164145/32768]", "[785425/131072, 393595/65536]"]),
+    (P(Fraction(3, 7), -2, Fraction(1, 2), 5, 0, -1, Fraction(2, 3), 0, 1),
+     ["[9/32, 21/64]", "[21/64, 3/8]"],
+     ["[81/256, 21/64]", "[87/256, 45/128]"]),
+    (P(1, 0, 1), [], []),
+    (P(7), [], []),
+]
+
+
+@pytest.mark.parametrize("p, isolated, refined", PINNED_ISOLATION)
+def test_isolation_is_pinned(p, isolated, refined):
+    ivs = isolate_real_roots(p)
+    assert [f"[{iv.lo}, {iv.hi}]" for iv in ivs] == isolated
+    small = [refine_interval(p, iv, Fraction(1, 64)) for iv in ivs]
+    assert [f"[{iv.lo}, {iv.hi}]" for iv in small] == refined
 
 
 def test_isolate_rejects_non_squarefree():
@@ -136,6 +182,15 @@ def test_count_roots_with_signs_examples():
             count(X2_MINUS_2, [])
         with pytest.raises(NotSquarefree):
             count(P(0, 0, 1), [P(1)])
+        # an irrational shared factor: m = (x^2 - 2)(x - 3), g = x^2 - 2
+        with pytest.raises(SignConditionDegenerate):
+            count(X2_MINUS_2 * P(-3, 1), [X2_MINUS_2])
+        # x - 10 excludes both roots before the degenerate x^2 - 2 is reached
+        with pytest.raises(SignConditionDegenerate):
+            count(X2_MINUS_2, [P(-10, 1), X2_MINUS_2])
+        # no real roots at all
+        with pytest.raises(SignConditionDegenerate):
+            count(P(1, 0, 1), [P(1, 0, 1)])
 
 
 def test_count_roots_with_signs_twenty_conditions():
@@ -170,14 +225,14 @@ def test_refine_interval():
     assert iv.width <= Fraction(1, 100)
     assert X2_MINUS_2(iv.lo) < 0 < X2_MINUS_2(iv.hi)
     iv0 = refine_interval(P(0, 1), Interval(-1, 1), Fraction(1, 2))
-    assert iv0.width <= Fraction(1, 2) and iv0.contains(0)
+    assert iv0.width <= Fraction(1, 2) and iv0.lo <= 0 <= iv0.hi
     with pytest.raises(NotIsolating):
         refine_interval(X2_MINUS_2, Interval(-2, 2), Fraction(1, 2))
 
 
 def test_refine_interval_rational_root_endpoint():
     iv = refine_interval(P(-1, 1), Interval(0, 1), Fraction(1, 8))
-    assert iv.contains(1)
+    assert iv.lo <= 1 <= iv.hi
 
 
 def _random_poly(rng, max_deg=8, max_coeff=20):
@@ -189,10 +244,19 @@ def _random_poly(rng, max_deg=8, max_coeff=20):
     return Polynomial(coeffs + [lead])
 
 
+def _eval_interval(g, lo, hi):
+    """Bounds for the values of g on [lo, hi], by interval Horner."""
+    glo = ghi = g.coeffs[-1]
+    for c in reversed(g.coeffs[:-1]):
+        cands = (glo * lo, glo * hi, ghi * lo, ghi * hi)
+        glo, ghi = min(cands) + c, max(cands) + c
+    return glo, ghi
+
+
 def _interval_sign_at_root(g, p, iv):
     """Oracle-side sign of g at the unique root of p in iv, by refinement."""
     while True:
-        glo, ghi = g.eval_interval(iv.lo, iv.hi)
+        glo, ghi = _eval_interval(g, iv.lo, iv.hi)
         if glo > 0:
             return 1
         if ghi < 0:

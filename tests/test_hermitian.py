@@ -22,7 +22,6 @@ from hermsig.hermitian import (
     form_direct_sum,
     form_repeat,
     form_tensor_qf,
-    hyperbolic,
     is_unit,
     local_degree_nP,
     max_signature_mP,
@@ -140,7 +139,7 @@ def test_signature_examples():
 
 def test_signature_vector_examples():
     H = make_algebra(HAM, 1)
-    hyp = hyperbolic(H.identity())
+    hyp = diagonal_form(H, [H.identity(), -H.identity()])  # hyperbolic plane
     assert signature_vector(hyp).values == (0,)
     B = make_algebra(
         quaternion_desc(RT2, RT2.from_rational(-1), RT2.generator()), 1

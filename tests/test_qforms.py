@@ -9,7 +9,6 @@ from hermsig.hermitian import diagonalize_hermitian
 from hermsig.orderings import NumberField, list_orderings, sign_of
 from hermsig.qforms import (
     QuadraticForm,
-    form_sum,
     pfister,
     signature_qf,
     tensor,
@@ -103,7 +102,8 @@ def test_tensor_and_sum_signatures():
         a = qf(QQ, *[rng.randint(-5, 5) or 1 for _ in range(rng.randint(1, 3))])
         b = qf(QQ, *[rng.randint(-5, 5) or 1 for _ in range(rng.randint(1, 3))])
         assert signature_qf(tensor(a, b), P) == signature_qf(a, P) * signature_qf(b, P)
-        assert signature_qf(form_sum(a, b), P) == signature_qf(a, P) + signature_qf(b, P)
+        a_plus_b = QuadraticForm(QQ, a.diag + b.diag)  # orthogonal sum
+        assert signature_qf(a_plus_b, P) == signature_qf(a, P) + signature_qf(b, P)
     assert signature_qf(tensor(qf(QQ, 1, -1), qf(QQ, 2, 3, 7)), P) == 0
 
 

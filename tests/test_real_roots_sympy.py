@@ -7,6 +7,8 @@ with rational coefficients; several have rational roots whose denominators
 run to a million, and windows have endpoints with denominators up to 10^12
 placed near those roots.  Endpoints are never roots, so the half-open
 window (lo, hi] that hermsig counts and sympy's closed [lo, hi] agree.
+Isolation is checked the same way: no endpoint is a root, each interval
+holds exactly one root, and the intervals hold them all.
 """
 
 from fractions import Fraction
@@ -17,7 +19,12 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from hermsig.exactnum import Interval, Polynomial, count_real_roots  # noqa: E402
+from hermsig.exactnum import (  # noqa: E402
+    Interval,
+    Polynomial,
+    count_real_roots,
+    isolate_real_roots,
+)
 
 X = sympy.Symbol("x")
 
@@ -72,6 +79,21 @@ def test_window_count_matches_sympy(case, data):
     assume(P.eval(_rat(lo)) != 0 and P.eval(_rat(hi)) != 0)
     want = P.count_roots(_rat(lo), _rat(hi))
     assert count_real_roots(Polynomial(coeffs), Interval(lo, hi)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(squarefree_polys())
+def test_isolating_intervals_match_sympy(case):
+    coeffs, _ = case
+    P = _sympy_poly(coeffs)
+    ivs = isolate_real_roots(Polynomial(coeffs))
+    assert len(ivs) == P.count_roots()
+    for iv in ivs:
+        lo, hi = _rat(iv.lo), _rat(iv.hi)
+        assert P.eval(lo) != 0 and P.eval(hi) != 0
+        assert P.count_roots(lo, hi) == 1
+    for a, b in zip(ivs, ivs[1:]):
+        assert a.hi <= b.lo
 
 
 def test_close_roots_with_large_denominators():

@@ -16,7 +16,6 @@ from hermsig.hermitian import (
     diagonal_form,
     form_direct_sum,
     form_tensor_qf,
-    hyperbolic,
     random_symmetric_unit,
     signature,
 )
@@ -31,6 +30,12 @@ from hermsig.wittideal import (
     sylvester_reduction,
     verify_witness,
 )
+
+
+def hyperbolic(a):
+    """The hyperbolic form <a, -a>."""
+    return diagonal_form(a.owner, [a, -a])
+
 
 QQ = NumberField([0, 1])
 HAM = quaternion_desc(QQ, QQ.from_rational(-1), QQ.from_rational(-1))
