@@ -218,7 +218,7 @@ def operations() -> dict:
     ops["sign_of.deg4"] = lambda: sign_of(x[4], ordering)
     ops["number_field.quartic"] = lambda: NumberField([-180, 0, 0, 0, 1])
     deg8 = Polynomial(X + Y + [1])
-    d8 = deg8.derivative()
+    d8 = Polynomial([i * c for i, c in enumerate(deg8.coeffs)][1:])
     sextic = Polynomial([1])
     for k in range(-2, 4):
         sextic = sextic * Polynomial([-k, 1])

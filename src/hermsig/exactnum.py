@@ -141,15 +141,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self

@@ -622,45 +622,49 @@ def criterion_extension(fields, rng, samples: int = 200) -> CriterionResult:
     )
 
 
-# The suite in run order: (criterion, sizes key, default size, function
-# name, what it reads besides the rng and the size).  Every criterion draws
-# from one rng shared in this order.  Functions are looked up by name when
-# run, and the standard fields and algebras are built only when a picked
-# criterion reads them; building them draws nothing.
+# The suite in run order: (criterion, sizes key, default size, runner).
+# Every criterion draws from one rng shared in this order.  Runners get the
+# standard fields and algebras as cached thunks, so they are built only when
+# a picked criterion reads them; building them draws nothing.
 _SUITE = (
-    ("sturm_sign_count_oracle", "sturm_instances", 1000, "criterion_sturm_oracle", None),
-    ("trace_transfer_consistency", "trace_transfer", 500, "criterion_trace_transfer", "algebras"),
-    ("congruence_invariance", "congruence", 500, "criterion_congruence_invariance", "algebras"),
-    ("nil_vanishing", "nil_forms", 200, "criterion_nil_vanishing", "algebras"),
-    (
-        "max_signature_equals_local_degree", "max_trials", 500,
-        "criterion_max_equals_local_degree", "algebras",
-    ),
-    (
-        "cone_membership_psd_vs_signature", "cone_equality", 500,
-        "criterion_cone_equality", "algebras",
-    ),
-    ("cone_axioms", "axiom_samples", 200, "criterion_cone_axioms", "algebras"),
-    ("same_signature_on_cones", "same_signature", 200, "criterion_same_signature", "algebras"),
-    ("mideal_suite", "mideal", 100, "criterion_mideal", "algebras"),
-    ("z_witness_small_scale", "z_height", 5, "criterion_z_witness_small_scale", "algebras"),
-    ("star_ratio_constancy", "star_members", 10, "criterion_star_ratio", "algebras"),
-    ("cone_extension", "extension_samples", 200, "criterion_extension", "fields"),
+    ("sturm_sign_count_oracle", "sturm_instances", 1000,
+     lambda F, A, rng, n: criterion_sturm_oracle(rng, n)),
+    ("trace_transfer_consistency", "trace_transfer", 500,
+     lambda F, A, rng, n: criterion_trace_transfer(A(), rng, n)),
+    ("congruence_invariance", "congruence", 500,
+     lambda F, A, rng, n: criterion_congruence_invariance(A(), rng, n)),
+    ("nil_vanishing", "nil_forms", 200,
+     lambda F, A, rng, n: criterion_nil_vanishing(A(), rng, n)),
+    ("max_signature_equals_local_degree", "max_trials", 500,
+     lambda F, A, rng, n: criterion_max_equals_local_degree(A(), rng, n)),
+    ("cone_membership_psd_vs_signature", "cone_equality", 500,
+     lambda F, A, rng, n: criterion_cone_equality(A(), rng, n)),
+    ("cone_axioms", "axiom_samples", 200,
+     lambda F, A, rng, n: criterion_cone_axioms(A(), rng, n)),
+    ("same_signature_on_cones", "same_signature", 200,
+     lambda F, A, rng, n: criterion_same_signature(A(), rng, n)),
+    ("mideal_suite", "mideal", 100,
+     lambda F, A, rng, n: criterion_mideal(A(), rng, n)),
+    ("z_witness_small_scale", "z_height", 5,
+     lambda F, A, rng, n: criterion_z_witness_small_scale(A(), rng, n)),
+    ("star_ratio_constancy", "star_members", 10,
+     lambda F, A, rng, n: criterion_star_ratio(A(), rng, n)),
+    ("cone_extension", "extension_samples", 200,
+     lambda F, A, rng, n: criterion_extension(F(), rng, n)),
 )
-ALL_CRITERIA = tuple(entry[0] for entry in _SUITE)
-SIZE_KEYS = tuple(entry[1] for entry in _SUITE)
+ALL_CRITERIA = tuple(name for name, _, _, _ in _SUITE)
+SIZE_KEYS = tuple(key for _, key, _, _ in _SUITE)
 
 
 def run_suite(seed: int = 0, only=None, sizes=None) -> list[CriterionResult]:
     """Run the property suite; `sizes` may shrink sample counts for smoke runs."""
     sizes = sizes or {}
     fields = functools.cache(standard_fields)
-    reads = {"fields": fields, "algebras": functools.cache(lambda: standard_algebras(fields()))}
+    algebras = functools.cache(lambda: standard_algebras(fields()))
     rng = random.Random(seed)
     picked = set(only or ALL_CRITERIA)
-    results = []
-    for name, key, default, fn, what in _SUITE:
-        if name in picked:
-            data = (reads[what](),) if what else ()
-            results.append(globals()[fn](*data, rng, sizes.get(key, default)))
-    return results
+    return [
+        run(fields, algebras, rng, sizes.get(key, default))
+        for name, key, default, run in _SUITE
+        if name in picked
+    ]

@@ -66,3 +66,17 @@ def test_size_key_sets_the_work(key, monkeypatch):
         run_suite(seed=0, only=[name], sizes={key: size})
         counts.append(len(calls))
     assert 0 < counts[0] < counts[1]
+
+
+def test_suite_builds_only_what_picked_criteria_read(monkeypatch):
+    built = []
+    fields, algebras = verify.standard_fields, verify.standard_algebras
+    monkeypatch.setattr(verify, "standard_fields", lambda: built.append("F") or fields())
+    monkeypatch.setattr(
+        verify, "standard_algebras", lambda F: built.append("A") or algebras(F)
+    )
+    run_suite(seed=0, only=["sturm_sign_count_oracle"], sizes={"sturm_instances": 1})
+    assert built == []
+    only = ["nil_vanishing", "star_ratio_constancy", "cone_extension"]
+    run_suite(seed=0, only=only, sizes=dict.fromkeys(SIZE_KEYS, 1))
+    assert built == ["F", "A"]

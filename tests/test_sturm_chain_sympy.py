@@ -137,7 +137,7 @@ def test_chain_paths_take_no_fraction_remainder():
     )
     assert sturm_sequence(p).count_all() == 2
     q = P(-1, 0, 1) * P(-1, 1)  # (x^2-1)(x-1): double root at 1
-    assert gcd(q, q.derivative()) == P(-1, 1)
+    assert gcd(q, P(-1, -2, 3)) == P(-1, 1)  # q' = 3x^2 - 2x - 1
     m = P(-6, 11, -6, 1)  # (x-1)(x-2)(x-3)
     assert tarski_query(m, P(Fraction(-5, 2), 1)) == -1  # signs -1, -1, +1
     conditions = [P(Fraction(-3, 2), 1), P(Fraction(7, 2), -1), P(1, 0, 1)]
