@@ -25,7 +25,9 @@ and one `sylvester_reduction` of a fixed 2-entry diagonal form against a,
 each with the memo emptied on each call, and one `cli.run` each of the
 `orderings` command on a fixed quartic field and of the `member` command
 for a fixed 2 x 2 hermitian matrix over (-1,-1) on the quartic field
-x^4 - 180, stdout discarded.  The
+x^4 - 180, stdout discarded.  Over M_3(H) it times `mat_inv` of a fixed
+3 x 3 matrix, building the algebra with Phi = I, and checking the cone
+certificate of a fixed positive definite hermitian matrix.  The
 arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
 The hermsig measured is whichever one PYTHONPATH imports, so the same
 script times any checkout; its figures go into one column of the JSON file
@@ -50,8 +52,8 @@ from pathlib import Path
 
 import hermsig
 from hermsig import cli
-from hermsig.algebras import DElement, make_algebra, quadratic_desc, quaternion_desc
-from hermsig.cones import PositiveConeHandle
+from hermsig.algebras import DElement, make_algebra, mat_inv, quadratic_desc, quaternion_desc
+from hermsig.cones import PositiveConeHandle, cone_membership
 from hermsig.exactnum import (
     Polynomial,
     count_roots_with_signs_formula,
@@ -104,6 +106,38 @@ def _hermitian_matrix(desc, size):
         )
 
     return [[entry(i, j) + entry(j, i).conj() for j in range(size)] for i in range(size)]
+
+
+def _hamilton_m3_operations() -> dict:
+    """Inverse, algebra construction and cone-certificate check over M_3(H)."""
+    qq = NumberField([0, 1])
+    minus_one = qq.from_rational(-1)
+    desc = quaternion_desc(qq, minus_one, minus_one)
+    coords = X + Y
+    x = [
+        [
+            DElement(desc, tuple(qq.from_rational(coords[(3 * i + j + k) % 8]) for k in range(4)))
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    M3H = make_algebra(desc, 3)
+    # a hermitian matrix shifted by 20 I: positive definite, so in the + cone
+    S = _hermitian_matrix(desc, 3)
+    b = M3H.element([[e + desc.one() * 20 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(S)])
+    cone = PositiveConeHandle(M3H, list_orderings(qq)[0], 1)
+    member, w = cone_membership(b, cone)
+    assert member
+    if hasattr(w, "check"):
+        check = lambda: w.check(b, cone)
+    else:
+        # checkouts before `ConeWitness.check` rebuilt the element instead
+        check = lambda: w.reconstruct(cone) == b
+    return {
+        "mat_inv.quaternion.m3": lambda: mat_inv(x),
+        "algebra_init.quaternion.m3": lambda: make_algebra(desc, 3),
+        "cone_witness_check.quaternion.m3": check,
+    }
 
 
 def _hamilton_operations() -> dict:
@@ -238,6 +272,7 @@ def operations() -> dict:
     ops["delement_mul.quadratic.deg2"] = lambda: s2 * t2
     ops["delement_norm.quaternion.deg4"] = q4.norm
     ops.update(_hamilton_operations())
+    ops.update(_hamilton_m3_operations())
     ops.update(_cli_operations())
     return ops
 

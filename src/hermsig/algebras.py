@@ -21,7 +21,10 @@ when Phi = I.  Hermitian forms diagonalize unscaled blocks, and the positive
 cones are the rescaled images of the P-semidefinite hermitian matrices.  The
 rule for where A splits lives here too: `nil_orderings` lists the orderings
 at which every signature over (A, sigma) vanishes.  Algebra elements are
-canonical, so two of them are equal exactly when their entries are.
+canonical, so two of them are equal exactly when their entries are.  Matrices
+over D are not row reduced: `unit_congruence` and `mat_inv` test and invert
+x through the congruence diagonalization of theta(x)^t x by
+`hermitian.diagonalize_hermitian`, the one elimination over D, split D too.
 """
 
 from __future__ import annotations
@@ -289,12 +292,6 @@ class DElement:
         nums, den = _product(desc._norm, self.nums, self.den, self.nums, self.den)
         return _canonical(desc.field, nums, den)
 
-    def inverse(self) -> "DElement":
-        n = self.norm()
-        if n.is_zero:
-            raise NotInvertible()
-        return self.conj().scale(n.inverse())
-
     def __repr__(self) -> str:
         return f"DElement({self.desc.kind}, {self.comps})"
 
@@ -388,30 +385,28 @@ def mat_theta_t(x):
     return [[x[j][i].conj() for j in range(n)] for i in range(m)]
 
 
+def unit_congruence(x):
+    """(G, d, x*) with theta(G)^t (x* x) G = diag(d), where x* = theta(x)^t.
+
+    G is invertible, so x is a unit exactly when no d_i is zero; raises
+    NotInvertible otherwise.
+    """
+    # hermitian imports this module, so the routine is looked up at call time
+    from .hermitian import diagonalize_hermitian
+
+    xs = mat_theta_t(x)
+    G, d = diagonalize_hermitian(x[0][0].desc, mat_mul(xs, x))
+    if any(di.is_zero for di in d):
+        raise NotInvertible()
+    return G, d, xs
+
+
 def mat_inv(x):
-    """Inverse over D by row reduction; pivots must be invertible in D."""
-    n = len(x)
-    a = [list(row) for row in x]
-    inv = mat_identity(x[0][0].desc, n)
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not a[r][col].is_zero and not a[r][col].norm().is_zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise NotInvertible()
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pinv = a[col][col].inverse()
-        a[col] = [pinv * v for v in a[col]]
-        inv[col] = [pinv * v for v in inv[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv
+    """x^(-1) = (x* x)^(-1) x* = G diag(d)^(-1) theta(G)^t x*."""
+    G, d, xs = unit_congruence(x)
+    inverses = [di.inverse() for di in d]
+    scaled = [[g * u for g, u in zip(row, inverses)] for row in G]
+    return mat_mul(scaled, mat_mul(mat_theta_t(G), xs))
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +427,12 @@ class AlgebraWithInvolution:
             raise ValueError("phi must be an n x n matrix")
         if mat_theta_t(phi) != phi:
             raise PhiNotSymmetric()
+        self._phi_is_identity = phi == mat_identity(desc, n)
         try:
-            self._phi_inv = mat_inv(phi)
+            self._phi_inv = phi if self._phi_is_identity else mat_inv(phi)
         except NotInvertible:
             raise PhiSingular() from None
         self.phi = [tuple(row) for row in phi]
-        self._phi_is_identity = phi == mat_identity(desc, n)
         self._nil: tuple | None = None
         # Gram block coordinates -> diagonal, filled by hermitian forms
         self._diagonal_memo: dict = {}

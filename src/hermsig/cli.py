@@ -135,7 +135,7 @@ def _cmd_member(config, seed, bound):
         "witness": jsonio.witness_to_json(witness) if witness else None,
     }
     if witness is not None:
-        report["witness_reconstructs"] = witness.reconstruct(cone) == b
+        report["witness_reconstructs"] = witness.check(b, cone)
     return report, True
 
 
@@ -282,22 +282,25 @@ def render(report: dict, fmt: str) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+# built once per process; parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(
+    prog="hermsig",
+    description=(
+        "Exact signatures of hermitian forms and positive cones over "
+        "algebras with involution"
+    ),
+)
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--format", choices=("json", "text"), default="json")
+_PARSER.add_argument("--bound", type=int, default=8)
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("--config", help="JSON job config (optional for verify)")
+
+
 def run(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hermsig",
-        description=(
-            "Exact signatures of hermitian forms and positive cones over "
-            "algebras with involution"
-        ),
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--bound", type=int, default=8)
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", help="JSON job config (optional for verify)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.config is None and args.command != "verify":
-        parser.error(f"{args.command} needs --config")
+        _PARSER.error(f"{args.command} needs --config")
 
     handler, keys = _COMMANDS[args.command]
     try:

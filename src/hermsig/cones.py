@@ -5,7 +5,8 @@ P-semidefinite theta-hermitian matrices under x -> eps Phi x, one per
 orientation eps.  That map is the algebra's `rescale` (times eps), and
 membership inverts it with `unscale`: b is in the cone exactly when
 eps Phi^(-1) b diagonalizes by congruence to entries that are >= 0 at P.
-The transform and the diagonal form the certificate.
+The transform and the diagonal form the certificate, and
+`ConeWitness.check` verifies one by multiplication, with no inverse.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from .algebras import (
     AlgebraWithInvolution,
     DivisionAlgebraDesc,
     extend_scalars,
-    mat_inv,
     mat_mul,
     mat_theta_t,
     nil_orderings,
     push_algebra_element,
     random_d_matrix,
     random_field_element,
+    unit_congruence,
 )
 from .hermitian import diagonalize_hermitian
 from .orderings import FieldElement, FieldEmbedding, OrderingHandle, list_orderings, sign_of
@@ -54,16 +55,12 @@ class PositiveConeHandle:
         return f"PositiveConeHandle(P#{self.ordering.root_index}, {s})"
 
 
-def _cone_element(cone: PositiveConeHandle, G, us) -> AlgebraElement:
-    """eps * Phi * theta(G)^t diag(u) G."""
-    A = cone.algebra
-    desc = A.desc
-    diag = [
+def _diag(desc: DivisionAlgebraDesc, us):
+    """diag(u) over D for field elements u."""
+    return [
         [desc.from_field(u) if i == j else desc.zero() for j in range(len(us))]
         for i, u in enumerate(us)
     ]
-    elt = mat_mul(mat_theta_t(G), mat_mul(diag, G))
-    return A.element(A.rescale(elt)) * Fraction(cone.orientation)
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,24 @@ class ConeWitness:
     transform: tuple
     diagonal: tuple[FieldElement, ...]
 
-    def reconstruct(self, cone: PositiveConeHandle) -> AlgebraElement:
-        """Rebuild the certified element from the transform and diagonal."""
-        g_inv = mat_inv(self.transform)
-        return _cone_element(cone, g_inv, self.diagonal)
+    def check(self, b: AlgebraElement, cone: PositiveConeHandle) -> bool:
+        """Whether this certifies b, by multiplication and with no inverse.
+
+        theta(G)^t (eps Phi^(-1) b) G = diag(d), each d_i >= 0 at P, G a unit;
+        with no d_i zero the congruence itself gives G a left inverse.
+        """
+        A = cone.algebra
+        G, d = self.transform, self.diagonal
+        unscaled = A.unscale((b * Fraction(cone.orientation)).entries)
+        congruent = mat_mul(mat_theta_t(G), mat_mul(unscaled, G)) == _diag(A.desc, d)
+        if not congruent or any(sign_of(u, cone.ordering) < 0 for u in d):
+            return False
+        try:
+            if any(u.is_zero for u in d):
+                unit_congruence(G)
+        except NotInvertible:
+            return False
+        return True
 
 
 def psd_membership(
@@ -87,7 +98,7 @@ def psd_membership(
         raise FieldMismatch()
     G, d = diagonalize_hermitian(desc, B)
     if all(sign_of(x, P) >= 0 for x in d):
-        return True, ConeWitness(tuple(tuple(r) for r in G), d)
+        return True, ConeWitness(G, d)
     return False, None
 
 
@@ -157,7 +168,7 @@ def random_invertible_d_matrix(desc: DivisionAlgebraDesc, n: int, rng):
     while True:
         M = random_d_matrix(desc, n, rng, _TRANSFORM_HEIGHT)
         try:
-            mat_inv(M)
+            unit_congruence(M)
         except NotInvertible:
             continue
         return M
@@ -175,7 +186,8 @@ def sample_cone_member(
     ]
     if not invertible and us and rng.random() < 0.3:
         us[rng.randrange(len(us))] = A.field.zero()
-    return _cone_element(cone, G, us)
+    elt = mat_mul(mat_theta_t(G), mat_mul(_diag(A.desc, us), G))
+    return A.element(A.rescale(elt)) * Fraction(cone.orientation)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Hermitian forms over (A, sigma) and their signatures at orderings.
 
-`diagonalize_hermitian` is the one congruence diagonalization in the
-library.  It works over any (D, theta); a quadratic form over F is the
-hermitian form over the base kind (F, id), for which hermitian means
-symmetric, so Gram matrices of quadratic forms (the first-kind star
-pairing) are diagonalized here as well.
+`diagonalize_hermitian` is the library's one elimination over D.  It works
+over any (D, theta); a quadratic form over F is the hermitian form over the
+base kind (F, id), for which hermitian means symmetric, so Gram matrices of
+quadratic forms (the first-kind star pairing) are diagonalized here as
+well, and so is theta(x)^t x when `algebras.unit_congruence` tests x.
 
 A `HermitianForm` is an orthogonal sum of square Gram blocks over A:
 diagonal forms are sums of one-entry blocks, and direct sums, scalings,
@@ -28,8 +28,8 @@ every signature is zero.
 
 The same memoized diagonal decides whether a symmetric x is a unit
 (`is_unit`: no zero in the diagonal of <x>), over every D, split quaternions
-included; the star pairing, the unit sampler and the Sylvester reduction ask
-it instead of inverting by row reduction.
+included; the star pairing, the unit sampler, the Sylvester reduction and
+the cone-equality criterion ask it, and nothing is inverted to decide.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInvertible, OrderingDoesNotRestrict
+from .errors import OrderingDoesNotRestrict
 from .exactnum import (
     Polynomial,
     count_roots_with_signs,
@@ -40,6 +40,7 @@ from .algebras import (
 from .hermitian import (
     congruence_transform,
     diagonal_form,
+    is_unit,
     local_degree_nP,
     max_signature_mP,
     random_symmetric_unit,
@@ -337,26 +338,16 @@ def criterion_cone_equality(algebras, rng, per_algebra: int = 500) -> CriterionR
                 b = sample_cone_member(cone, rng, invertible=bool(t % 4 == 0))
             else:
                 b = sample_symmetric(A, rng)
-            member = cone_membership(b, cone)[0]
-            try:
-                A.invert(b)
-                invertible = True
-            except NotInvertible:
-                invertible = False
+            member, w = cone_membership(b, cone)
             checked += 1
-            if invertible:
+            if is_unit(b):
                 n_p = local_degree_nP(A, cone.ordering).value
-                sig_path = (
-                    signature(diagonal_form(A, [b]), cone.ordering)
-                    == cone.orientation * n_p
-                )
-                if member != sig_path:
+                sig = signature(diagonal_form(A, [b]), cone.ordering)
+                if member != (sig == cone.orientation * n_p):
                     failures += 1
-            elif member:
+            elif member and w is None:
                 # singular members still certify: orientation only
-                w = cone_membership(b, cone)[1]
-                if w is None:
-                    failures += 1
+                failures += 1
     return CriterionResult(
         "cone_membership_psd_vs_signature",
         failures == 0,

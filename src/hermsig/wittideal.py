@@ -201,11 +201,9 @@ def verify_witness(w: ZWitness, h: HermitianForm, cone: PositiveConeHandle) -> b
     for x in list(w.a_list) + list(w.b_list):
         if not A.is_symmetric(x):
             return False
-        try:
-            A.invert(x)
-        except NotInvertible:
-            return False
-        if not cone_membership(x, cone)[0]:
+        # a fresh certificate; x is a unit exactly when its diagonal has no zero
+        member, cert = cone_membership(x, cone)
+        if not member or any(d.is_zero for d in cert.diagonal):
             return False
     left = form_tensor_qf(w.q, h)
     right = _balanced_form(cone, w.a_list, w.b_list)

@@ -1,5 +1,8 @@
+import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,9 @@ from hermsig.algebras import (
     make_algebra,
     quaternion_desc,
 )
+from hermsig import jsonio
 from hermsig.cones import (
+    ConeWitness,
     PositiveConeHandle,
     cone_axioms_check,
     cone_membership,
@@ -35,6 +40,10 @@ from hermsig.hermitian import (
     signature,
 )
 from hermsig.orderings import NumberField, embed_field, list_orderings
+from hermsig.verify import standard_algebras
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import exact  # noqa: E402
 
 QQ = NumberField([0, 1])
 RT2 = NumberField([-2, 0, 1])
@@ -76,7 +85,7 @@ def test_cone_membership_and_witness_roundtrip():
     plus = PositiveConeHandle(M2, P, 1)
     ok, w = cone_membership(M2.phi_element(), plus)
     assert ok
-    assert w.reconstruct(plus) == M2.phi_element()
+    assert w.check(M2.phi_element(), plus)
     indef = M2.element(m2([[1, 0], [0, -1]]))
     assert not cone_membership(indef, plus)[0]
     minus = PositiveConeHandle(M2, P, -1)
@@ -90,7 +99,97 @@ def test_cone_membership_phi_scaled():
     plus = PositiveConeHandle(M2, P, 1)
     b = M2.element(m2([[1, 0], [0, -1]]))  # equals Phi * I
     ok, w = cone_membership(b, plus)
-    assert ok and w.reconstruct(plus) == b
+    assert ok and w.check(b, plus)
+
+
+def test_certificates_check_over_the_standard_algebras():
+    rng = random.Random(5)
+    for key, A in standard_algebras().items():
+        checked = 0
+        for cone in list_positive_cones(A):
+            for t in range(6):
+                if t < 4:
+                    b = sample_cone_member(cone, rng, invertible=t % 2 == 0)
+                else:
+                    b = sample_symmetric(A, rng)
+                ok, w = cone_membership(b, cone)
+                assert ok == (w is not None)
+                if ok:
+                    assert w.check(b, cone), key
+                    checked += 1
+        assert checked >= 4, key
+
+
+def test_corrupted_certificates_fail():
+    rng = random.Random(6)
+    for key, A in standard_algebras().items():
+        for cone in list_positive_cones(A):
+            b = sample_cone_member(cone, rng, invertible=True)
+            ok, w = cone_membership(b, cone)
+            assert ok and w.check(b, cone)
+            # b is a unit, so every diagonal entry is nonzero
+            d = list(w.diagonal)
+            d[0] = -d[0]
+            assert not ConeWitness(w.transform, tuple(d)).check(b, cone), key
+            G = [list(row) for row in w.transform]
+            G[0][-1] = G[0][-1] + A.desc.one()
+            assert not ConeWitness(tuple(map(tuple, G)), w.diagonal).check(b, cone), key
+            other = PositiveConeHandle(A, cone.ordering, -cone.orientation)
+            assert not w.check(b, other), key
+            # against the other orientation the congruence holds with -d,
+            # and the signs reject it
+            negated = ConeWitness(w.transform, tuple(-x for x in w.diagonal))
+            assert not negated.check(b, other), key
+
+
+def test_certificate_transform_must_be_a_unit():
+    M2 = make_algebra(BQQ, 2)
+    cone = list_positive_cones(M2)[0]
+    zero = QQ.zero()
+    assert ConeWitness(M2.identity().entries, (zero, zero)).check(M2.zero(), cone)
+    # theta(0)^t 0 0 = diag(0, 0) holds, but 0 certifies nothing
+    assert not ConeWitness(M2.zero().entries, (zero, zero)).check(M2.zero(), cone)
+
+
+def _exact_hermitian(rng, D, n):
+    """A random theta-hermitian n x n matrix over exact's D, diagonal in F."""
+
+    def felem():
+        return tuple(Fraction(rng.randint(-3, 3)) for _ in range(D.F.d))
+
+    S = [[None] * n for _ in range(n)]
+    for i in range(n):
+        S[i][i] = D.scalar(felem())
+        for j in range(i + 1, n):
+            S[i][j] = tuple(felem() for _ in range(D.dim))
+            S[j][i] = D.conj(S[i][j])
+    return S
+
+
+def test_member_agrees_with_exact():
+    # exact.py shares no code with hermsig: a unit is in a cone exactly when
+    # its signature is the orientation times n
+    rng = random.Random(11)
+    decided = 0
+    for degree, quaternion in itertools.product((1, 2, 4), (False, True)):
+        F = exact.Field(degree, 0 if degree == 1 else rng.choice((2, 3, 5, 7)))
+        m1 = F.const(-1)
+        D = exact.Division(F, exact.QUATERNION, a=m1, b=m1) if quaternion else exact.Division(F, exact.BASE)
+        division = {"kind": "quaternion", "a": "-1", "b": "-1"} if quaternion else {"kind": "base"}
+        for n in (1, 2):
+            A = jsonio.parse_algebra({"field": {"min_poly": F.min_poly()}, "division": division, "n": n})
+            for _ in range(4):
+                S = _exact_hermitian(rng, D, n)
+                b = jsonio.parse_algebra_element(A, exact.matrix_json(S))
+                for cone in list_positive_cones(A):
+                    member, w = cone_membership(b, cone)
+                    if member:
+                        assert w.check(b, cone)
+                    sig = exact.signature_at(D, S, cone.ordering.root_index)
+                    if sig is not None:
+                        assert member == (sig == cone.orientation * n)
+                        decided += 1
+    assert decided >= 50
 
 
 def test_list_positive_cones():
