@@ -4,8 +4,12 @@
 
 Times each operation on fixed operands and records the best of several
 repeats in microseconds: `Fraction` mul; `FieldElement` mul and add at
-degree 1, 2 and 4; `inverse` at degree 2 and 4; `sign_of` at degree 4;
-building the `NumberField` x^4 - 180 (screens included);
+degree 1, 2 and 4; `inverse` at degree 2 and 4; `sign_of` at degree 4,
+warm: after the first call the ordering's narrowed interval is stored on
+the field, so the row times the interval test on it; `sign_of` of the zero
+divisor x^2 - 2 over x^4 - 4 (`sign_of.deg4.fallback`), which after the
+first call goes straight from an undecided interval test to the Tarski
+query; building the `NumberField` x^4 - 180 (screens included);
 `sturm_sequence` of a degree-8 polynomial, `gcd` of it and its derivative,
 and `isolate_real_roots` of it (four real roots);
 `count_roots_with_signs_formula` for three quadratic conditions on a sextic
@@ -250,6 +254,10 @@ def operations() -> dict:
     for d in (2, 4):
         ops[f"field_inverse.deg{d}"] = x[d].inverse
     ops["sign_of.deg4"] = lambda: sign_of(x[4], ordering)
+    reducible = NumberField([-4, 0, 0, 0, 1])
+    zero_divisor = reducible.element([-2, 0, 1, 0])
+    root = list_orderings(reducible)[1]
+    ops["sign_of.deg4.fallback"] = lambda: sign_of(zero_divisor, root)
     ops["number_field.quartic"] = lambda: NumberField([-180, 0, 0, 0, 1])
     deg8 = Polynomial(X + Y + [1])
     d8 = Polynomial([i * c for i, c in enumerate(deg8.coeffs)][1:])

@@ -25,6 +25,7 @@ canonical, so two of them are equal exactly when their entries are.  Matrices
 over D are not row reduced: `unit_congruence` and `mat_inv` test and invert
 x through the congruence diagonalization of theta(x)^t x by
 `hermitian.diagonalize_hermitian`, the one elimination over D, split D too.
+Phi is theta-hermitian already, so `_phi_inverse` diagonalizes Phi itself.
 """
 
 from __future__ import annotations
@@ -409,6 +410,22 @@ def mat_inv(x):
     return mat_mul(scaled, mat_mul(mat_theta_t(G), xs))
 
 
+def _phi_inverse(phi):
+    """Phi^(-1) for a theta-hermitian Phi, from Phi's own congruence.
+
+    theta(G)^t Phi G = diag(d) gives Phi^(-1) = G diag(d)^(-1) theta(G)^t,
+    with no product x* x; raises PhiSingular when some d_i is zero.
+    """
+    from .hermitian import diagonalize_hermitian
+
+    G, d = diagonalize_hermitian(phi[0][0].desc, phi)
+    if any(di.is_zero for di in d):
+        raise PhiSingular()
+    inverses = [di.inverse() for di in d]
+    scaled = [[g * u for g, u in zip(row, inverses)] for row in G]
+    return mat_mul(scaled, mat_theta_t(G))
+
+
 # ---------------------------------------------------------------------------
 # the algebra M_n(D) with involution Int(Phi) o theta^t
 
@@ -428,10 +445,7 @@ class AlgebraWithInvolution:
         if mat_theta_t(phi) != phi:
             raise PhiNotSymmetric()
         self._phi_is_identity = phi == mat_identity(desc, n)
-        try:
-            self._phi_inv = phi if self._phi_is_identity else mat_inv(phi)
-        except NotInvertible:
-            raise PhiSingular() from None
+        self._phi_inv = phi if self._phi_is_identity else _phi_inverse(phi)
         self.phi = [tuple(row) for row in phi]
         self._nil: tuple | None = None
         # Gram block coordinates -> diagonal, filled by hermitian forms

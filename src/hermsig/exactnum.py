@@ -16,6 +16,10 @@ D*2**k; each midpoint is one integer reading of the chain, which gives both
 its variation and whether the midpoint is a root.  `Fraction`s appear only
 in the returned `Interval`s.
 
+Integer interval Horner (`_interval_sign`) bounds a polynomial over an
+interval with integer ends over one denominator; `orderings.sign_of` and
+the verify suite's isolate-and-evaluate oracle read signs from it.
+
 Sign-condition counts come in two forms.  `count_roots_with_signs` isolates
 the roots of m once and then runs one localized Tarski query per condition
 on each surviving isolating interval, so its cost is linear in the number r
@@ -271,6 +275,35 @@ class SturmSequence:
 
     def count_all(self) -> int:
         return self.changes_neg_inf() - self.changes_pos_inf()
+
+
+def _scaled_value(cs, p: int, q: int) -> int:
+    """q^(len(cs) - 1) * f(p/q), of the sign of f(p/q); cs integers, q > 0."""
+    acc, qk = cs[-1], 1
+    for c in cs[-2::-1]:
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
+def _interval_sign(cs, lo: int, hi: int, q: int) -> int:
+    """sgn f on [lo/q, hi/q] by integer interval Horner, or 0 when undecided.
+
+    cs are f's integer coefficients, lowest first; q > 0.  After k steps
+    both bounds are scaled by q^k, a positive factor, so their signs are
+    those of the true bounds.  Leading zeros cost steps, not exactness.
+    """
+    f_lo = f_hi = cs[-1]
+    qk = 1
+    for c in cs[-2::-1]:
+        qk *= q
+        cands = (f_lo * lo, f_lo * hi, f_hi * lo, f_hi * hi)
+        f_lo, f_hi = min(cands) + c * qk, max(cands) + c * qk
+    if f_lo > 0:
+        return 1
+    if f_hi < 0:
+        return -1
+    return 0
 
 
 def _chain(f0: tuple[int, ...], f1: tuple[int, ...]) -> SturmSequence:

@@ -4,7 +4,10 @@
 over any (D, theta); a quadratic form over F is the hermitian form over the
 base kind (F, id), for which hermitian means symmetric, so Gram matrices of
 quadratic forms (the first-kind star pairing) are diagonalized here as
-well, and so is theta(x)^t x when `algebras.unit_congruence` tests x.
+well, and so are theta(x)^t x when `algebras.unit_congruence` tests x and
+Phi when an algebra inverts it.  Each Schur complement is theta-hermitian,
+so the elimination computes its lower triangle and mirrors the upper one
+by theta.
 
 A `HermitianForm` is an orthogonal sum of square Gram blocks over A:
 diagonal forms are sums of one-entry blocks, and direct sums, scalings,
@@ -72,9 +75,13 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
     Returns (G, d) with theta(G)^t B G = diag(d); the entries d_i lie in
     Sym(D, theta) = F.  Pivots are always field scalars because hermitian
     diagonal entries have no non-identity components, so this works even
-    when D has zero divisors.  When every remaining diagonal entry is zero
-    but some off-diagonal entry beta is not, a column of the off-diagonal
-    pair is added with a basis multiplier c chosen so that the new diagonal
+    when D has zero divisors.  At pivot p = B[r][r], each later column t
+    gets c_t = -B[r][t] p^(-1); the Schur complement is hermitian, so only
+    its lower triangle is computed, B[i][t] += B[i][r] c_t for i >= t, and
+    B[t][i] is written as theta(B[i][t]).  Row and column r are then zero.
+    When every remaining diagonal entry is zero but some off-diagonal entry
+    beta is not, a column of the off-diagonal pair is added, with the
+    matching row, with a basis multiplier c chosen so that the new diagonal
     entry beta*c + theta(beta*c) is a nonzero field element.
     """
     ell = len(B)
@@ -86,7 +93,7 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
     G = mat_identity(desc, ell)
 
     def col_row_op(t, r, c):
-        # col_t += col_r * c and row_t += theta(c) * row_r
+        # col_t += col_r * c and row_t += theta(c) * row_r, both triangles
         cc = c.conj()
         for i in range(ell):
             v = B[i][r]
@@ -109,6 +116,9 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
             G[i][r], G[i][s] = G[i][s], G[i][r]
 
     field = desc.field
+    zero = desc.zero()
+    # theta is the identity on the base kind, so a mirror is the entry itself
+    mirror = desc.kind != BASE
     diag: list[FieldElement] = []
     for r in range(ell):
         if B[r][r].is_zero:
@@ -145,9 +155,27 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
             raise AssertionError("hermitian diagonal entry is not central")
         pval = pivot.scalar_part()
         pinv = pval.inverse()
+        row_r = B[r]
         for t in range(r + 1, ell):
-            if not B[r][t].is_zero:
-                col_row_op(t, r, -(B[r][t] * pinv))
+            if row_r[t].is_zero:
+                continue
+            c = -(row_r[t] * pinv)
+            row_t = B[t]
+            for i in range(t, ell):
+                row_i = B[i]
+                v = row_i[r]
+                if not v.is_zero:
+                    x = row_i[t] + v * c
+                    row_i[t] = x
+                    if i != t:
+                        row_t[i] = x.conj() if mirror else x
+            for row in G:
+                v = row[r]
+                if not v.is_zero:
+                    row[t] = row[t] + v * c
+        # the off-diagonal pivot step reads whole rows and columns
+        for t in range(r + 1, ell):
+            row_r[t] = B[t][r] = zero
         diag.append(pval)
     return [tuple(row) for row in G], tuple(diag)
 

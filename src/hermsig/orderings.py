@@ -2,9 +2,19 @@
 
 An ordering is a real root of the minimal polynomial, held as an isolating
 rational interval whose endpoints are not roots of p.  The sign of a field
-element a at an ordering is one localized Tarski query: the Sturm chain
-seeded with (p, p'*a mod p), read across the isolating interval, drops by
-exactly sgn a(root), zero included.  Real closures are never materialized.
+element a at an ordering is read first off integer interval Horner: a over
+the interval, with integer ends lo/q and hi/q, scaled by powers of q.  When
+the bound excludes 0 it is the exact sign, since for irreducible p a nonzero
+a does not vanish at the root.  Otherwise the interval is bisected, one sign
+of p per step: the ends of an isolating interval of squarefree p have
+opposite signs.  The narrowed interval is kept on the field, next to the
+ordering list, as a few integers per ordering; the handle's own `isolating`
+interval never changes.  Narrowing stops after a fixed number of steps per
+ordering, and then, or when a midpoint is a root, one localized Tarski query
+decides: the Sturm chain seeded with (p, p'*a mod p), read across the
+isolating interval, drops by exactly sgn a(root), zero included, so zero
+divisors of a reducible p that passes the rational-root screen get sign 0.
+Real closures are never materialized.
 
 A field element is integer numerators over one denominator in the power
 basis, sum_i nums[i] x^i / den, always canonical: den > 0 and
@@ -16,8 +26,10 @@ Inversion solves the multiplication-matrix system by fraction-free
 (Bareiss) elimination.  `FieldElement.coords` is the fraction view of the
 same coordinates.
 
-Fields memoize their ordering list; the cache is idempotent, so concurrent
-readers at worst recompute.
+Fields memoize their ordering list and the narrowed intervals.  The list
+cache is idempotent, so concurrent readers at worst recompute; each narrowed
+interval is replaced as one tuple, so a concurrent narrowing is at worst
+lost, and every stored tuple is an isolating interval.
 """
 
 from __future__ import annotations
@@ -38,7 +50,9 @@ from .errors import (
 from .exactnum import (
     Interval,
     Polynomial,
+    _interval_sign,
     _primitive_integer,
+    _scaled_value,
     _tarski_chain,
     is_squarefree,
     isolate_real_roots,
@@ -104,6 +118,8 @@ class NumberField:
         self._scale = ints[-1]
         self._reducer = tuple((j, r) for j, r in enumerate(ints[:-1]) if r)
         self._orderings: tuple[OrderingHandle, ...] | None = None
+        # per ordering: (lo, hi, q, p_lo_negative, steps), filled with the list
+        self._narrowed: list[tuple] | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -337,27 +353,65 @@ def list_orderings(field: NumberField) -> tuple[OrderingHandle, ...]:
         ivs = isolate_real_roots(field.min_poly)
         if not ivs:
             raise NotFormallyReal()
+        narrowed = []
+        for iv in ivs:
+            q = math.lcm(iv.lo.denominator, iv.hi.denominator)
+            lo = iv.lo.numerator * (q // iv.lo.denominator)
+            hi = iv.hi.numerator * (q // iv.hi.denominator)
+            narrowed.append((lo, hi, q, _scaled_value(field._ints, lo, q) < 0, 0))
+        field._narrowed = narrowed
         field._orderings = tuple(
             OrderingHandle(field, i, iv) for i, iv in enumerate(ivs)
         )
     return field._orderings
 
 
+# bisections of one ordering's interval before sign_of leaves every
+# undecided element to the Tarski query
+_NARROW_CAP = 64
+
+
 def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
     """Exact sign of alpha at the ordering P, zero included.
 
-    One localized Tarski query: across the isolating interval of P, whose
-    endpoints are not roots of min_poly, the chain seeded with
-    (min_poly, min_poly' * alpha mod min_poly) drops by sgn alpha(root).
+    Interval Horner over P's narrowed interval first, bisecting it while
+    the bound straddles 0 and the ordering's cap allows; the narrowed
+    interval is stored back on the field.  Otherwise one localized Tarski
+    query: across the isolating interval of P, whose endpoints are not roots
+    of min_poly, the chain seeded with (min_poly, min_poly' * alpha mod
+    min_poly) drops by sgn alpha(root).  alpha * den has alpha's sign, so
+    both read the numerators alone.
     """
-    if alpha.owner is not P.owner and alpha.owner != P.owner:
+    field = P.owner
+    if alpha.owner is not field and alpha.owner != field:
         raise FieldMismatch()
     if alpha.is_rational:
         return sign(alpha.nums[0])
+    nums = alpha.nums
+    orderings = field._orderings
+    if orderings is not None and orderings[P.root_index] is P:
+        state = field._narrowed[P.root_index]
+        lo, hi, q, p_lo_negative, steps = state
+        ints = field._ints
+        while True:
+            s = _interval_sign(nums, lo, hi, q)
+            if s or steps == _NARROW_CAP:
+                break
+            mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
+            value = _scaled_value(ints, mid, q)
+            if not value:
+                break
+            if (value < 0) == p_lo_negative:
+                lo = mid
+            else:
+                hi = mid
+            steps += 1
+        if steps != state[4]:
+            field._narrowed[P.root_index] = (lo, hi, q, p_lo_negative, steps)
+        if s:
+            return s
     iv = P.isolating
-    # alpha * den: a positive scale leaves the count unchanged
-    chain = _tarski_chain(P.owner._ints, alpha.nums)
-    return chain.count_in(iv.lo, iv.hi)
+    return _tarski_chain(field._ints, nums).count_in(iv.lo, iv.hi)
 
 
 def harrison_set(us) -> tuple[OrderingHandle, ...]:

@@ -19,6 +19,8 @@ from fractions import Fraction
 from .errors import OrderingDoesNotRestrict
 from .exactnum import (
     Polynomial,
+    _interval_sign,
+    _scaled_value,
     count_roots_with_signs,
     count_roots_with_signs_formula,
     gcd,
@@ -132,15 +134,6 @@ def _integer_coeffs(f) -> list[int]:
     return [c.numerator * (den // c.denominator) for c in f.coeffs]
 
 
-def _scaled_value(cs, p, q) -> int:
-    """q^deg * f(p/q), of the sign of f(p/q), for integer coefficients cs."""
-    acc, qk = cs[-1], 1
-    for c in cs[-2::-1]:
-        qk *= q
-        acc = acc * p + c * qk
-    return acc
-
-
 def _oracle_sign_at_root(g, p, chain, iv):
     """Sign of g at the isolated root of p: interval refinement only.
 
@@ -156,16 +149,9 @@ def _oracle_sign_at_root(g, p, chain, iv):
     hi = iv.hi.numerator * (q // iv.hi.denominator)
     v_lo = chain.read(lo, q)[1]
     while True:
-        g_lo = g_hi = gs[-1]
-        qk = 1
-        for c in gs[-2::-1]:
-            qk *= q
-            cands = (g_lo * lo, g_lo * hi, g_hi * lo, g_hi * hi)
-            g_lo, g_hi = min(cands) + c * qk, max(cands) + c * qk
-        if g_lo > 0:
-            return 1
-        if g_hi < 0:
-            return -1
+        s = _interval_sign(gs, lo, hi, q)
+        if s:
+            return s
         mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
         if _scaled_value(ps, mid, q) == 0:
             v = _scaled_value(gs, mid, q)
@@ -345,8 +331,8 @@ def criterion_cone_equality(algebras, rng, per_algebra: int = 500) -> CriterionR
                 sig = signature(diagonal_form(A, [b]), cone.ordering)
                 if member != (sig == cone.orientation * n_p):
                     failures += 1
-            elif member and w is None:
-                # singular members still certify: orientation only
+            elif member and not w.check(b, cone):
+                # singular members still certify, checked by multiplication
                 failures += 1
     return CriterionResult(
         "cone_membership_psd_vs_signature",

@@ -19,7 +19,7 @@ from hermsig.algebras import (
     make_algebra,
     quaternion_desc,
 )
-from hermsig import jsonio
+from hermsig import jsonio, verify
 from hermsig.cones import (
     ConeWitness,
     PositiveConeHandle,
@@ -40,7 +40,7 @@ from hermsig.hermitian import (
     signature,
 )
 from hermsig.orderings import NumberField, embed_field, list_orderings
-from hermsig.verify import standard_algebras
+from hermsig.verify import run_suite, standard_algebras
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import exact  # noqa: E402
@@ -140,6 +140,28 @@ def test_corrupted_certificates_fail():
             # and the signs reject it
             negated = ConeWitness(w.transform, tuple(-x for x in w.diagonal))
             assert not negated.check(b, other), key
+
+
+def test_cone_equality_checks_singular_certificates(monkeypatch):
+    # a certificate whose first diagonal entry is -1 fails its congruence;
+    # only singular members read the certificate, and seed 0 draws some
+    def run():
+        only = ["cone_membership_psd_vs_signature"]
+        return run_suite(seed=0, only=only, sizes={"cone_equality": 4})[0]
+
+    real = verify.cone_membership
+
+    def corrupted(b, cone):
+        member, w = real(b, cone)
+        if member:
+            d = (cone.algebra.field.from_rational(-1),) + w.diagonal[1:]
+            w = ConeWitness(w.transform, d)
+        return member, w
+
+    assert run().passed
+    monkeypatch.setattr(verify, "cone_membership", corrupted)
+    result = run()
+    assert not result.passed and result.details["failures"] > 0
 
 
 def test_certificate_transform_must_be_a_unit():

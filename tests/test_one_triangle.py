@@ -1,0 +1,141 @@
+"""`diagonalize_hermitian` against the two-triangle elimination it replaced.
+
+The reference below updates column t and row t of the theta-hermitian
+matrix at every pivot, each by its own products, exactly as the library did
+before it computed one triangle of the Schur complement and wrote the other
+as its theta-image.  Pivots come in the same order and every entry is the
+same exact value, so (G, d) must be equal, not merely congruent.  Matrices
+are drawn over the D of each of the nine standard algebras and over the
+split quaternions (1, 1)_Q, with zero entries and zero diagonals, so the
+off-diagonal pivot step runs too.
+"""
+
+import warnings
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from hermsig.algebras import DElement, mat_identity, quaternion_desc  # noqa: E402
+from hermsig.hermitian import diagonalize_hermitian  # noqa: E402
+from hermsig.orderings import NumberField  # noqa: E402
+from hermsig.verify import standard_algebras  # noqa: E402
+
+
+def reference_diagonalize(desc, B):
+    """The two-triangle elimination: col_t += col_r c, row_t += theta(c) row_r."""
+    ell = len(B)
+    B = [list(row) for row in B]
+    G = mat_identity(desc, ell)
+
+    def col_row_op(t, r, c):
+        cc = c.conj()
+        for i in range(ell):
+            v = B[i][r]
+            if not v.is_zero:
+                B[i][t] = B[i][t] + v * c
+        for j in range(ell):
+            v = B[r][j]
+            if not v.is_zero:
+                B[t][j] = B[t][j] + cc * v
+        for i in range(ell):
+            v = G[i][r]
+            if not v.is_zero:
+                G[i][t] = G[i][t] + v * c
+
+    def swap(r, s):
+        for i in range(ell):
+            B[i][r], B[i][s] = B[i][s], B[i][r]
+        B[r], B[s] = B[s], B[r]
+        for i in range(ell):
+            G[i][r], G[i][s] = G[i][s], G[i][r]
+
+    diag = []
+    for r in range(ell):
+        if B[r][r].is_zero:
+            s_diag = next((s for s in range(r + 1, ell) if not B[s][s].is_zero), None)
+            if s_diag is not None:
+                swap(r, s_diag)
+            else:
+                off = next(
+                    (
+                        (s, t)
+                        for s in range(r, ell)
+                        for t in range(s + 1, ell)
+                        if not B[s][t].is_zero
+                    ),
+                    None,
+                )
+                if off is None:
+                    diag.extend(desc.field.zero() for _ in range(r, ell))
+                    break
+                s, t = off
+                beta = B[s][t]
+                c = next(
+                    cand
+                    for cand in desc.basis()
+                    if not (beta * cand + (beta * cand).conj()).is_zero
+                )
+                col_row_op(s, t, c)
+                if s != r:
+                    swap(r, s)
+        pval = B[r][r].scalar_part()
+        pinv = pval.inverse()
+        for t in range(r + 1, ell):
+            if not B[r][t].is_zero:
+                col_row_op(t, r, -(B[r][t] * pinv))
+        diag.append(pval)
+    return [tuple(row) for row in G], tuple(diag)
+
+
+def _descs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        descs = {key: A.desc for key, A in standard_algebras().items()}
+    QQ = NumberField([0, 1])
+    one = QQ.from_rational(1)
+    descs["split_1_1"] = quaternion_desc(QQ, one, one)
+    return descs
+
+
+DESCS = _descs()
+
+# mostly small integers, with zeros common enough to empty whole diagonals
+COMPONENT = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2])),
+)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    key = draw(st.sampled_from(sorted(DESCS)))
+    desc = DESCS[key]
+    field = desc.field
+
+    def field_element():
+        return field.element([draw(COMPONENT) for _ in range(field.degree)])
+
+    def d_element():
+        if draw(st.integers(0, 2)) == 0:
+            return desc.zero()
+        return DElement(desc, tuple(field_element() for _ in range(desc.dim)))
+
+    ell = draw(st.integers(1, 4))
+    zero_diagonal = draw(st.booleans())
+    B = [[None] * ell for _ in range(ell)]
+    for i in range(ell):
+        B[i][i] = desc.zero() if zero_diagonal else desc.from_field(field_element())
+        for j in range(i + 1, ell):
+            B[i][j] = d_element()
+            B[j][i] = B[i][j].conj()
+    return key, desc, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian_matrices())
+def test_one_triangle_matches_the_two_triangle_elimination(case):
+    key, desc, B = case
+    assert diagonalize_hermitian(desc, B) == reference_diagonalize(desc, B), key

@@ -2,11 +2,12 @@
 
 `algebras.mat_inv` reads x^(-1) off the congruence diagonalization of the
 theta-hermitian theta(x)^t x, so it needs no pivot of nonzero norm, and
-`unit_congruence` decides unit-ness from the same diagonal.  Over split
-quaternions (a or b a rational square) some units have no such pivot in a
-column.  The reference is sympy's rank of the Q-matrix of y -> x y on the
-4n^2 rational coordinates of M_n(D): x is a unit exactly when that map is
-injective.
+`unit_congruence` decides unit-ness from the same diagonal.  An algebra's
+Phi^(-1) comes from the congruence diagonalization of Phi itself.  Over
+split quaternions (a or b a rational square) some units have no such pivot
+in a column.  The reference is sympy's rank of the Q-matrix of y -> x y on
+the 4n^2 rational coordinates of M_n(D): x is a unit exactly when that map
+is injective.
 """
 
 import functools
@@ -27,9 +28,10 @@ from hermsig.algebras import (  # noqa: E402
     mat_mul,
     quaternion_desc,
 )
-from hermsig.errors import NotInvertible  # noqa: E402
+from hermsig.errors import NotInvertible, PhiSingular  # noqa: E402
 from hermsig.hermitian import sample_symmetric  # noqa: E402
 from hermsig.orderings import NumberField  # noqa: E402
+from hermsig.verify import standard_algebras  # noqa: E402
 
 QQ = NumberField([0, 1])
 
@@ -46,6 +48,14 @@ def split_algebra(a, b, n):
         return make_algebra(quaternion_desc(QQ, QQ.from_rational(a), QQ.from_rational(b)), n)
 
 
+def _assert_phi_inverse(B):
+    """Phi^(-1) Phi = I = Phi Phi^(-1), Phi^(-1) read back as unscale(I)."""
+    identity = mat_identity(B.desc, B.n)
+    phi_inv = B.unscale(identity)
+    phi = [list(row) for row in B.phi]
+    assert mat_mul(phi_inv, phi) == identity == mat_mul(phi, phi_inv)
+
+
 def test_invertible_split_phi_is_accepted():
     # draw 87 is a unit with no pivot of nonzero norm in some column
     A = split_algebra(-1, 2, 3)
@@ -54,6 +64,15 @@ def test_invertible_split_phi_is_accepted():
     with pytest.warns(UserWarning, match="DNotDivisionAtAnyOrdering"):
         B = make_algebra(A.desc, 3, phi.entries)
     assert B.unscale(phi.entries) == mat_identity(A.desc, 3)
+    _assert_phi_inverse(B)
+
+
+def test_indefinite_rational_phi_inverse():
+    B = standard_algebras()["m2_qq_phi"]
+    _assert_phi_inverse(B)
+    singular = [[B.desc.one(), B.desc.one()], [B.desc.one(), B.desc.one()]]
+    with pytest.raises(PhiSingular):
+        make_algebra(B.desc, 2, singular)
 
 
 def test_involutory_matrix_over_split_quaternions():
@@ -130,3 +149,31 @@ def test_inverse_matches_rank_over_split_quaternions(case):
         return
     inverse = A.invert(x)
     assert A.multiply(x, inverse) == A.identity() == A.multiply(inverse, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_cases(), st.booleans())
+def test_phi_inverse_over_split_quaternions(case, gram):
+    a, b, rows, factor = case
+    n = len(rows)
+    A = split_algebra(a, b, n)
+    x = [[delt(A.desc, *e) for e in row] for row in rows]
+    if factor is not None:
+        c = delt(A.desc, *factor)
+        x[-1] = [c * e for e in x[0]]
+    xs = [[x[j][i].conj() for j in range(n)] for i in range(n)]
+    # two theta-hermitian matrices built from x: x* x, singular with x, and
+    # x + x*, singular or not as it falls
+    if gram:
+        phi = mat_mul(xs, x)
+    else:
+        phi = [[x[i][j] + xs[i][j] for j in range(n)] for i in range(n)]
+    unit = _left_rank(A, phi) == 4 * n * n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        if not unit:
+            with pytest.raises(PhiSingular):
+                make_algebra(A.desc, n, phi)
+            return
+        B = make_algebra(A.desc, n, phi)
+    _assert_phi_inverse(B)
