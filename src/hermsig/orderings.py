@@ -389,6 +389,7 @@ def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
         return sign(alpha.nums[0])
     nums = alpha.nums
     orderings = field._orderings
+    # a handle built outside list_orderings has no narrowed interval
     if orderings is not None and orderings[P.root_index] is P:
         state = field._narrowed[P.root_index]
         lo, hi, q, p_lo_negative, steps = state
