@@ -10,11 +10,12 @@ the field, so the row times the interval test on it; `sign_of` of the zero
 divisor x^2 - 2 over x^4 - 4 (`sign_of.deg4.fallback`), which after the
 first call goes straight from an undecided interval test to the Tarski
 query; building the `NumberField` x^4 - 180 (screens included);
-`sturm_sequence` of a degree-8 polynomial, `gcd` of it and its derivative,
-and `isolate_real_roots` of it (four real roots);
-`count_roots_with_signs_formula` for three quadratic conditions on a sextic
-with six rational roots (each call gets a fresh copy of its polynomial, so
-the chain a `Polynomial` keeps is built every time); one
+`sturm_sequence` of a degree-8 polynomial and `isolate_real_roots` of it
+(four real roots); `count_roots_with_signs_formula` and the localized
+`count_roots_with_signs` for three quadratic conditions on a sextic with six
+rational roots (each call gets a fresh copy of its polynomial, so the
+chain, intervals and Tarski chains a `Polynomial` keeps are built every
+time); one
 `criterion_sturm_oracle` of 30 instances from `random.Random(0)`; quaternion `DElement` mul at degree 1
 and 4, quadratic `DElement` mul over Q(sqrt 2) with d = sqrt 2, and the
 quaternion norm at degree 4; and, over the Hamilton quaternions
@@ -60,8 +61,8 @@ from hermsig.algebras import DElement, make_algebra, mat_inv, quadratic_desc, qu
 from hermsig.cones import PositiveConeHandle, cone_membership
 from hermsig.exactnum import (
     Polynomial,
+    count_roots_with_signs,
     count_roots_with_signs_formula,
-    gcd,
     isolate_real_roots,
     sturm_sequence,
 )
@@ -260,15 +261,16 @@ def operations() -> dict:
     ops["sign_of.deg4.fallback"] = lambda: sign_of(zero_divisor, root)
     ops["number_field.quartic"] = lambda: NumberField([-180, 0, 0, 0, 1])
     deg8 = Polynomial(X + Y + [1])
-    d8 = Polynomial([i * c for i, c in enumerate(deg8.coeffs)][1:])
     sextic = Polynomial([1])
     for k in range(-2, 4):
         sextic = sextic * Polynomial([-k, 1])
     conditions = [Polynomial([X[i], Y[i], 1]) for i in range(3)]
     ops["sturm_sequence.deg8"] = lambda: sturm_sequence(Polynomial(deg8.coeffs))
-    ops["gcd.deg8"] = lambda: gcd(deg8, d8)
     ops["isolate_real_roots.deg8"] = lambda: isolate_real_roots(Polynomial(deg8.coeffs))
     ops["count_roots_with_signs_formula.r3"] = lambda: count_roots_with_signs_formula(
+        Polynomial(sextic.coeffs), conditions
+    )
+    ops["count_roots_with_signs.r3"] = lambda: count_roots_with_signs(
         Polynomial(sextic.coeffs), conditions
     )
     ops["verify_sturm.30"] = lambda: criterion_sturm_oracle(random.Random(0), 30)

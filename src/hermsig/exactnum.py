@@ -6,9 +6,11 @@ of roots under simultaneous sign conditions.  `Polynomial` coefficients are
 built on integer coefficient tuples by primitive pseudo-remainders: each
 remainder is scaled by positive factors only and divided by its content, so
 each member is a positive multiple of the member a division over Q would
-give, and every sign-change count is the same.  A `Polynomial` keeps its
-own Sturm chain once built, so the squarefree test (the chain's last
-member is gcd(p, p')), isolation and refinement of one polynomial share it.
+give, and every sign-change count is the same.  A `Polynomial` keeps what
+is computed on it once built: its Sturm chain, so the squarefree test (the
+chain's last member is gcd(p, p')), isolation and refinement of one
+polynomial share it; its isolating intervals; and one Tarski chain per
+condition, keyed by the condition's primitive integer coefficients.
 
 Isolation runs on an integer grid.  Every endpoint is a dyadic multiple of
 the Cauchy bound N/D, so intervals are bisected as integer numerators over
@@ -23,13 +25,15 @@ the verify suite's isolate-and-evaluate oracle read signs from it.
 Sign-condition counts come in two forms.  `count_roots_with_signs` isolates
 the roots of m once and then runs one localized Tarski query per condition
 on each surviving isolating interval, so its cost is linear in the number r
-of conditions.  `count_roots_with_signs_formula` is the paper's averaged
-inclusion-exclusion over the 2**r exponent vectors in {1,2}**r; it stays as
-the isolation-free reference and is cross-checked against the first path
-and against isolate-and-evaluate by the `sturm_sign_count_oracle` criterion.
-Neither computes a separate gcd: for squarefree m the Tarski chain seeded
+of conditions; the intervals and chains it uses are those m keeps.
+`count_roots_with_signs_formula` is the paper's averaged inclusion-exclusion
+over the 2**r exponent vectors in {1,2}**r; it stays as the isolation-free
+reference and is cross-checked against the first path and against
+isolate-and-evaluate by the `sturm_sign_count_oracle` criterion.
+No polynomial gcd is computed: for squarefree m the Tarski chain seeded
 with (m, m'*g mod m) ends at gcd(m, g), so a condition sharing a root with
-m is rejected from the last member of a chain the count builds anyway.
+m is rejected from the last member of a chain the count builds anyway, and
+`is_coprime` reads coprimality off the same chain m keeps for the count.
 
 Conventions:
   * coefficient sequences are lowest degree first;
@@ -42,7 +46,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,7 +93,7 @@ class Interval:
 class Polynomial:
     """Univariate polynomial over Q, coefficients lowest degree first."""
 
-    __slots__ = ("coeffs", "_sturm")
+    __slots__ = ("coeffs", "_sturm", "_roots", "_tarski")
 
     def __init__(self, coeffs):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
@@ -98,6 +101,9 @@ class Polynomial:
             cs.pop()
         self.coeffs = tuple(cs)
         self._sturm: SturmSequence | None = None  # filled by sturm_sequence
+        self._roots: tuple[Interval, ...] | None = None  # filled by _real_roots
+        # primitive integer condition -> Tarski chain, filled by _tarski_of
+        self._tarski: dict[tuple[int, ...], SturmSequence] | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -150,18 +156,6 @@ class Polynomial:
             return self
         lead = self.coeffs[-1]
         return Polynomial([c / lead for c in self.coeffs])
-
-
-def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd (zero for two zero inputs).
-
-    Computed by a primitive remainder sequence on integer coefficients;
-    every member is a nonzero rational multiple of the Euclidean one.
-    """
-    a, b = _primitive_integer(a), _primitive_integer(b)
-    while b:
-        a, b = b, _prem(a, b)
-    return Polynomial(a).monic()
 
 
 def is_squarefree(p: Polynomial) -> bool:
@@ -354,9 +348,10 @@ def isolate_real_roots(p: Polynomial) -> list[Interval]:
     No endpoint is a root of p.  Raises NotSquarefree unless p is squarefree,
     read off the end of the Sturm chain p keeps; callers need not normalize p.
     Bisection runs on integers over the denominators D*2**k of the Cauchy
-    bound's dyadic grid, reading the chain once per midpoint.
+    bound's dyadic grid, reading the chain once per midpoint.  The intervals
+    are isolated once and kept on p; each call returns a fresh list.
     """
-    return _isolate(p, _squarefree_chain(p))
+    return list(_real_roots(p, _squarefree_chain(p)))
 
 
 def _squarefree_chain(p: Polynomial) -> SturmSequence:
@@ -370,7 +365,14 @@ def _squarefree_chain(p: Polynomial) -> SturmSequence:
     return chain
 
 
-def _isolate(p: Polynomial, chain: SturmSequence) -> list[Interval]:
+def _real_roots(p: Polynomial, chain: SturmSequence) -> tuple[Interval, ...]:
+    """Isolating intervals of squarefree p, isolated once and kept on p."""
+    if p._roots is None:
+        p._roots = _isolate(p, chain)
+    return p._roots
+
+
+def _isolate(p: Polynomial, chain: SturmSequence) -> tuple[Interval, ...]:
     """Isolating intervals of squarefree p, given its Sturm chain.
 
     Every endpoint is j*B/2**k for the Cauchy bound B = N/D, so each
@@ -382,7 +384,7 @@ def _isolate(p: Polynomial, chain: SturmSequence) -> list[Interval]:
     window carved around a rational root.
     """
     if p.degree == 0:
-        return []
+        return ()
     bound = _root_bound(p)
     n, q = bound.numerator, bound.denominator
     read = chain.read
@@ -419,18 +421,43 @@ def _isolate(p: Polynomial, chain: SturmSequence) -> list[Interval]:
         stack.append((lo, a, q, v_lo, v_a))
         stack.append((b, hi, q, v_b, v_hi))
     out = [Interval(Fraction(lo, q), Fraction(hi, q)) for lo, hi, q in found]
-    out.sort(key=lambda iv: iv.mid)
-    return out
+    return tuple(sorted(out, key=lambda iv: iv.mid))
 
 
 def tarski_query(m: Polynomial, g: Polynomial) -> int:
     """Sum of sgn(g(c)) over the real roots c of m.
 
     Computed as the sign-change difference of the chain seeded with
-    (m, m'*g mod m) at -infinity and +infinity, never by evaluating at roots.
+    (m, m'*g mod m) at -infinity and +infinity, never by evaluating at roots;
+    the chain is kept on m.
+    """
+    return _tarski_of(m, _squarefree_chain(m), _primitive_integer(g)).count_all()
+
+
+def is_coprime(m: Polynomial, g: Polynomial) -> bool:
+    """Whether squarefree m and g have no common root.
+
+    For squarefree m the Tarski chain seeded with (m, m'*g mod m) ends at
+    gcd(m, g), so this reads that chain's last member.  The chain is kept on
+    m, and a later sign-condition count or Tarski query with g reuses it.
     """
     chain = _squarefree_chain(m)
-    return _tarski_chain(chain.members[0], _primitive_integer(g)).count_all()
+    return len(_tarski_of(m, chain, _primitive_integer(g)).members[-1]) == 1
+
+
+def _tarski_of(m: Polynomial, chain: SturmSequence, g: tuple[int, ...]) -> SturmSequence:
+    """Tarski chain of squarefree m and the primitive condition g, kept on m.
+
+    `chain` is m's Sturm chain; a positive multiple of a condition has the
+    same primitive coefficients, so it finds the same chain.
+    """
+    chains = m._tarski
+    if chains is None:
+        chains = m._tarski = {}
+    local = chains.get(g)
+    if local is None:
+        local = chains[g] = _tarski_chain(chain.members[0], g)
+    return local
 
 
 def _tarski_chain(m: tuple[int, ...], g) -> SturmSequence:
@@ -462,21 +489,23 @@ def _check_sign_conditions(m: Polynomial, gs) -> tuple[SturmSequence, list]:
 def count_roots_with_signs(m: Polynomial, gs) -> int:
     """Number of real roots c of m with g(c) > 0 for every g in gs.
 
-    Isolates the roots of m once, on its own Sturm chain.  For each
+    Uses the isolating intervals and Tarski chains m keeps, building those
+    it lacks: the roots of m are isolated once, on its own Sturm chain, and
+    each condition's chain is built once per polynomial.  For each
     condition g, one localized Tarski query decides sgn g(c) at every root c
     still counted: across an isolating interval (a, b) of c, the chain
     seeded with (m, m'*g mod m) drops by exactly sgn g(c), because a and b
     are not roots of m and g is coprime to m.  All these chains are built
     before isolating: for squarefree m each one ends at gcd(m, g), so a
     nonconstant last member rejects a condition sharing a root with m, even
-    one that comes after the roots have run out.  The work is one isolation
-    plus r chains.
+    one that comes after the roots have run out.  The work is at most one
+    isolation plus r chains.
     """
     chain, gs = _check_sign_conditions(m, gs)
-    queries = [_tarski_chain(chain.members[0], g) for g in gs]
+    queries = [_tarski_of(m, chain, g) for g in gs]
     if any(len(local.members[-1]) > 1 for local in queries):
         raise SignConditionDegenerate()
-    roots = _isolate(m, chain)
+    roots = _real_roots(m, chain)
     for local in queries:
         if not roots:
             break
@@ -490,19 +519,24 @@ def count_roots_with_signs_formula(m: Polynomial, gs) -> int:
     The count equals 2**(-r) * sum_e TaQ(g1**e1 * ... * gr**er, m) over the
     exponent vectors e in {1,2}**r; products are reduced mod m and scaled
     by positive integers, which leaves their signs at the roots of m
-    unchanged.  The first vector is (1, ..., 1), whose chain ends at
-    gcd(m, g1 * ... * gr): a nonconstant end rejects the query.  Costs 2**r
-    Tarski queries; kept as the isolation-free reference path.
+    unchanged.  The products are built level by level over a prefix tree,
+    in `itertools.product` order: level i multiplies each product of the
+    first i - 1 conditions by g_i and by g_i**2, so the 2**r products cost
+    about 2**(r+1) reductions rather than r * 2**r.  The first vector is
+    (1, ..., 1), whose chain ends at gcd(m, g1 * ... * gr): a nonconstant
+    end rejects the query.  Costs 2**r Tarski queries; kept as the
+    isolation-free reference path, so it neither reads nor fills the
+    chains and intervals m keeps.
     """
     chain, gs = _check_sign_conditions(m, gs)
     m = chain.members[0]
     r = len(gs)
     powers = [(_prem(g, m), _prem(_mul(g, g), m)) for g in gs]
+    products = list(powers[0])
+    for g1, g2 in powers[1:]:
+        products = [_prem(_mul(p, f), m) for p in products for f in (g1, g2)]
     total = 0
-    for k, factors in enumerate(itertools.product(*powers)):
-        ge = (1,)
-        for f in factors:
-            ge = _prem(_mul(ge, f), m)
+    for k, ge in enumerate(products):
         local = _tarski_chain(m, ge)
         if k == 0 and len(local.members[-1]) > 1:
             raise SignConditionDegenerate()
@@ -516,11 +550,15 @@ def refine_interval(p: Polynomial, iv: Interval, width: Fraction) -> Interval:
     """Shrink an isolating interval to the requested width by bisection.
 
     The ends are carried as integer numerators over one denominator, and
-    each midpoint is one reading of p's Sturm chain, as in isolation.
+    each midpoint is one reading of p's Sturm chain, as in isolation.  The
+    width must be positive (ValueError otherwise): bisection never reaches
+    an irrational root exactly.
     """
     if p.is_zero:
         raise ZeroPolynomial()
     width = Fraction(width)
+    if width <= 0:
+        raise ValueError("refinement width must be positive")
     chain = sturm_sequence(p)
     q = math.lcm(iv.lo.denominator, iv.hi.denominator)
     lo = iv.lo.numerator * (q // iv.lo.denominator)

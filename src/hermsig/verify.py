@@ -23,7 +23,7 @@ from .exactnum import (
     _scaled_value,
     count_roots_with_signs,
     count_roots_with_signs_formula,
-    gcd,
+    is_coprime,
     is_squarefree,
     isolate_real_roots,
     sturm_sequence,
@@ -134,16 +134,17 @@ def _integer_coeffs(f) -> list[int]:
     return [c.numerator * (den // c.denominator) for c in f.coeffs]
 
 
-def _oracle_sign_at_root(g, p, chain, iv):
+def _oracle_sign_at_root(gs, ps, chain, iv):
     """Sign of g at the isolated root of p: interval refinement only.
 
-    `chain` is the Sturm chain of p and `iv` an isolating interval whose
-    endpoints are not roots of p; each step keeps the half holding the root.
-    The ends are integers lo/q and hi/q over one denominator: step k of the
-    interval Horner bound of g is scaled by q^k, and p and g are read at the
-    midpoint as q^deg times their values, so every test is an integer sign.
+    gs and ps are the integer coefficients of positive multiples of g and
+    p (`_integer_coeffs`), `chain` is the Sturm chain of p and `iv` an
+    isolating interval whose endpoints are not roots of p; each step keeps
+    the half holding the root.  The ends are integers lo/q and hi/q over one
+    denominator: step k of the interval Horner bound of g is scaled by q^k,
+    and p and g are read at the midpoint as q^deg times their values, so
+    every test is an integer sign.
     """
-    gs, ps = _integer_coeffs(g), _integer_coeffs(p)
     q = math.lcm(iv.lo.denominator, iv.hi.denominator)
     lo = iv.lo.numerator * (q // iv.lo.denominator)
     hi = iv.hi.numerator * (q // iv.hi.denominator)
@@ -164,7 +165,12 @@ def _oracle_sign_at_root(g, p, chain, iv):
 
 
 def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
-    """Both sign-condition count paths against isolate-and-evaluate."""
+    """Both sign-condition count paths against isolate-and-evaluate.
+
+    The oracle and the localized count read the one isolation m keeps, and
+    the count reuses the Tarski chains `is_coprime` built on m; the formula
+    path shares neither.
+    """
     done = 0
     mismatches = 0
     while done < instances:
@@ -175,15 +181,17 @@ def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
         want = rng.randint(1, 3)
         for _ in range(want):
             g = _random_poly(rng, 3, 10)
-            if gcd(m, g).degree == 0:
+            if is_coprime(m, g):
                 gs.append(g)
         if not gs:
             continue
         chain = sturm_sequence(m)
+        ps = _integer_coeffs(m)
+        conditions = [_integer_coeffs(g) for g in gs]
         expected = sum(
             1
             for iv in isolate_real_roots(m)
-            if all(_oracle_sign_at_root(g, m, chain, iv) == 1 for g in gs)
+            if all(_oracle_sign_at_root(g, ps, chain, iv) == 1 for g in conditions)
         )
         if (
             count_roots_with_signs(m, gs) != expected

@@ -17,7 +17,7 @@ from hermsig.exactnum import (
     count_real_roots,
     count_roots_with_signs,
     count_roots_with_signs_formula,
-    gcd,
+    is_coprime,
     is_squarefree,
     isolate_real_roots,
     refine_interval,
@@ -50,8 +50,16 @@ def test_polynomial_normalization_and_arithmetic():
 
 def test_gcd_and_squarefree():
     p = P(-1, 0, 1) * P(-1, 1)  # (x^2-1)(x-1): double root at 1
-    assert gcd(p, P(-1, -2, 3)).coeffs == (-1, 1)  # p' = 3x^2 - 2x - 1
+    # the Sturm chain of (p, p') ends at gcd(p, p') = x - 1
+    assert sturm_sequence(p).members[-1] == (-1, 1)
     assert not is_squarefree(p)
+    # coprimality read off the Tarski chain of squarefree m = x^2 - 1
+    assert not is_coprime(P(-1, 0, 1), P(-1, 1))
+    assert not is_coprime(P(-1, 0, 1), P(-1, 0, 1) * P(5, 1))
+    assert is_coprime(P(-1, 0, 1), P(-2, 1))
+    assert is_coprime(P(-1, 0, 1), P(3))
+    with pytest.raises(NotSquarefree):
+        is_coprime(p, P(-2, 1))
     assert is_squarefree(X2_MINUS_2)
 
 
@@ -238,6 +246,13 @@ def test_refine_interval():
         refine_interval(X2_MINUS_2, Interval(-2, 2), Fraction(1, 2))
 
 
+def test_refine_interval_rejects_nonpositive_width():
+    # bisection never lands on sqrt 2, so width 0 would never be reached
+    for width in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            refine_interval(X2_MINUS_2, Interval(1, 2), width)
+
+
 def test_refine_interval_rational_root_endpoint():
     iv = refine_interval(P(-1, 1), Interval(0, 1), Fraction(1, 8))
     assert iv.lo <= 1 <= iv.hi
@@ -296,7 +311,7 @@ def test_sign_condition_count_against_bruteforce():
         gs = []
         for _ in range(rng.randint(1, 3)):
             g = _random_poly(rng, max_deg=3, max_coeff=8)
-            if gcd(m, g).degree == 0:
+            if is_coprime(m, g):
                 gs.append(g)
         if not gs:
             continue
