@@ -20,6 +20,7 @@ from .errors import OrderingDoesNotRestrict
 from .exactnum import (
     Polynomial,
     _interval_sign,
+    _primitive_integer,
     _scaled_value,
     count_roots_with_signs,
     count_roots_with_signs_formula,
@@ -128,22 +129,15 @@ def _random_poly(rng, max_deg, max_coeff):
     return Polynomial(coeffs + [lead])
 
 
-def _integer_coeffs(f) -> list[int]:
-    """Integer coefficients of a positive multiple of the polynomial f."""
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    return [c.numerator * (den // c.denominator) for c in f.coeffs]
-
-
 def _oracle_sign_at_root(gs, ps, chain, iv):
     """Sign of g at the isolated root of p: interval refinement only.
 
     gs and ps are the integer coefficients of positive multiples of g and
-    p (`_integer_coeffs`), `chain` is the Sturm chain of p and `iv` an
-    isolating interval whose endpoints are not roots of p; each step keeps
-    the half holding the root.  The ends are integers lo/q and hi/q over one
-    denominator: step k of the interval Horner bound of g is scaled by q^k,
-    and p and g are read at the midpoint as q^deg times their values, so
-    every test is an integer sign.
+    p, `chain` is the Sturm chain of p and `iv` an isolating interval whose
+    endpoints are not roots of p; each step keeps the half holding the root.
+    The ends are integers lo/q and hi/q over one denominator: step k of the
+    interval Horner bound of g is scaled by q^k, and p and g are read at the
+    midpoint as q^deg times their values, so every test is an integer sign.
     """
     q = math.lcm(iv.lo.denominator, iv.hi.denominator)
     lo = iv.lo.numerator * (q // iv.lo.denominator)
@@ -186,8 +180,8 @@ def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
         if not gs:
             continue
         chain = sturm_sequence(m)
-        ps = _integer_coeffs(m)
-        conditions = [_integer_coeffs(g) for g in gs]
+        ps = chain.members[0]
+        conditions = [_primitive_integer(g) for g in gs]
         expected = sum(
             1
             for iv in isolate_real_roots(m)
