@@ -32,7 +32,11 @@ each with the memo emptied on each call, and one `cli.run` each of the
 for a fixed 2 x 2 hermitian matrix over (-1,-1) on the quartic field
 x^4 - 180, stdout discarded.  Over M_3(H) it times `mat_inv` of a fixed
 3 x 3 matrix, building the algebra with Phi = I, and checking the cone
-certificate of a fixed positive definite hermitian matrix.  The
+certificate of a fixed positive definite hermitian matrix.  Over M_3 of
+(-1,-1) on x^4 - 180 it times reading a fixed 3 x 3 hermitian element
+from its wire form, integer coordinate strings as a `member` job sends
+them (`parse_algebra_element`), and deciding its membership in the + cone
+at the second ordering (`cone_membership`, a member).  The
 arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
 The hermsig measured is whichever one PYTHONPATH imports, so the same
 script times any checkout; its figures go into one column of the JSON file
@@ -56,7 +60,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import hermsig
-from hermsig import cli
+from hermsig import cli, jsonio
 from hermsig.algebras import DElement, make_algebra, mat_inv, quadratic_desc, quaternion_desc
 from hermsig.cones import PositiveConeHandle, cone_membership
 from hermsig.exactnum import (
@@ -142,6 +146,33 @@ def _hamilton_m3_operations() -> dict:
         "mat_inv.quaternion.m3": lambda: mat_inv(x),
         "algebra_init.quaternion.m3": lambda: make_algebra(desc, 3),
         "cone_witness_check.quaternion.m3": check,
+    }
+
+
+def _member_m3_deg4_operations() -> dict:
+    """Wire parse and cone membership of a 3 x 3 hermitian element over x^4 - 180."""
+    field = NumberField([-180, 0, 0, 0, 1])
+    minus_one = field.from_rational(-1)
+    A = make_algebra(quaternion_desc(field, minus_one, minus_one), 3)
+    rng = random.Random(16)
+
+    def coords():
+        return [str(rng.randint(-3, 3)) for _ in range(4)]
+
+    wire = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        # a scalar diagonal large enough for a positive definite element
+        wire[i][i] = [[str(1000 + rng.randint(-3, 3)), "0", "0", "0"], *[["0"] * 4] * 3]
+        for j in range(i + 1, 3):
+            upper = [coords() for _ in range(4)]
+            wire[i][j] = upper
+            wire[j][i] = [upper[0]] + [[str(-int(c)) for c in comp] for comp in upper[1:]]
+    b = jsonio.parse_algebra_element(A, wire)
+    cone = PositiveConeHandle(A, list_orderings(field)[1], 1)
+    assert cone_membership(b, cone)[0]
+    return {
+        "parse_algebra_element.quaternion.m3.deg4": lambda: jsonio.parse_algebra_element(A, wire),
+        "cone_membership.quaternion.m3.deg4": lambda: cone_membership(b, cone),
     }
 
 
@@ -283,6 +314,7 @@ def operations() -> dict:
     ops["delement_norm.quaternion.deg4"] = q4.norm
     ops.update(_hamilton_operations())
     ops.update(_hamilton_m3_operations())
+    ops.update(_member_m3_deg4_operations())
     ops.update(_cli_operations())
     return ops
 

@@ -5,6 +5,9 @@ P-semidefinite theta-hermitian matrices under x -> eps Phi x, one per
 orientation eps.  That map is the algebra's `rescale` (times eps), and
 membership inverts it with `unscale`: b is in the cone exactly when
 eps Phi^(-1) b diagonalizes by congruence to entries that are >= 0 at P.
+b is symmetric exactly when Phi^(-1) b is theta-hermitian, so membership
+tests symmetry only through the elimination's one-triangle hermitian test,
+and the elimination inverts a pivot only when a later column uses it.
 The transform and the diagonal form the certificate, and
 `ConeWitness.check` verifies one by multiplication, with no inverse.
 """
@@ -17,6 +20,7 @@ from fractions import Fraction
 from .errors import (
     FieldMismatch,
     NilOrdering,
+    NotHermitian,
     NotInvertible,
     NotSymmetric,
     OrderingDoesNotRestrict,
@@ -63,6 +67,11 @@ def _diag(desc: DivisionAlgebraDesc, us):
     ]
 
 
+def _oriented(b: AlgebraElement, cone: PositiveConeHandle):
+    """The entries of eps * b."""
+    return b.entries if cone.orientation == 1 else (-b).entries
+
+
 @dataclass(frozen=True)
 class ConeWitness:
     """Certificate: theta(G)^t (eps Phi^-1 b) G = diag with entries >= 0 at P."""
@@ -78,7 +87,7 @@ class ConeWitness:
         """
         A = cone.algebra
         G, d = self.transform, self.diagonal
-        unscaled = A.unscale((b * Fraction(cone.orientation)).entries)
+        unscaled = A.unscale(_oriented(b, cone))
         congruent = mat_mul(mat_theta_t(G), mat_mul(unscaled, G)) == _diag(A.desc, d)
         if not congruent or any(sign_of(u, cone.ordering) < 0 for u in d):
             return False
@@ -105,14 +114,19 @@ def psd_membership(
 def cone_membership(
     b: AlgebraElement, cone: PositiveConeHandle
 ) -> tuple[bool, ConeWitness | None]:
-    """Membership of a symmetric element, with a witness on success."""
+    """Membership of a symmetric element, with a witness on success.
+
+    b is symmetric exactly when Phi^(-1) b is theta-hermitian, since
+    sigma(b) = Phi theta(Phi^(-1) b)^t, so the elimination's own hermitian
+    test decides symmetry: its NotHermitian is raised as NotSymmetric.
+    """
     A = cone.algebra
     if b.owner is not A:
         raise FieldMismatch()
-    if not A.is_symmetric(b):
-        raise NotSymmetric()
-    unscaled = A.unscale((b * Fraction(cone.orientation)).entries)
-    return psd_membership(A.desc, unscaled, cone.ordering)
+    try:
+        return psd_membership(A.desc, A.unscale(_oriented(b, cone)), cone.ordering)
+    except NotHermitian:
+        raise NotSymmetric() from None
 
 
 def list_positive_cones(A: AlgebraWithInvolution) -> tuple[PositiveConeHandle, ...]:

@@ -5,9 +5,11 @@ over any (D, theta); a quadratic form over F is the hermitian form over the
 base kind (F, id), for which hermitian means symmetric, so Gram matrices of
 quadratic forms (the first-kind star pairing) are diagonalized here as
 well, and so are theta(x)^t x when `algebras.unit_congruence` tests x and
-Phi when an algebra inverts it.  Each Schur complement is theta-hermitian,
-so the elimination computes its lower triangle and mirrors the upper one
-by theta.
+Phi when an algebra inverts it.  It tests hermitian-ness once, on one
+triangle of its input, and that test is also the cones' symmetry test.
+Each Schur complement is theta-hermitian, so the elimination computes its
+lower triangle and mirrors the upper one by theta, and it inverts a pivot
+only when a later column needs the inverse.
 
 A `HermitianForm` is an orthogonal sum of square Gram blocks over A:
 diagonal forms are sums of one-entry blocks, and direct sums, scalings,
@@ -57,7 +59,6 @@ from .algebras import (
     DivisionAlgebraDesc,
     base_desc,
     mat_identity,
-    mat_theta_t,
     nil_orderings,
     random_d_matrix,
 )
@@ -73,10 +74,14 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
     """Congruence diagonalization of a theta-hermitian matrix over D.
 
     Returns (G, d) with theta(G)^t B G = diag(d); the entries d_i lie in
-    Sym(D, theta) = F.  Pivots are always field scalars because hermitian
-    diagonal entries have no non-identity components, so this works even
-    when D has zero divisors.  At pivot p = B[r][r], each later column t
-    gets c_t = -B[r][t] p^(-1); the Schur complement is hermitian, so only
+    Sym(D, theta) = F.  B is hermitian when B[j][i] = theta(B[i][j]) for
+    i <= j, which is tested on that one triangle (on the base kind, off the
+    diagonal only) and raises NotHermitian at the first mismatch.  Pivots
+    are always field scalars because hermitian diagonal entries have no
+    non-identity components, so this works even when D has zero divisors.
+    At pivot p = B[r][r], each later column t with B[r][t] nonzero gets
+    c_t = -B[r][t] p^(-1), with p inverted at the first such column and not
+    at all when there is none; the Schur complement is hermitian, so only
     its lower triangle is computed, B[i][t] += B[i][r] c_t for i >= t, and
     B[t][i] is written as theta(B[i][t]).  Row and column r are then zero.
     When every remaining diagonal entry is zero but some off-diagonal entry
@@ -88,8 +93,13 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
     if any(len(row) != ell for row in B):
         raise NotHermitian("matrix is not square")
     B = [list(row) for row in B]
-    if mat_theta_t(B) != B:
-        raise NotHermitian()
+    # theta is the identity on the base kind, so a mirror is the entry itself
+    mirror = desc.kind != BASE
+    for i, row in enumerate(B):
+        for j in range(i if mirror else i + 1, ell):
+            x = row[j]
+            if B[j][i] != (x.conj() if mirror else x):
+                raise NotHermitian()
     G = mat_identity(desc, ell)
 
     def col_row_op(t, r, c):
@@ -117,8 +127,6 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
 
     field = desc.field
     zero = desc.zero()
-    # theta is the identity on the base kind, so a mirror is the entry itself
-    mirror = desc.kind != BASE
     diag: list[FieldElement] = []
     for r in range(ell):
         if B[r][r].is_zero:
@@ -154,11 +162,13 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
         if not pivot.is_scalar:
             raise AssertionError("hermitian diagonal entry is not central")
         pval = pivot.scalar_part()
-        pinv = pval.inverse()
+        pinv = None
         row_r = B[r]
         for t in range(r + 1, ell):
             if row_r[t].is_zero:
                 continue
+            if pinv is None:
+                pinv = pval.inverse()
             c = -(row_r[t] * pinv)
             row_t = B[t]
             for i in range(t, ell):

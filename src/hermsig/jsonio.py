@@ -1,19 +1,32 @@
 """JSON wire formats.
 
-All rationals travel as "p/q" strings (or bare integer strings) so that no
-float ever enters or leaves the library.  Polynomials are arrays lowest
-degree first; intervals are two-element arrays; field elements are arrays
-of rationals in the power basis; a DElement is an array of 1, 2 or 4 field
-elements; an algebra element is an n x n array of DElements.
+Every rational on the wire is a JSON integer or a string of the grammar
+
+    rational := [+-]? digits ( "/" digits )?      digits := [0-9]+
+
+read with `int()` on each half: ASCII digits only, a sign only on the
+numerator, a nonzero denominator, no spaces, underscores, decimal points
+or exponents, so no float ever enters the library.  Anything else, a JSON
+float or boolean included, is a `ParseError`.  Fractions need not be
+reduced ("6/4" reads as 3/2).  Polynomials are arrays lowest degree first;
+intervals are two-element arrays; field elements are arrays of rationals in
+the power basis; a DElement is an array of 1, 2 or 4 field elements; an
+algebra element is an n x n array of DElements.  A lone rational stands for
+the scalar it names wherever a field element, DElement or algebra element
+is expected.  Field elements and DElements are read straight into their
+integer blocks over one lcm of denominators and written back from them, in
+lowest terms as `str(Fraction)` would write each coordinate.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 
 from .errors import ParseError
 from .exactnum import Interval, Polynomial
-from .orderings import FieldElement, NumberField
+from .orderings import FieldElement, NumberField, _canonical
 from .qforms import QuadraticForm
 from .algebras import (
     BASE,
@@ -23,6 +36,7 @@ from .algebras import (
     AlgebraWithInvolution,
     DElement,
     DivisionAlgebraDesc,
+    _make,
     base_desc,
     make_algebra,
     quadratic_desc,
@@ -30,18 +44,59 @@ from .algebras import (
 )
 from .hermitian import HermitianForm, diagonal_form
 
+# [0-9], unlike \d, is ASCII only
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(v) -> tuple[int, int]:
+    """(numerator, denominator) of one wire rational, den > 0, not reduced."""
+    if isinstance(v, str):
+        m = _RATIONAL.fullmatch(v)
+        if m is None:
+            raise ParseError(f"bad rational {v!r}")
+        num, den = m.groups()
+        try:
+            n, d = int(num), int(den) if den else 1
+        except ValueError as e:  # beyond int()'s digit limit
+            raise ParseError(f"bad rational {v!r}") from e
+        if d == 0:
+            raise ParseError(f"bad rational {v!r}: zero denominator")
+        return n, d
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v, 1
+    raise ParseError(f"not a rational: {v!r}")
+
 
 def parse_frac(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ParseError(f"not a rational: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"bad rational {v!r}") from e
-    raise ParseError(f"not a rational: {v!r}")
+    return Fraction(*_rational(v))
+
+
+def _coordinates(F: NumberField, v) -> list[tuple[int, int]]:
+    """The rationals of one wire field element, a lone rational padded with 0."""
+    if isinstance(v, (int, str)):
+        return [_rational(v)] + [(0, 1)] * (F.degree - 1)
+    if not isinstance(v, list):
+        raise ParseError("field element must be an array of rationals")
+    if len(v) != F.degree:
+        raise ParseError(
+            f"field element needs {F.degree} coordinates, got {len(v)}"
+        )
+    return [_rational(c) for c in v]
+
+
+def _block(rationals) -> tuple[list[int], int]:
+    """Numerators over the one lcm of the denominators, not yet reduced."""
+    den = math.lcm(*(d for _, d in rationals))
+    return [n * (den // d) for n, d in rationals], den
+
+
+def _rationals_json(nums, den: int) -> list[str]:
+    """Each nums[i]/den in lowest terms, written as str(Fraction) would."""
+    out = []
+    for n in nums:
+        g = math.gcd(n, den)
+        out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return out
 
 
 def parse_count(v, what: str) -> int:
@@ -81,37 +136,30 @@ def parse_field(v) -> NumberField:
 
 
 def element_to_json(x: FieldElement) -> list[str]:
-    return [str(c) for c in x.coords]
+    return _rationals_json(x.nums, x.den)
 
 
 def parse_element(F: NumberField, v) -> FieldElement:
-    if isinstance(v, (int, str)):
-        return F.from_rational(parse_frac(v))
-    if not isinstance(v, list):
-        raise ParseError("field element must be an array of rationals")
-    if len(v) != F.degree:
-        raise ParseError(
-            f"field element needs {F.degree} coordinates, got {len(v)}"
-        )
-    return F.element([parse_frac(c) for c in v])
+    return _canonical(F, *_block(_coordinates(F, v)))
 
 
 def delement_to_json(x: DElement) -> list[list[str]]:
-    return [element_to_json(c) for c in x.comps]
+    deg, nums = x.desc.field.degree, x.nums
+    return [_rationals_json(nums[s : s + deg], x.den) for s in range(0, len(nums), deg)]
 
 
 def parse_delement(desc: DivisionAlgebraDesc, v) -> DElement:
+    field = desc.field
     if isinstance(v, (int, str)):
-        return desc.from_field(desc.field.from_rational(parse_frac(v)))
+        n, d = _rational(v)
+        return _make(desc, (n,) + (0,) * (desc.dim * field.degree - 1), d)
     if not isinstance(v, list):
         raise ParseError("algebra coefficient must be an array")
     if len(v) != desc.dim:
         raise ParseError(
             f"{desc.kind} coefficient needs {desc.dim} components, got {len(v)}"
         )
-    return DElement(
-        desc, tuple(parse_element(desc.field, c) for c in v)
-    )
+    return _make(desc, *_block([q for c in v for q in _coordinates(field, c)]))
 
 
 # each division kind's builder and the components it reads besides the kind
@@ -168,7 +216,7 @@ def algebra_element_to_json(x: AlgebraElement) -> list:
 
 def parse_algebra_element(A: AlgebraWithInvolution, v) -> AlgebraElement:
     if isinstance(v, (int, str)):
-        return A.scalar(A.field.from_rational(parse_frac(v)))
+        return A.scalar(parse_element(A.field, v))
     if not isinstance(v, list) or len(v) != A.n:
         raise ParseError(f"algebra element must be an {A.n} x {A.n} array")
     rows = []

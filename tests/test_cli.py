@@ -1,4 +1,6 @@
 import json
+import signal
+import time
 
 import pytest
 
@@ -248,6 +250,11 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         ("signature", {"algebra": M2Q, "form": {"diag": ["1"], "gram": [["-1"]]}}, "gram"),
         ("nil", {"algebra": {**M2Q, "division": {"kind": "base", "d": "-1"}}}, "'d'"),
         ("orderings", {"field": {"min_poly": ["-2", "0", "1"], "degree": 2}}, "degree"),
+        ("orderings", {"field": {"min_poly": ["-2", "0", "1.5"]}}, "bad rational"),
+        ("orderings", {"field": {"min_poly": ["-2", "0", "1/2.5"]}}, "bad rational"),
+        ("orderings", {"field": {"min_poly": [" -2 ", "0", "1"]}}, "bad rational"),
+        ("orderings", {"field": {"min_poly": ["-2_0", "0", "1"]}}, "bad rational"),
+        ("member", {"algebra": HAM, "element": [[[["1/0"], "0", "0", "0"]]]}, "bad rational"),
     ],
     ids=[
         "diag_not_array",
@@ -270,6 +277,11 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         "diag_with_gram",
         "base_division_with_d",
         "unknown_field_key",
+        "decimal_point",
+        "decimal_denominator",
+        "spaces",
+        "underscore",
+        "zero_denominator",
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):
@@ -295,3 +307,37 @@ def test_negative_bound_exit_2(tmp_path, capsys):
     report = json.loads(out)
     assert report["error"] == "ParseError"
     assert "--bound" in report["message"]
+
+
+def test_exponent_coefficient_exits_2_at_once(tmp_path, capsys):
+    # Fraction reads "1e400" as 10^400, and screening x^2 + 10^400 for
+    # rational roots by trial division never ends; the wire grammar has no
+    # exponent, so the config is rejected as it is read
+    def give_up(signum, frame):
+        raise TimeoutError("the config was not rejected within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = time.perf_counter()
+        code, out = _run(tmp_path, capsys, "orderings", {"field": {"min_poly": ["1e400", "0", "1"]}})
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+    assert elapsed < 0.5
+
+
+def test_member_of_a_non_symmetric_element_exits_2(tmp_path, capsys):
+    # Phi^(-1) b = [[2, 1], [-1, 3]] is not symmetric, so b is not
+    config = {
+        "algebra": M2Q_PHI,
+        "element": [["2", "1"], ["1", "-3"]],
+        "ordering_index": 0,
+        "orientation": 1,
+    }
+    code, out = _run(tmp_path, capsys, "member", config)
+    assert code == 2
+    assert json.loads(out)["error"] == "NotSymmetric"

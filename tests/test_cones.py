@@ -18,6 +18,7 @@ from hermsig.algebras import (
     base_desc,
     make_algebra,
     quaternion_desc,
+    random_d_matrix,
 )
 from hermsig import jsonio, verify
 from hermsig.cones import (
@@ -100,6 +101,30 @@ def test_cone_membership_phi_scaled():
     b = M2.element(m2([[1, 0], [0, -1]]))  # equals Phi * I
     ok, w = cone_membership(b, plus)
     assert ok and w.check(b, plus)
+
+
+def test_cone_membership_rejects_non_symmetric_elements():
+    # b is symmetric exactly when Phi^(-1) b is theta-hermitian, so the
+    # elimination's hermitian test is the symmetry test, Phi != I included
+    algebras = standard_algebras()
+    rng = random.Random(5)
+    rejected = 0
+    for key in ("qq_ham", "m2_ham", "m2_qq_phi"):
+        A = algebras[key]
+        cones = list_positive_cones(A)
+        assert cones
+        for _ in range(10):
+            x = A.element(random_d_matrix(A.desc, A.n, rng, 2))
+            for b in (x, x + A.involution(x)):
+                if A.is_symmetric(b):
+                    for cone in cones:
+                        cone_membership(b, cone)
+                    continue
+                rejected += 1
+                for cone in cones:
+                    with pytest.raises(NotSymmetric):
+                        cone_membership(b, cone)
+    assert rejected >= 25
 
 
 def test_certificates_check_over_the_standard_algebras():

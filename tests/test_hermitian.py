@@ -96,6 +96,31 @@ def test_diagonalize_hermitian_rejects_nonhermitian():
     i = GAUSS.basis()[1]
     with pytest.raises(NotHermitian):
         diagonalize_hermitian(GAUSS, [[i]])
+    # the hermitian test reads one triangle, diagonal included: a lone
+    # non-identity component on the diagonal, or a lower entry that is not
+    # the mirror of the upper one, is found wherever it sits
+    beta = delt(HAM, 1, 2, 0, -1)
+    one = HAM.one()
+    base = [[one * 3, beta, HAM.zero()], [beta.conj(), one, beta], [HAM.zero(), beta.conj(), one]]
+    diagonalize_hermitian(HAM, base)
+    for r in range(3):
+        for unit in HAM.basis()[1:]:
+            B = [list(row) for row in base]
+            B[r][r] = B[r][r] + unit
+            with pytest.raises(NotHermitian):
+                diagonalize_hermitian(HAM, B)
+    for r, c in ((1, 0), (2, 1), (2, 0)):
+        B = [list(row) for row in base]
+        B[r][c] = B[r][c] + HAM.basis()[1]
+        with pytest.raises(NotHermitian):
+            diagonalize_hermitian(HAM, B)
+    # over the base kind, theta is the identity and the diagonal is free
+    Q = base_desc(QQ)
+    S = [[delt(Q, 1), delt(Q, 2)], [delt(Q, 2), delt(Q, 0)]]
+    diagonalize_hermitian(Q, S)
+    S[1][0] = delt(Q, 3)
+    with pytest.raises(NotHermitian):
+        diagonalize_hermitian(Q, S)
 
 
 def test_nil_orderings_tables():

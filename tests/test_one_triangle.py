@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hermsig.algebras import DElement, mat_identity, quaternion_desc  # noqa: E402
 from hermsig.hermitian import diagonalize_hermitian  # noqa: E402
-from hermsig.orderings import NumberField  # noqa: E402
+from hermsig.orderings import FieldElement, NumberField  # noqa: E402
 from hermsig.verify import standard_algebras  # noqa: E402
 
 
@@ -139,3 +139,49 @@ def hermitian_matrices(draw):
 def test_one_triangle_matches_the_two_triangle_elimination(case):
     key, desc, B = case
     assert diagonalize_hermitian(desc, B) == reference_diagonalize(desc, B), key
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+    inverse = FieldElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(hermitian_matrices())
+def test_pivots_are_inverted_only_when_used(case):
+    key, desc, B = case
+    expected = reference_diagonalize(desc, B)
+    diagonal = [[e if i == j else desc.zero() for j, e in enumerate(row)] for i, row in enumerate(B)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_inverses(monkeypatch)
+        result = diagonalize_hermitian(desc, B)
+        used = len(calls)
+        diagonalize_hermitian(desc, diagonal)
+    assert result == expected, key
+    # the last pivot has no later column, so at most ell - 1 inverses
+    assert used <= len(B) - 1
+    # a diagonal input has no later column at any pivot
+    assert len(calls) == used
+
+
+def test_a_dense_matrix_inverts_each_pivot_but_the_last(monkeypatch):
+    desc = DESCS["qq_ham"]
+    one = desc.one()
+    beta = DElement(desc, tuple(desc.field.from_rational(c) for c in (1, -1, 2, 1)))
+    ell = 4
+    # diagonal dominance keeps every pivot nonzero and every later entry too
+    B = [
+        [one * 20 if i == j else (beta if i < j else beta.conj()) for j in range(ell)]
+        for i in range(ell)
+    ]
+    expected = reference_diagonalize(desc, B)
+    calls = _count_inverses(monkeypatch)
+    assert diagonalize_hermitian(desc, B) == expected
+    assert len(calls) == ell - 1
