@@ -11,8 +11,9 @@ divisor x^2 - 2 over x^4 - 4 (`sign_of.deg4.fallback`), which after the
 first call goes straight from an undecided interval test to the Tarski
 query; building the `NumberField` x^4 - 180 (screens included);
 `sturm_sequence` of a degree-8 polynomial and `isolate_real_roots` of it
-(four real roots); `count_roots_with_signs_formula` and the localized
-`count_roots_with_signs` for three quadratic conditions on a sextic with six
+(four real roots); `count_roots_with_signs_formula` for one, three and five
+quadratic conditions and the localized `count_roots_with_signs` for the
+first three, on a sextic with six
 rational roots (each call gets a fresh copy of its polynomial, so the
 chain, intervals and Tarski chains a `Polynomial` keeps are built every
 time); one
@@ -295,14 +296,15 @@ def operations() -> dict:
     sextic = Polynomial([1])
     for k in range(-2, 4):
         sextic = sextic * Polynomial([-k, 1])
-    conditions = [Polynomial([X[i], Y[i], 1]) for i in range(3)]
+    conditions = [Polynomial([X[i % 4], Y[(i + i // 4) % 4], 1]) for i in range(5)]
     ops["sturm_sequence.deg8"] = lambda: sturm_sequence(Polynomial(deg8.coeffs))
     ops["isolate_real_roots.deg8"] = lambda: isolate_real_roots(Polynomial(deg8.coeffs))
-    ops["count_roots_with_signs_formula.r3"] = lambda: count_roots_with_signs_formula(
-        Polynomial(sextic.coeffs), conditions
-    )
+    for r in (1, 3, 5):
+        ops[f"count_roots_with_signs_formula.r{r}"] = lambda r=r: count_roots_with_signs_formula(
+            Polynomial(sextic.coeffs), conditions[:r]
+        )
     ops["count_roots_with_signs.r3"] = lambda: count_roots_with_signs(
-        Polynomial(sextic.coeffs), conditions
+        Polynomial(sextic.coeffs), conditions[:3]
     )
     ops["verify_sturm.30"] = lambda: criterion_sturm_oracle(random.Random(0), 30)
     ops["delement_mul.quaternion.deg1"] = lambda: q1 * r1

@@ -17,13 +17,16 @@ x * theta(x) through the diagonal table (1, -u^2, -v^2, u^2 v^2).
 This module is the only one that knows Phi.  `AlgebraWithInvolution.unscale`
 (m -> Phi^(-1) m) sends the symmetric elements onto the theta-hermitian
 matrices, and `rescale` (m -> Phi m) sends them back; both are the identity
-when Phi = I.  Hermitian forms diagonalize unscaled blocks, and the positive
-cones are the rescaled images of the P-semidefinite hermitian matrices.  The
-rule for where A splits lives here too: `nil_orderings` lists the orderings
-at which every signature over (A, sigma) vanishes.  Algebra elements are
-canonical, so two of them are equal exactly when their entries are.  Matrices
-over D are not row reduced: `unit_congruence` and `mat_inv` test and invert
-x through the congruence diagonalization of theta(x)^t x by
+when Phi = I.  So `is_symmetric` tests that Phi^(-1) x is theta-hermitian,
+on one triangle, by `is_theta_hermitian`, the test `diagonalize_hermitian`
+runs on its input; sigma(x) is not built.  Hermitian forms diagonalize
+unscaled blocks, and the positive cones are the rescaled images of the
+P-semidefinite hermitian matrices.  The rule for where A splits lives here
+too: `nil_orderings` lists the orderings at which every signature over
+(A, sigma) vanishes.  Algebra elements are canonical, so two of them are
+equal exactly when their entries are.  Matrices over D are not row
+reduced: `unit_congruence` and `mat_inv` test and invert x through the
+congruence diagonalization of theta(x)^t x by
 `hermitian.diagonalize_hermitian`, the one elimination over D, split D too.
 Phi is theta-hermitian already, so `_phi_inverse` diagonalizes Phi itself.
 """
@@ -386,6 +389,21 @@ def mat_theta_t(x):
     return [[x[j][i].conj() for j in range(n)] for i in range(m)]
 
 
+def is_theta_hermitian(desc: DivisionAlgebraDesc, x) -> bool:
+    """Whether the square matrix x over D equals theta(x)^t, on one triangle.
+
+    Tests x[j][i] == theta(x[i][j]) for i <= j (i < j on the base kind,
+    where theta is the identity) and stops at the first mismatch.
+    """
+    mirror = desc.kind != BASE
+    for i, row in enumerate(x):
+        for j in range(i if mirror else i + 1, len(x)):
+            v = row[j]
+            if x[j][i] != (v.conj() if mirror else v):
+                return False
+    return True
+
+
 def unit_congruence(x):
     """(G, d, x*) with theta(G)^t (x* x) G = diag(d), where x* = theta(x)^t.
 
@@ -442,7 +460,7 @@ class AlgebraWithInvolution:
         phi = [list(row) for row in phi]
         if len(phi) != n or any(len(row) != n for row in phi):
             raise ValueError("phi must be an n x n matrix")
-        if mat_theta_t(phi) != phi:
+        if not is_theta_hermitian(desc, phi):
             raise PhiNotSymmetric()
         self._phi_is_identity = phi == mat_identity(desc, n)
         self._phi_inv = phi if self._phi_is_identity else _phi_inverse(phi)
@@ -519,8 +537,13 @@ class AlgebraWithInvolution:
         return self.element(mat_mul(x.entries, y.entries))
 
     def is_symmetric(self, x: "AlgebraElement") -> bool:
+        """Whether sigma(x) = x, read as Phi^(-1) x being theta-hermitian.
+
+        sigma(x) = Phi theta(Phi^(-1) x)^t, so the two are equivalent and
+        sigma(x) is never built.
+        """
         self._own(x)
-        return x == self.involution(x)
+        return is_theta_hermitian(self.desc, self.unscale(x.entries))
 
     def invert(self, x: "AlgebraElement") -> "AlgebraElement":
         self._own(x)

@@ -27,7 +27,10 @@ the roots of m once and then runs one localized Tarski query per condition
 on each surviving isolating interval, so its cost is linear in the number r
 of conditions; the intervals and chains it uses are those m keeps.
 `count_roots_with_signs_formula` is the paper's averaged inclusion-exclusion
-over the 2**r exponent vectors in {1,2}**r; it stays as the isolation-free
+over the 2**r exponent vectors in {1,2}**r.  Every condition is coprime to
+m, so its square is positive at each real root of m and the sum runs over
+the products of the 2**r subsets of the conditions: 2**r - 1 Tarski chains,
+plus m's root count for the empty product.  It stays as the isolation-free
 reference and is cross-checked against the first path and against
 isolate-and-evaluate by the `sturm_sign_count_oracle` criterion.
 No polynomial gcd is computed: for squarefree m the Tarski chain seeded
@@ -301,11 +304,14 @@ def _interval_sign(cs, lo: int, hi: int, q: int) -> int:
 
 
 def _chain(f0: tuple[int, ...], f1: tuple[int, ...]) -> SturmSequence:
-    """Chain of primitive integer members seeded with f0 and f1 (f0 nonzero)."""
+    """Chain of primitive integer members seeded with f0 and f1 (f0 nonzero).
+
+    A nonzero constant member ends the chain: any remainder by it is zero.
+    """
     seq = [f0]
     if f1:
         seq.append(f1)
-        while True:
+        while len(seq[-1]) > 1:
             r = _prem(seq[-2], seq[-1])
             if not r:
                 break
@@ -517,33 +523,35 @@ def count_roots_with_signs_formula(m: Polynomial, gs) -> int:
     """`count_roots_with_signs` by the paper's averaged inclusion-exclusion.
 
     The count equals 2**(-r) * sum_e TaQ(g1**e1 * ... * gr**er, m) over the
-    exponent vectors e in {1,2}**r; products are reduced mod m and scaled
-    by positive integers, which leaves their signs at the roots of m
-    unchanged.  The products are built level by level over a prefix tree,
-    in `itertools.product` order: level i multiplies each product of the
-    first i - 1 conditions by g_i and by g_i**2, so the 2**r products cost
-    about 2**(r+1) reductions rather than r * 2**r.  The first vector is
-    (1, ..., 1), whose chain ends at gcd(m, g1 * ... * gr): a nonconstant
-    end rejects the query.  Costs 2**r Tarski queries; kept as the
-    isolation-free reference path, so it neither reads nor fills the
-    chains and intervals m keeps.
+    exponent vectors e in {1,2}**r.  A count needs every condition coprime
+    to m, so each g_i**2 is positive at every real root of m and the term
+    of e equals TaQ(g_S, m), g_S the product of the g_i with e_i = 1: the
+    sum runs over the subsets S of the conditions.  The empty product's
+    term TaQ(1, m) is the number of real roots of m, read off m's Sturm
+    chain, so the count costs 2**r - 1 Tarski chains.  The nonempty
+    products are reduced mod m and scaled by positive integers, which
+    leaves their signs at the roots of m unchanged, and built over a prefix
+    tree without squares: level i keeps each product p and adds
+    p * g_i mod m, one reduction per product.  The chain of the full
+    product g1 * ... * gr is built first; it ends at gcd(m, g1 * ... * gr),
+    and a nonconstant end rejects the query before any other chain is
+    built.  Kept as the isolation-free reference path, it reads m's Sturm
+    chain only and neither reads nor fills the chains and intervals m keeps.
     """
     chain, gs = _check_sign_conditions(m, gs)
     m = chain.members[0]
-    r = len(gs)
-    powers = [(_prem(g, m), _prem(_mul(g, g), m)) for g in gs]
-    products = list(powers[0])
-    for g1, g2 in powers[1:]:
-        products = [_prem(_mul(p, f), m) for p in products for f in (g1, g2)]
-    total = 0
-    for k, ge in enumerate(products):
-        local = _tarski_chain(m, ge)
-        if k == 0 and len(local.members[-1]) > 1:
-            raise SignConditionDegenerate()
-        total += local.count_all()
-    if total % (1 << r):
+    products = []
+    for g in gs:
+        g = _prem(g, m)
+        products += [g] + [_prem(_mul(p, g), m) for p in products]
+    full = _tarski_chain(m, products.pop())
+    if len(full.members[-1]) > 1:
+        raise SignConditionDegenerate()
+    total = chain.count_all() + full.count_all()
+    total += sum(_tarski_chain(m, p).count_all() for p in products)
+    if total % (1 << len(gs)):
         raise AssertionError("sign-condition count is not divisible by 2^r")
-    return total >> r
+    return total >> len(gs)
 
 
 def refine_interval(p: Polynomial, iv: Interval, width: Fraction) -> Interval:

@@ -6,7 +6,8 @@ base kind (F, id), for which hermitian means symmetric, so Gram matrices of
 quadratic forms (the first-kind star pairing) are diagonalized here as
 well, and so are theta(x)^t x when `algebras.unit_congruence` tests x and
 Phi when an algebra inverts it.  It tests hermitian-ness once, on one
-triangle of its input, and that test is also the cones' symmetry test.
+triangle of its input (`algebras.is_theta_hermitian`), and that test is
+also the cones' symmetry test and `is_symmetric`'s.
 Each Schur complement is theta-hermitian, so the elimination computes its
 lower triangle and mirrors the upper one by theta, and it inverts a pivot
 only when a later column needs the inverse.
@@ -58,6 +59,7 @@ from .algebras import (
     DElement,
     DivisionAlgebraDesc,
     base_desc,
+    is_theta_hermitian,
     mat_identity,
     nil_orderings,
     random_d_matrix,
@@ -92,14 +94,11 @@ def diagonalize_hermitian(desc: DivisionAlgebraDesc, B):
     ell = len(B)
     if any(len(row) != ell for row in B):
         raise NotHermitian("matrix is not square")
+    if not is_theta_hermitian(desc, B):
+        raise NotHermitian()
     B = [list(row) for row in B]
     # theta is the identity on the base kind, so a mirror is the entry itself
     mirror = desc.kind != BASE
-    for i, row in enumerate(B):
-        for j in range(i if mirror else i + 1, ell):
-            x = row[j]
-            if B[j][i] != (x.conj() if mirror else x):
-                raise NotHermitian()
     G = mat_identity(desc, ell)
 
     def col_row_op(t, r, c):

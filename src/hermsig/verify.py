@@ -163,7 +163,9 @@ def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
 
     The oracle and the localized count read the one isolation m keeps, and
     the count reuses the Tarski chains `is_coprime` built on m; the formula
-    path shares neither.
+    path shares neither.  Every condition kept is coprime to m, which the
+    formula's sum over subset products rests on: it builds 2**r - 1 Tarski
+    chains and reads the empty product's term off m's Sturm chain.
     """
     done = 0
     mismatches = 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermsig import exactnum
 from hermsig.errors import (
     EmptyConditions,
     NotIsolating,
@@ -209,12 +210,57 @@ def test_count_roots_with_signs_examples():
             count(P(1, 0, 1), [P(1, 0, 1)])
 
 
+def test_formula_builds_one_chain_per_nonempty_subset(monkeypatch):
+    # the empty product's term is the root count of m, read off the Sturm
+    # chain it already has, so r conditions cost 2^r - 1 Tarski chains
+    built = []
+    tarski_chain = exactnum._tarski_chain
+
+    def counted(m, g):
+        built.append(g)
+        return tarski_chain(m, g)
+
+    monkeypatch.setattr(exactnum, "_tarski_chain", counted)
+    sextic = P(1)
+    for k in range(1, 7):
+        sextic = sextic * P(-k, 1)
+    # x > 1/2, x > 3/2, ...: the first r conditions leave the roots r..6
+    gs = [P(-Fraction(2 * k + 1, 2), 1) for k in range(5)]
+    for r in range(1, 6):
+        built.clear()
+        m = Polynomial(sextic.coeffs)
+        assert count_roots_with_signs_formula(m, gs[:r]) == 7 - r
+        assert len(built) == 2**r - 1
+        # the reference path neither reads nor fills what m keeps
+        assert m._tarski is None and m._roots is None
+
+
+def test_condition_sharing_only_non_real_roots_is_degenerate():
+    # m = (x^2 + 1)(x - 3) has the real root 3; g = (x^2 + 1)(x + 5) is
+    # positive there but shares the non-real roots +-i with m
+    m = P(1, 0, 1) * P(-3, 1)
+    g = P(1, 0, 1) * P(5, 1)
+    other = P(-1, 1)
+    for count in (count_roots_with_signs, count_roots_with_signs_formula):
+        for gs in ([g, other], [other, g], [g]):
+            with pytest.raises(SignConditionDegenerate):
+                count(Polynomial(m.coeffs), gs)
+
+
+def test_constant_m_has_no_roots_to_count():
+    for count in (count_roots_with_signs, count_roots_with_signs_formula):
+        for m in (P(3), P(Fraction(-1, 2))):
+            assert count(m, [P(0, 1)]) == 0
+            assert count(m, [P(1, 0, 1), P(-2, 1), P(0, 1)]) == 0
+
+
 def test_count_roots_with_signs_twenty_conditions():
     # m = (x-1)(x-2)...(x-6).  The lower bounds x > a leave the roots >= 3
     # (x > 5/2 is the tightest), the upper bounds b > x leave those <= 5
     # (11/2 > x is the tightest), and the positive-definite quadratics hold
     # everywhere: exactly the roots 3, 4, 5 satisfy all twenty conditions.
-    # The {1,2}^r formula would need 2^20 Tarski queries here.
+    # The formula would build 2^20 - 1 Tarski chains here, one per nonempty
+    # subset of the conditions.
     m = P(1)
     for k in range(1, 7):
         m = m * P(-k, 1)

@@ -90,10 +90,17 @@ def reference_diagonalize(desc, B):
     return [tuple(row) for row in G], tuple(diag)
 
 
-def _descs():
+def _algebras():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        descs = {key: A.desc for key, A in standard_algebras().items()}
+        return standard_algebras()
+
+
+ALGEBRAS = _algebras()
+
+
+def _descs():
+    descs = {key: A.desc for key, A in ALGEBRAS.items()}
     QQ = NumberField([0, 1])
     one = QQ.from_rational(1)
     descs["split_1_1"] = quaternion_desc(QQ, one, one)
@@ -185,3 +192,63 @@ def test_a_dense_matrix_inverts_each_pivot_but_the_last(monkeypatch):
     calls = _count_inverses(monkeypatch)
     assert diagonalize_hermitian(desc, B) == expected
     assert len(calls) == ell - 1
+
+
+@st.composite
+def algebra_elements(draw, A):
+    """A random element, a symmetric one, or a symmetric one with a lower entry moved."""
+    desc, field = A.desc, A.field
+
+    def d_element():
+        return DElement(
+            desc,
+            tuple(
+                field.element([draw(COMPONENT) for _ in range(field.degree)])
+                for _ in range(desc.dim)
+            ),
+        )
+
+    x = A.element([[d_element() for _ in range(A.n)] for _ in range(A.n)])
+    shape = draw(st.sampled_from(["random", "symmetric", "perturbed"]))
+    if shape != "random":
+        x = x + A.involution(x)
+    if shape == "perturbed":
+        # below the diagonal when there is one, else the lone entry
+        i = draw(st.integers(min(1, A.n - 1), A.n - 1))
+        j = draw(st.integers(0, max(i - 1, 0)))
+        delta = d_element()
+        entries = [list(row) for row in x.entries]
+        entries[i][j] = entries[i][j] + (desc.one() if delta.is_zero else delta)
+        x = A.element(entries)
+    return shape, x
+
+
+@pytest.mark.parametrize("key", sorted(ALGEBRAS))
+def test_is_symmetric_matches_the_involution(key):
+    # sigma(x) = x exactly when Phi^(-1) x is theta-hermitian
+    A = ALGEBRAS[key]
+
+    @settings(max_examples=40, deadline=None)
+    @given(algebra_elements(A))
+    def check(case):
+        shape, x = case
+        symmetric = x == A.involution(x)
+        assert A.is_symmetric(x) == symmetric, shape
+        if shape == "symmetric":
+            assert symmetric
+
+    check()
+
+
+def test_is_symmetric_reads_phi():
+    # over M_2(Q) with Phi = diag(1, -1), sigma(x) = Phi x^t Phi, so the
+    # symmetric elements are [[a, b], [-b, c]], not the symmetric matrices
+    A = ALGEBRAS["m2_qq_phi"]
+    F = A.desc.field
+
+    def m2(rows):
+        return A.element([[A.desc.from_field(F.from_rational(c)) for c in row] for row in rows])
+
+    assert A.is_symmetric(m2([[1, 2], [-2, 3]]))
+    assert not A.is_symmetric(m2([[1, 2], [2, 3]]))
+    assert A.is_symmetric(A.phi_element())
