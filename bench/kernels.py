@@ -13,8 +13,8 @@ query; building the `NumberField` x^4 - 180 (screens included);
 `sturm_sequence` of a degree-8 polynomial and `isolate_real_roots` of it
 (four real roots); `count_roots_with_signs_formula` for one, three and five
 quadratic conditions and the localized `count_roots_with_signs` for the
-first three, on a sextic with six
-rational roots (each call gets a fresh copy of its polynomial, so the
+first three, on a sextic with six rational roots (each call gets a fresh
+copy of its polynomial, so the
 chain, intervals and Tarski chains a `Polynomial` keeps are built every
 time); one
 `criterion_sturm_oracle` of 30 instances from `random.Random(0)`; quaternion `DElement` mul at degree 1

@@ -7,7 +7,8 @@ as its theta-image.  Pivots come in the same order and every entry is the
 same exact value, so (G, d) must be equal, not merely congruent.  Matrices
 are drawn over the D of each of the nine standard algebras and over the
 split quaternions (1, 1)_Q, with zero entries and zero diagonals, so the
-off-diagonal pivot step runs too.
+off-diagonal pivot step runs too.  The same one-triangle test decides
+`is_symmetric` on Phi^(-1) x; it is checked against building sigma(x).
 """
 
 import warnings
