@@ -29,9 +29,11 @@ so the diagonalization is timed too).  Over
 M_2(H) it also times `star_pairing(a, a)` of a fixed positive definite unit a
 and one `sylvester_reduction` of a fixed 2-entry diagonal form against a,
 each with the memo emptied on each call, and one `cli.run` each of the
-`orderings` command on a fixed quartic field and of the `member` command
+`orderings` command on a fixed quartic field, of the `member` command
 for a fixed 2 x 2 hermitian matrix over (-1,-1) on the quartic field
-x^4 - 180, stdout discarded.  Over M_3(H) it times `mat_inv` of a fixed
+x^4 - 180, and of the `np` command with the witness search on the golden
+`np_search_m2_qq` case (config and seed from `tests/golden/cases.json`),
+stdout discarded.  Over M_3(H) it times `mat_inv` of a fixed
 3 x 3 matrix, building the algebra with Phi = I, and checking the cone
 certificate of a fixed positive definite hermitian matrix.  Over M_3 of
 (-1,-1) on x^4 - 180 it times reading a fixed 3 x 3 hermitian element
@@ -248,21 +250,28 @@ _MEMBER = {
 }
 
 
+def _golden_case(name: str) -> dict:
+    cases = json.loads((Path(__file__).resolve().parents[1] / "tests/golden/cases.json").read_text())
+    return next(case for case in cases if case["name"] == name)
+
+
 def _cli_operations() -> dict:
-    """One `orderings` and one `member` job through `cli.run`, parser included."""
+    """One `orderings`, one `member` and one `np` job through `cli.run`, parser included."""
     tmp = tempfile.TemporaryDirectory()
-    configs = {
-        "orderings": {"field": {"min_poly": ["1", "0", "-10", "0", "1"]}},
-        "member": _MEMBER,
+    np_case = _golden_case("np_search_m2_qq")
+    jobs = {
+        "orderings": ({"field": {"min_poly": ["1", "0", "-10", "0", "1"]}}, 0),
+        "member": (_MEMBER, 0),
+        "np": (np_case["config"], np_case["seed"]),
     }
     ops = {}
-    for command, config in configs.items():
+    for command, (config, seed) in jobs.items():
         path = Path(tmp.name) / f"{command}.json"
         path.write_text(json.dumps(config))
 
-        def run(command=command, path=path, tmp=tmp):
+        def run(command=command, path=path, seed=seed, tmp=tmp):
             with redirect_stdout(io.StringIO()):
-                return cli.run([command, "--config", str(path)])
+                return cli.run(["--seed", str(seed), command, "--config", str(path)])
 
         ops[f"cli_run.{command}"] = run
     return ops

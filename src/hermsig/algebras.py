@@ -12,7 +12,9 @@ a and v^2 = b, so e_p e_q = (-1)^(p_1 q_0) (u^2)^(p_0 q_0) (v^2)^(p_1 q_1)
 e_(p xor q).  Each descriptor folds these constants once into an integer
 table; one routine multiplies blocks through it (integer convolution, one
 reduction modulo the cleared minimal polynomial, one gcd), and the norm
-x * theta(x) through the diagonal table (1, -u^2, -v^2, u^2 v^2).
+x * theta(x) through the diagonal table (1, -u^2, -v^2, u^2 v^2).  A
+descriptor also builds its zero and one once, next to the tables, and hands
+the same immutable element to every caller of `zero()` and `one()`.
 
 This module is the only one that knows Phi.  `AlgebraWithInvolution.unscale`
 (m -> Phi^(-1) m) sends the symmetric elements onto the theta-hermitian
@@ -165,6 +167,9 @@ class DivisionAlgebraDesc:
         # derived data, outside the dataclass fields, equality and hash
         object.__setattr__(self, "_mul", _table(self.field, mul, dim))
         object.__setattr__(self, "_norm", _table(self.field, norm, 1))
+        # elements are never mutated, so every caller can share these two
+        object.__setattr__(self, "_zero", self._unit(self.field.zero()))
+        object.__setattr__(self, "_one", self._unit(one))
 
     @property
     def dim(self) -> int:
@@ -175,10 +180,10 @@ class DivisionAlgebraDesc:
         return _make(self, pad * p + c.nums + pad * (self.dim - 1 - p), c.den)
 
     def zero(self) -> "DElement":
-        return self._unit(self.field.zero())
+        return self._zero
 
     def one(self) -> "DElement":
-        return self._unit(self.field.one())
+        return self._one
 
     def from_field(self, c: FieldElement) -> "DElement":
         if c.owner != self.field:
@@ -560,21 +565,6 @@ class AlgebraWithInvolution:
         acc = x.entries[0][0]
         for i in range(1, self.n):
             acc = acc + x.entries[i][i]
-        if self.desc.kind == QUATERNION:
-            acc = acc + acc.conj()
-        return acc
-
-    def reduced_trace_of_product(
-        self, x: "AlgebraElement", y: "AlgebraElement"
-    ) -> DElement:
-        """reduced_trace(x * y) from the n^2 products x_ik * y_ki alone."""
-        self._own(x)
-        self._own(y)
-        acc = self.desc.zero()
-        for i, row in enumerate(x.entries):
-            for k, s in enumerate(row):
-                if not s.is_zero:
-                    acc = acc + s * y.entries[k][i]
         if self.desc.kind == QUATERNION:
             acc = acc + acc.conj()
         return acc

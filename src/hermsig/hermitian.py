@@ -16,7 +16,8 @@ A `HermitianForm` is an orthogonal sum of square Gram blocks over A:
 diagonal forms are sums of one-entry blocks, and direct sums, scalings,
 repeats and tensors with diagonal quadratic forms keep the block structure
 instead of building a dense Gram matrix.  Every computation on a form reads
-its blocks: signatures, the star pairing (one star Gram per block), the
+its blocks: signatures, the star pairing (one star Gram per block, each
+entry read off one coordinate of a product, no trace products), the
 congruence transform (a sum over nonzero block entries) and the trace
 transfer (one division-ring diagonalization per block).  The dense `gram`
 is only an assembled view for reports.  Each block's diagonal is computed
@@ -56,11 +57,11 @@ from .algebras import (
     QUATERNION,
     AlgebraElement,
     AlgebraWithInvolution,
-    DElement,
     DivisionAlgebraDesc,
     base_desc,
     is_theta_hermitian,
     mat_identity,
+    mat_theta_t,
     nil_orderings,
     random_d_matrix,
 )
@@ -494,54 +495,69 @@ def trace_transfer(h: HermitianForm) -> QuadraticForm:
 # the star pairing
 
 
-def _center_basis(A: AlgebraWithInvolution) -> list[AlgebraElement]:
-    """Basis of A as a Z(A)-space, as single-entry matrices."""
-    n, zero = A.n, A.desc.zero()
-    units = A.desc.basis()[: 1 if A.desc.kind == QUADRATIC else A.desc.dim]
-    return [
-        A.element([[t if (i, j) == (r, c) else zero for j in range(n)] for i in range(n)])
-        for r in range(n)
-        for c in range(n)
-        for t in units
-    ]
-
-
 def _star_gram_diagonal(h: HermitianForm, b: AlgebraElement):
-    """Diagonal entries of (h * <b>), a form over (Z(A), iota).
+    """Diagonal entries of (h * <b>), a form over (Z(A), iota), for symmetric b.
 
     The pairing of x = (x_1..x_k) and y = (y_1..y_k) in A^k is
     sum_ij Trd(sigma(x_i) * C_ij * y_j * b).  Cross-block entries C_ij are
     zero, so the pairing of an orthogonal sum is the orthogonal sum of the
     blocks' pairings: each m x m block gives one (m dim_Z A)-square Gram,
     indexed by (slot, basis element), and the diagonals are concatenated.
+
+    A is spanned over Z(A) by e = E_rs t, t in the basis (1, i, j, k) of D
+    (1 alone in the quadratic kind, where t = sqrt d is central).  Trd is
+    cyclic and sigma(e) = Phi theta(e)^t Phi^(-1), so the entry of (e, f) at
+    C_ij is Trd(theta(e)^t m) = Trd_D(theta(t) m_rs) with
+    m = Phi^(-1) C_ij f b Phi: no trace product, only a coordinate read.  On
+    the base and quadratic kinds that is m_rs itself; on (a,b)_F it is
+    2 (1, -a, -b, ab)_t times coordinate t of m_rs, an F-valued Gram that is
+    eliminated with base-kind scalars.  For f = E_pq t', m_rs is
+    (Phi^(-1) C_ij)_rp times t' (b Phi)_qs, and b Phi = Phi theta(b)^t
+    because b is symmetric, so each (C_ij, f) pair costs one product of a
+    column and a row.
     """
     A = h.owner
-    basis = _center_basis(A)
-    sigmas = [A.involution(e) for e in basis]
-    fbs = [A.multiply(f, b) for f in basis]
-    desc = A.desc
+    desc, n = A.desc, A.n
+    units = desc.basis()[: 1 if desc.kind == QUADRATIC else desc.dim]
+    U = len(units)
+    N = n * n * U
+    b_phi = A.rescale(mat_theta_t(b.entries))
+    # f b Phi for f = E_pq t: row p holds t (b Phi)_q, every other row is zero
+    f_rows = [(p, [t * y for y in b_phi[q]]) for p in range(n) for q in range(n) for t in units]
     if desc.kind == QUATERNION:
-        # Trd is F-valued, so the Gram is symmetric over (F, id); eliminating
-        # with base-kind scalars avoids quaternion products
-        desc = base_desc(A.field)
-        lift = lambda t: DElement(desc, (t.scalar_part(),))
+        gram_desc = base_desc(A.field)
+        two = A.field.from_rational(2)
+        weights = (two, -two * desc.a, -two * desc.b, two * desc.a * desc.b)
+
+        def traces(v):
+            return [gram_desc.from_field(w * x) for w, x in zip(weights, v.comps)]
     else:
-        lift = lambda t: t
-    N = len(basis)
+        gram_desc = desc
+
+        def traces(v):
+            return (v,)
+
+    zero = gram_desc.zero()
     out = []
     for block in h.blocks:
-        gram = [[desc.zero()] * (len(block) * N) for _ in range(len(block) * N)]
+        size = len(block) * N
+        gram = [[zero] * size for _ in range(size)]
         for i, row in enumerate(block):
             for j, c in enumerate(row):
                 if c.is_zero:
                     continue
-                for f, fb in enumerate(fbs):
-                    m = A.multiply(c, fb)
-                    for e, s in enumerate(sigmas):
-                        gram[i * N + e][j * N + f] = lift(
-                            A.reduced_trace_of_product(s, m)
-                        )
-        out.extend(diagonalize_hermitian(desc, gram)[1])
+                left = A.unscale(c.entries)
+                for f, (p, f_row) in enumerate(f_rows):
+                    col = j * N + f
+                    for r in range(n):
+                        x = left[r][p]
+                        if x.is_zero:
+                            continue
+                        for s, y in enumerate(f_row):
+                            first = i * N + (r * n + s) * U
+                            for t, value in enumerate(traces(x * y), first):
+                                gram[t][col] = value
+        out.extend(diagonalize_hermitian(gram_desc, gram)[1])
     return tuple(out)
 
 
@@ -563,7 +579,7 @@ def star_pairing(a: AlgebraElement, b: AlgebraElement) -> QuadraticForm:
 
 
 def star_pairing_form(h: HermitianForm, b: AlgebraElement) -> QuadraticForm:
-    """Diagonalization of h * <b> for a hermitian form h."""
+    """Diagonalization of h * <b> for a hermitian form h; b is checked symmetric."""
     A = h.owner
     if not A.is_symmetric(b):
         raise NotSymmetric()

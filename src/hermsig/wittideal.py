@@ -4,13 +4,16 @@ A form h lies in the kernel module over a cone exactly when its signature
 at the cone's ordering vanishes; that is the decision procedure.  The
 constructive side produces witnesses: a quadratic form q with nonzero
 signature such that q tensor h matches a balanced diagonal form whose
-entries are invertible cone members.  Witness isometries are evidenced by
+entries are invertible cone members, found by Sylvester reduction against
+Phi and then against random cone members drawn one at a time, each only
+after the previous reduction failed.  Witness isometries are evidenced by
 rank plus signatures at every ordering, which is labeled as evidence and
 never claimed to be a full isometry proof.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +29,7 @@ from .hermitian import (
     HermitianForm,
     _division_diagonal,
     _entry_form,
+    _star_gram_diagonal,
     diagonal_form,
     form_direct_sum,
     form_repeat,
@@ -34,7 +38,6 @@ from .hermitian import (
     is_unit,
     signature,
     signature_vector,
-    star_pairing_form,
 )
 from .orderings import OrderingHandle, sign_of
 from .qforms import QuadraticForm, signature_qf
@@ -92,8 +95,10 @@ def sylvester_reduction(
     diagonalization of h * <a> split by sign at the cone's ordering, and the
     evidence records rank and all-orderings signature agreement of
     q tensor h against (<u_1..u_r> perp <-v_1..-v_s>) tensor <a>.  h is
-    checked nonsingular, then a symmetric, then a unit, each once; the right
-    side scales the cached diagonal of <a> instead of diagonalizing each u*a.
+    checked nonsingular, then a symmetric, then a unit, each once: both star
+    Grams are read by `_star_gram_diagonal` directly, without the symmetry
+    check `star_pairing_form` makes for outside callers.  The right side
+    scales the cached diagonal of <a> instead of diagonalizing each u*a.
     """
     A = h.owner
     P = cone.ordering
@@ -104,10 +109,10 @@ def sylvester_reduction(
     if not is_unit(a):
         raise NotInvertible()
     unit = _entry_form(a)
-    q = star_pairing_form(unit, a)
-    paired = star_pairing_form(h, a)
+    q = QuadraticForm(A.field, _star_gram_diagonal(unit, a))
+    paired = _star_gram_diagonal(h, a)
     u_list, v_list = [], []
-    for entry in paired.diag:
+    for entry in paired:
         s = sign_of(entry, P)
         if s > 0:
             u_list.append(entry)
@@ -156,9 +161,11 @@ def find_Z_witness(
     """Search for a balanced-diagonal witness for a kernel member.
 
     Tries the direct split with q = <1> first (after a division-ring
-    diagonalization when n = 1), then Sylvester reductions against Phi and
-    random cone members drawn from a bounded pool.  A NotFound result is
-    not a disproof.
+    diagonalization when n = 1), then the Sylvester reduction against Phi,
+    then, when an rng is given, reductions against random invertible cone
+    members.  Each member is drawn only after the previous reduction failed,
+    and at most search_bound are drawn, so the rng advances by the members
+    tried and no further.  A NotFound result is not a disproof.
     """
     A = cone.algebra
     if not h.is_nonsingular:
@@ -176,12 +183,12 @@ def find_Z_witness(
         w = _quick_balanced_witness(h, entries, cone)
         if w is not None:
             return w
-    pool = [A.phi_element() * Fraction(cone.orientation)]
-    if rng is not None:
-        pool += [
-            sample_cone_member(cone, rng, invertible=True)
-            for _ in range(search_bound)
-        ]
+    draws = search_bound if rng is not None else 0
+    # a member is drawn only after the previous reduction has failed
+    pool = itertools.chain(
+        [A.phi_element() * Fraction(cone.orientation)],
+        (sample_cone_member(cone, rng, invertible=True) for _ in range(draws)),
+    )
     for a in pool:
         q, u_list, v_list, evidence = sylvester_reduction(h, a, cone)
         if len(u_list) == len(v_list) and evidence["match"]:

@@ -222,3 +222,31 @@ def test_unit_products_follow_the_presentation(kind):
         assert k * k == desc.from_field(-(g * c(7)))
         assert i * k == j.scale(g) and k * i == -j.scale(g)
         assert j * k == -i.scale(c(7)) and k * j == i.scale(c(7))
+
+
+def test_zero_and_one_are_shared_and_stay_intact():
+    # every zero() and one() of a descriptor is one object, so the
+    # elimination, the identity and the inverse, which hold them in their
+    # matrices, must never change an element in place
+    from hermsig.algebras import _make, mat_identity, mat_inv
+    from hermsig.hermitian import diagonalize_hermitian
+    from hermsig.verify import standard_algebras
+
+    for A in standard_algebras().values():
+        desc = A.desc
+        zero, one = desc.zero(), desc.one()
+        assert desc.zero() is zero and desc.one() is one
+        u = desc.basis()[-1]
+        # zero diagonal entries send the elimination through its swap and
+        # off-diagonal pivot steps
+        B = [[zero, u, zero], [u.conj(), zero, one], [zero, one, one]]
+        diagonalize_hermitian(desc, B)
+        mat_identity(desc, 3)
+        mat_inv([[one, u], [zero, one]])
+        A.zero(), A.identity(), A.scalar(A.field.one())
+        size = desc.dim * desc.field.degree
+        fresh_zero = _make(desc, (0,) * size, 1)
+        fresh_one = _make(desc, (1,) + (0,) * (size - 1), 1)
+        assert (zero.nums, zero.den) == (fresh_zero.nums, fresh_zero.den)
+        assert (one.nums, one.den) == (fresh_one.nums, fresh_one.den)
+        assert zero.desc is desc and one.desc is desc

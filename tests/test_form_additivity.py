@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hermsig.algebras import QUADRATIC, DElement, base_desc, mat_mul  # noqa: E402
 from hermsig.hermitian import (  # noqa: E402
+    HermitianForm,
+    _star_gram_diagonal,
     congruence_transform,
     diagonal_form,
     diagonalize_hermitian,
@@ -77,14 +79,15 @@ def dense_congruence(h, G):
     ]
 
 
-def dense_star_signatures(h, b):
-    """Signatures of h * <b> from one Gram over all (slot, basis) pairs.
+def trace_product_gram(C, b):
+    """The Gram of (x, y) -> sum_ij Trd(sigma(x_i) C_ij y_j b) on A^k.
 
-    The pairing is (x, y) -> sum_ij Trd(sigma(x_i) C_ij y_j b) on A^k, with
-    A spanned over its center by matrix units times a basis of D (times 1
-    only in the quadratic kind, where the center is F(sqrt d)).
+    Each entry is the reduced trace of a product built in full, over a basis
+    of A as a center space: matrix units times a basis of D (times 1 only in
+    the quadratic kind, where the center is F(sqrt d)).  Quaternion reduced
+    traces are F-valued, so that Gram is returned over the base kind.
     """
-    A = h.owner
+    A = b.owner
     n = A.n
     d_basis = A.desc.basis()[: 1 if A.desc.kind == QUADRATIC else None]
     basis = []
@@ -94,8 +97,7 @@ def dense_star_signatures(h, b):
                 entries = [[A.desc.zero()] * n for _ in range(n)]
                 entries[r][c] = t
                 basis.append(A.element(entries))
-    slots = [(i, e) for i in range(h.dim) for e in basis]
-    C = h.gram
+    slots = [(i, e) for i in range(len(C)) for e in basis]
     zero = A.desc.zero()
     gram = [
         [
@@ -108,11 +110,15 @@ def dense_star_signatures(h, b):
     ]
     desc = A.desc
     if desc.dim == 4:
-        # quaternion reduced traces are F-valued
         desc = base_desc(A.field)
         gram = [[DElement(desc, (x.scalar_part(),)) for x in row] for row in gram]
-    _, d = diagonalize_hermitian(desc, gram)
-    return tuple(sum(sign_of(x, P) for x in d) for P in list_orderings(A.field))
+    return desc, gram
+
+
+def dense_star_signatures(h, b):
+    """Signatures of h * <b> from one Gram over all (slot, basis) pairs."""
+    _, d = diagonalize_hermitian(*trace_product_gram(h.gram, b))
+    return tuple(sum(sign_of(x, P) for x in d) for P in list_orderings(h.owner.field))
 
 
 def invariants(h):
@@ -230,3 +236,22 @@ def test_star_pairing_of_orthogonal_sum_against_dense_reference(case):
     assert paired.diag == star_pairing_form(h1, b).diag + star_pairing_form(h2, b).diag
     signatures = tuple(signature_qf(paired, P) for P in list_orderings(b.owner.field))
     assert signatures == dense_star_signatures(total, b)
+
+
+@pytest.mark.parametrize("key", sorted(ALGEBRAS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_star_gram_coordinates_match_trace_products(key, data):
+    # the library reads each star-Gram entry off one coordinate of
+    # Phi^(-1) C f b Phi; the same Gram from trace products, eliminated the
+    # same way block by block, must give the same diagonal entry for entry
+    A = ALGEBRAS[key]
+    s1, s2, b = (data.draw(symmetric_entries(A)) for _ in range(3))
+    x = data.draw(algebra_elements(A))
+    h = HermitianForm(A, [[s1, x], [A.involution(x), s2]])
+    expected = tuple(
+        d
+        for block in h.blocks
+        for d in diagonalize_hermitian(*trace_product_gram(block, b))[1]
+    )
+    assert _star_gram_diagonal(h, b) == expected

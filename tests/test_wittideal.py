@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,9 @@ from hermsig.hermitian import (
 )
 from hermsig.orderings import NumberField, list_orderings
 from hermsig.qforms import QuadraticForm, signature_qf
+from hermsig import wittideal
 from hermsig.wittideal import (
+    NotFound,
     ZWitness,
     find_Z_witness,
     in_IP,
@@ -130,7 +133,7 @@ def test_sylvester_reduction_checks_each_value_once(monkeypatch):
 
         monkeypatch.setattr(AlgebraWithInvolution, name, counted)
     q, u, v, ev = sylvester_reduction(h, a, cone)
-    assert calls["is_symmetric"] <= 3 and calls["invert"] == 0
+    assert calls["is_symmetric"] == 1 and calls["invert"] == 0
     assert q.dim == 16 and len(u) + len(v) == 32
     assert ev["match"] and ev["rank_left"] == ev["rank_right"] == 64
 
@@ -259,22 +262,98 @@ def test_small_scale_witness_completeness(rational_cone, ham_cone):
                 assert verify_witness(w, h, cone)
 
 
+def _nondiagonal_kernel_form(A, rng):
+    """A congruent copy of <Phi, -Phi> whose Gram is not diagonal."""
+    from hermsig.hermitian import congruence_transform, sample_symmetric
+
+    h0 = hyperbolic(A.phi_element())
+    G = [[A.identity() if i == j else A.zero() for j in range(2)] for i in range(2)]
+    c = sample_symmetric(A, rng, 1)
+    for t in range(2):
+        G[t][1] = G[t][1] + G[t][0] * c
+    h = congruence_transform(h0, G)
+    assert not h.is_diagonal()
+    return h
+
+
 def test_sylvester_witness_path_nondiagonal(m2_cone):
     # non-diagonal kernel forms over a matrix algebra go through the
     # star-pairing reduction; q has dimension dim_Z(A) A
     rng = random.Random(31)
-    A = m2_cone.algebra
-    from hermsig.hermitian import congruence_transform, sample_symmetric
-
-    h0 = hyperbolic(A.phi_element())
-    k = h0.dim
-    G = [[A.identity() if i == j else A.zero() for j in range(k)] for i in range(k)]
-    c = sample_symmetric(A, rng, 1)
-    for t in range(k):
-        G[t][1] = G[t][1] + G[t][0] * c
-    h = congruence_transform(h0, G)
-    assert not h.is_diagonal()
+    h = _nondiagonal_kernel_form(m2_cone.algebra, rng)
     w = find_Z_witness(h, m2_cone, search_bound=6, rng=rng)
     assert isinstance(w, ZWitness)
     assert w.q.dim == 4
     assert verify_witness(w, h, m2_cone)
+
+
+def _counted_draws(monkeypatch):
+    draws = []
+    real = wittideal.sample_cone_member
+
+    def counted(cone, rng, invertible=False):
+        draws.append(real(cone, rng, invertible=invertible))
+        return draws[-1]
+
+    monkeypatch.setattr(wittideal, "sample_cone_member", counted)
+    return draws
+
+
+def _failing_first(monkeypatch, k):
+    """Make the first k Sylvester reductions report an evidence mismatch."""
+    real = wittideal.sylvester_reduction
+    calls = []
+
+    def reduction(h, a, cone):
+        calls.append(a)
+        q, u, v, evidence = real(h, a, cone)
+        if len(calls) <= k:
+            evidence = {**evidence, "match": False}
+        return q, u, v, evidence
+
+    monkeypatch.setattr(wittideal, "sylvester_reduction", reduction)
+    return calls
+
+
+def _eager_witness(h, cone, search_bound, rng):
+    """The pool drawn in full before any reduction is tried."""
+    A = cone.algebra
+    pool = [A.phi_element() * Fraction(cone.orientation)]
+    pool += [sample_cone_member(cone, rng, invertible=True) for _ in range(search_bound)]
+    for a in pool:
+        q, u_list, v_list, evidence = wittideal.sylvester_reduction(h, a, cone)
+        if len(u_list) == len(v_list) and evidence["match"]:
+            return q, tuple(u * a for u in u_list), tuple(v * a for v in v_list), evidence
+    return None
+
+
+def test_witness_search_draws_nothing_when_phi_succeeds(m2_cone, monkeypatch):
+    h = _nondiagonal_kernel_form(m2_cone.algebra, random.Random(31))
+    draws = _counted_draws(monkeypatch)
+    w = find_Z_witness(h, m2_cone, search_bound=6, rng=random.Random(5))
+    assert isinstance(w, ZWitness)
+    assert draws == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_witness_search_draws_one_member_per_failed_reduction(m2_cone, monkeypatch, k):
+    h = _nondiagonal_kernel_form(m2_cone.algebra, random.Random(31))
+    draws = _counted_draws(monkeypatch)
+    calls = _failing_first(monkeypatch, k)
+    w = find_Z_witness(h, m2_cone, search_bound=6, rng=random.Random(5))
+    assert isinstance(w, ZWitness)
+    assert len(draws) == k and calls[1:] == draws
+    assert verify_witness(w, h, m2_cone)
+
+    monkeypatch.undo()
+    _failing_first(monkeypatch, k)
+    q, a_list, b_list, evidence = _eager_witness(h, m2_cone, 6, random.Random(5))
+    assert (w.q.diag, w.a_list, w.b_list, w.evidence) == (q.diag, a_list, b_list, evidence)
+
+
+def test_witness_search_draws_at_most_the_bound(m2_cone, monkeypatch):
+    h = _nondiagonal_kernel_form(m2_cone.algebra, random.Random(31))
+    draws = _counted_draws(monkeypatch)
+    _failing_first(monkeypatch, 10)
+    assert find_Z_witness(h, m2_cone, search_bound=4, rng=random.Random(5)) == NotFound(4)
+    assert len(draws) == 4
