@@ -504,8 +504,8 @@ def _star_gram_diagonal(h: HermitianForm, b: AlgebraElement):
     blocks' pairings: each m x m block gives one (m dim_Z A)-square Gram,
     indexed by (slot, basis element), and the diagonals are concatenated.
 
-    A is spanned over Z(A) by e = E_rs t, t in the basis (1, i, j, k) of D
-    (1 alone in the quadratic kind, where t = sqrt d is central).  Trd is
+    A is spanned over Z(A) by e = E_rs t, t in the basis 1 or (1, i, j, k)
+    of D (1 alone in the quadratic kind, where sqrt d is central).  Trd is
     cyclic and sigma(e) = Phi theta(e)^t Phi^(-1), so the entry of (e, f) at
     C_ij is Trd(theta(e)^t m) = Trd_D(theta(t) m_rs) with
     m = Phi^(-1) C_ij f b Phi: no trace product, only a coordinate read.  On

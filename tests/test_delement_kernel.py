@@ -29,11 +29,16 @@ from hermsig.algebras import (  # noqa: E402
     QUATERNION,
     DElement,
     DivisionAlgebraDesc,
+    _make,
     base_desc,
+    mat_identity,
+    mat_inv,
     quadratic_desc,
     quaternion_desc,
 )
+from hermsig.hermitian import diagonalize_hermitian  # noqa: E402
 from hermsig.orderings import NumberField  # noqa: E402
+from hermsig.verify import standard_algebras  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import exact  # noqa: E402
@@ -228,10 +233,6 @@ def test_zero_and_one_are_shared_and_stay_intact():
     # every zero() and one() of a descriptor is one object, so the
     # elimination, the identity and the inverse, which hold them in their
     # matrices, must never change an element in place
-    from hermsig.algebras import _make, mat_identity, mat_inv
-    from hermsig.hermitian import diagonalize_hermitian
-    from hermsig.verify import standard_algebras
-
     for A in standard_algebras().values():
         desc = A.desc
         zero, one = desc.zero(), desc.one()
