@@ -1,6 +1,7 @@
 """Layer microbenchmarks of the arithmetic kernels, written to a BENCH file.
 
   PYTHONPATH=<checkout>/src python3 bench/kernels.py BENCH_<n>.json
+  PYTHONPATH=<checkout>/src python3 bench/kernels.py BENCH_<n>.json --against <other>
 
 Times each operation on fixed operands and records the best of several
 repeats in microseconds: `Fraction` mul; `FieldElement` mul and add at
@@ -11,12 +12,16 @@ divisor x^2 - 2 over x^4 - 4 (`sign_of.deg4.fallback`), which after the
 first call goes straight from an undecided interval test to the Tarski
 query; building the `NumberField` x^4 - 180 (screens included);
 `sturm_sequence` of a degree-8 polynomial and `isolate_real_roots` of it
-(four real roots); `count_roots_with_signs_formula` for one, three and five
-quadratic conditions and the localized `count_roots_with_signs` for the
-first three, on a sextic with six rational roots (each call gets a fresh
-copy of its polynomial, so the
-chain, intervals and Tarski chains a `Polynomial` keeps are built every
-time); one
+(four real roots), and the Tarski chain of that polynomial with a cubic
+condition (`tarski_chain.deg8`, the chain kernel alone);
+`count_roots_with_signs_formula` for one, three and five quadratic
+conditions and the localized `count_roots_with_signs` for the first three,
+on a sextic with six rational roots (each call gets a fresh copy of its
+polynomial, so the chain, intervals and Tarski chains a `Polynomial` keeps
+are built every time), and the formula for three conditions on one copy
+whose singleton chains the localized count has already built
+(`count_roots_with_signs_formula.r3.kept`; the formula fills nothing, so
+every call finds the same copy); one
 `criterion_sturm_oracle` of 30 instances from `random.Random(0)`; quaternion `DElement` mul at degree 1
 and 4, quadratic `DElement` mul over Q(sqrt 2) with d = sqrt 2, and the
 quaternion norm at degree 4; and, over the Hamilton quaternions
@@ -46,70 +51,70 @@ script times any checkout; its figures go into one column of the JSON file
 named on the command line, named by the checkout's git commit, with
 "+dirty" when its src/ has uncommitted changes, and the other columns of
 that file are kept.
+
+With `--against PATH` the script also times the checkout at PATH in the
+same process: it copies PATH's `src/hermsig` to a temporary directory under
+the package name `hermsig_against` (every import inside the package is
+relative, so the copy imports itself), builds the same operations from it,
+and runs each operation on both packages back to back in every repeat, the
+side that goes first alternating per repeat.  Both columns are written,
+plus `ratio`: per row, the PYTHONPATH checkout's time over PATH's.  Rows of
+code neither side changed should read close to 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import json
 import platform
 import random
+import shutil
 import subprocess
+import sys
 import tempfile
 import timeit
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
-
-import hermsig
-from hermsig import cli, jsonio
-from hermsig.algebras import DElement, make_algebra, mat_inv, quadratic_desc, quaternion_desc
-from hermsig.cones import PositiveConeHandle, cone_membership
-from hermsig.exactnum import (
-    Polynomial,
-    count_roots_with_signs,
-    count_roots_with_signs_formula,
-    isolate_real_roots,
-    sturm_sequence,
-)
-from hermsig.hermitian import (
-    HermitianForm,
-    diagonal_form,
-    diagonalize_hermitian,
-    signature,
-    star_pairing,
-)
-from hermsig.orderings import NumberField, list_orderings, sign_of
-from hermsig.verify import criterion_sturm_oracle
-from hermsig.wittideal import sylvester_reduction
+from types import SimpleNamespace
 
 REPEATS = 15
 TARGET_S = 0.02  # time per repeat
+MODULES = (
+    "algebras", "cli", "cones", "exactnum", "hermitian", "jsonio", "orderings", "verify", "wittideal",
+)
+AGAINST_PACKAGE = "hermsig_against"
 
 X = [Fraction(3, 7), Fraction(-5, 2), Fraction(11, 9), Fraction(-4, 13)]
 Y = [Fraction(-8, 5), Fraction(7, 3), Fraction(-2, 11), Fraction(9, 4)]
+
+
+def load(package: str) -> SimpleNamespace:
+    """The package's modules the rows call, imported under its package name."""
+    return SimpleNamespace(**{name: importlib.import_module(f"{package}.{name}") for name in MODULES})
 
 
 def _element(field, coords):
     return field.element(coords[: field.degree])
 
 
-def _quaternions(field):
+def _quaternions(h, field):
     minus_one = field.from_rational(-1)
-    desc = quaternion_desc(field, minus_one, minus_one)
-    a = DElement(desc, tuple(_element(field, X[i:] + X[:i]) for i in range(4)))
-    b = DElement(desc, tuple(_element(field, Y[i:] + Y[:i]) for i in range(4)))
+    desc = h.algebras.quaternion_desc(field, minus_one, minus_one)
+    a = h.algebras.DElement(desc, tuple(_element(field, X[i:] + X[:i]) for i in range(4)))
+    b = h.algebras.DElement(desc, tuple(_element(field, Y[i:] + Y[:i]) for i in range(4)))
     return a, b
 
 
-def _hermitian_matrix(desc, size):
+def _hermitian_matrix(h, desc, size):
     """M + theta(M)^t for a fixed size x size matrix M over D."""
     coords = X + Y
 
     def entry(i, j):
         start = i * size + j
-        return DElement(
+        return h.algebras.DElement(
             desc,
             tuple(
                 desc.field.from_rational(coords[(start + k) % len(coords)])
@@ -120,25 +125,25 @@ def _hermitian_matrix(desc, size):
     return [[entry(i, j) + entry(j, i).conj() for j in range(size)] for i in range(size)]
 
 
-def _hamilton_m3_operations() -> dict:
+def _hamilton_m3_operations(h) -> dict:
     """Inverse, algebra construction and cone-certificate check over M_3(H)."""
-    qq = NumberField([0, 1])
+    qq = h.orderings.NumberField([0, 1])
     minus_one = qq.from_rational(-1)
-    desc = quaternion_desc(qq, minus_one, minus_one)
+    desc = h.algebras.quaternion_desc(qq, minus_one, minus_one)
     coords = X + Y
     x = [
         [
-            DElement(desc, tuple(qq.from_rational(coords[(3 * i + j + k) % 8]) for k in range(4)))
+            h.algebras.DElement(desc, tuple(qq.from_rational(coords[(3 * i + j + k) % 8]) for k in range(4)))
             for j in range(3)
         ]
         for i in range(3)
     ]
-    M3H = make_algebra(desc, 3)
+    M3H = h.algebras.make_algebra(desc, 3)
     # a hermitian matrix shifted by 20 I: positive definite, so in the + cone
-    S = _hermitian_matrix(desc, 3)
+    S = _hermitian_matrix(h, desc, 3)
     b = M3H.element([[e + desc.one() * 20 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(S)])
-    cone = PositiveConeHandle(M3H, list_orderings(qq)[0], 1)
-    member, w = cone_membership(b, cone)
+    cone = h.cones.PositiveConeHandle(M3H, h.orderings.list_orderings(qq)[0], 1)
+    member, w = h.cones.cone_membership(b, cone)
     assert member
     if hasattr(w, "check"):
         check = lambda: w.check(b, cone)
@@ -146,17 +151,17 @@ def _hamilton_m3_operations() -> dict:
         # checkouts before `ConeWitness.check` rebuilt the element instead
         check = lambda: w.reconstruct(cone) == b
     return {
-        "mat_inv.quaternion.m3": lambda: mat_inv(x),
-        "algebra_init.quaternion.m3": lambda: make_algebra(desc, 3),
+        "mat_inv.quaternion.m3": lambda: h.algebras.mat_inv(x),
+        "algebra_init.quaternion.m3": lambda: h.algebras.make_algebra(desc, 3),
         "cone_witness_check.quaternion.m3": check,
     }
 
 
-def _member_m3_deg4_operations() -> dict:
+def _member_m3_deg4_operations(h) -> dict:
     """Wire parse and cone membership of a 3 x 3 hermitian element over x^4 - 180."""
-    field = NumberField([-180, 0, 0, 0, 1])
+    field = h.orderings.NumberField([-180, 0, 0, 0, 1])
     minus_one = field.from_rational(-1)
-    A = make_algebra(quaternion_desc(field, minus_one, minus_one), 3)
+    A = h.algebras.make_algebra(h.algebras.quaternion_desc(field, minus_one, minus_one), 3)
     rng = random.Random(16)
 
     def coords():
@@ -170,22 +175,22 @@ def _member_m3_deg4_operations() -> dict:
             upper = [coords() for _ in range(4)]
             wire[i][j] = upper
             wire[j][i] = [upper[0]] + [[str(-int(c)) for c in comp] for comp in upper[1:]]
-    b = jsonio.parse_algebra_element(A, wire)
-    cone = PositiveConeHandle(A, list_orderings(field)[1], 1)
-    assert cone_membership(b, cone)[0]
+    b = h.jsonio.parse_algebra_element(A, wire)
+    cone = h.cones.PositiveConeHandle(A, h.orderings.list_orderings(field)[1], 1)
+    assert h.cones.cone_membership(b, cone)[0]
     return {
-        "parse_algebra_element.quaternion.m3.deg4": lambda: jsonio.parse_algebra_element(A, wire),
-        "cone_membership.quaternion.m3.deg4": lambda: cone_membership(b, cone),
+        "parse_algebra_element.quaternion.m3.deg4": lambda: h.jsonio.parse_algebra_element(A, wire),
+        "cone_membership.quaternion.m3.deg4": lambda: h.cones.cone_membership(b, cone),
     }
 
 
-def _hamilton_operations() -> dict:
+def _hamilton_operations(h) -> dict:
     """Equality, diagonalization and signature over H = (-1,-1)_Q."""
-    qq = NumberField([0, 1])
+    qq = h.orderings.NumberField([0, 1])
     minus_one = qq.from_rational(-1)
-    desc = quaternion_desc(qq, minus_one, minus_one)
-    M2H = make_algebra(desc, 2)
-    S = _hermitian_matrix(desc, 4)
+    desc = h.algebras.quaternion_desc(qq, minus_one, minus_one)
+    M2H = h.algebras.make_algebra(desc, 2)
+    S = _hermitian_matrix(h, desc, 4)
 
     def block(a, b):
         return M2H.element([[S[2 * a + r][2 * b + c] for c in range(2)] for r in range(2)])
@@ -193,18 +198,18 @@ def _hamilton_operations() -> dict:
     x = block(0, 1)
     # the same values in distinct objects, so equality reads every entry
     y = M2H.element(
-        [[DElement(desc, tuple(qq.element(c.coords) for c in e.comps)) for e in row] for row in x.entries]
+        [[h.algebras.DElement(desc, tuple(qq.element(c.coords) for c in e.comps)) for e in row] for row in x.entries]
     )
     gram = [[block(a, b) for b in range(2)] for a in range(2)]
-    P = list_orderings(qq)[0]
+    P = h.orderings.list_orderings(qq)[0]
 
     def fresh_signature():
         M2H._diagonal_memo.clear()
-        return signature(HermitianForm(M2H, gram), P)
+        return h.hermitian.signature(h.hermitian.HermitianForm(M2H, gram), P)
 
     def m(*rows):
         return M2H.element(
-            [[DElement(desc, tuple(qq.from_rational(c) for c in e)) for e in row] for row in rows]
+            [[h.algebras.DElement(desc, tuple(qq.from_rational(c) for c in e)) for e in row] for row in rows]
         )
 
     a = m([(2, 0, 0, 0), (1, 0, 1, 0)], [(1, 0, -1, 0), (5, 0, 0, 0)])
@@ -212,19 +217,19 @@ def _hamilton_operations() -> dict:
         m([(2, 0, 0, 0), (1, 1, 0, 0)], [(1, -1, 0, 0), (3, 0, 0, 0)]),
         m([(1, 0, 0, 0), (0, 1, 1, 0)], [(0, -1, -1, 0), (-4, 0, 0, 0)]),
     ]
-    cone = PositiveConeHandle(M2H, P, 1)
+    cone = h.cones.PositiveConeHandle(M2H, P, 1)
 
     def fresh_star_pairing():
         M2H._diagonal_memo.clear()
-        return star_pairing(a, a)
+        return h.hermitian.star_pairing(a, a)
 
     def fresh_sylvester():
         M2H._diagonal_memo.clear()
-        return sylvester_reduction(diagonal_form(M2H, units), a, cone)
+        return h.wittideal.sylvester_reduction(h.hermitian.diagonal_form(M2H, units), a, cone)
 
     return {
         "algebra_eq.quaternion.m2": lambda: x == y,
-        "diagonalize_hermitian.quaternion.4x4": lambda: diagonalize_hermitian(desc, S),
+        "diagonalize_hermitian.quaternion.4x4": lambda: h.hermitian.diagonalize_hermitian(desc, S),
         "signature.quaternion.m2": fresh_signature,
         "star_pairing.quaternion.m2": fresh_star_pairing,
         "sylvester_reduction.quaternion.m2": fresh_sylvester,
@@ -255,7 +260,7 @@ def _golden_case(name: str) -> dict:
     return next(case for case in cases if case["name"] == name)
 
 
-def _cli_operations() -> dict:
+def _cli_operations(h) -> dict:
     """One `orderings`, one `member` and one `np` job through `cli.run`, parser included."""
     tmp = tempfile.TemporaryDirectory()
     np_case = _golden_case("np_search_m2_qq")
@@ -271,87 +276,106 @@ def _cli_operations() -> dict:
 
         def run(command=command, path=path, seed=seed, tmp=tmp):
             with redirect_stdout(io.StringIO()):
-                return cli.run(["--seed", str(seed), command, "--config", str(path)])
+                return h.cli.run(["--seed", str(seed), command, "--config", str(path)])
 
         ops[f"cli_run.{command}"] = run
     return ops
 
 
-def operations() -> dict:
-    """Name -> zero-argument callable, on fixed operands."""
+def operations(h) -> dict:
+    """Name -> zero-argument callable, on fixed operands, for the modules h."""
     fields = {
-        1: NumberField([0, 1]),
-        2: NumberField([-2, 0, 1]),
-        4: NumberField([-2, 0, 0, 0, 1]),
+        1: h.orderings.NumberField([0, 1]),
+        2: h.orderings.NumberField([-2, 0, 1]),
+        4: h.orderings.NumberField([-2, 0, 0, 0, 1]),
     }
     x = {d: _element(F, X) for d, F in fields.items()}
     y = {d: _element(F, Y) for d, F in fields.items()}
-    ordering = list_orderings(fields[4])[0]
-    q1, r1 = _quaternions(fields[1])
-    q4, r4 = _quaternions(fields[4])
+    ordering = h.orderings.list_orderings(fields[4])[0]
+    q1, r1 = _quaternions(h, fields[1])
+    q4, r4 = _quaternions(h, fields[4])
     ops = {"fraction_mul": lambda: X[0] * Y[0]}
     for d in (1, 2, 4):
         ops[f"field_mul.deg{d}"] = lambda d=d: x[d] * y[d]
         ops[f"field_add.deg{d}"] = lambda d=d: x[d] + y[d]
     for d in (2, 4):
         ops[f"field_inverse.deg{d}"] = x[d].inverse
-    ops["sign_of.deg4"] = lambda: sign_of(x[4], ordering)
-    reducible = NumberField([-4, 0, 0, 0, 1])
+    ops["sign_of.deg4"] = lambda: h.orderings.sign_of(x[4], ordering)
+    reducible = h.orderings.NumberField([-4, 0, 0, 0, 1])
     zero_divisor = reducible.element([-2, 0, 1, 0])
-    root = list_orderings(reducible)[1]
-    ops["sign_of.deg4.fallback"] = lambda: sign_of(zero_divisor, root)
-    ops["number_field.quartic"] = lambda: NumberField([-180, 0, 0, 0, 1])
-    deg8 = Polynomial(X + Y + [1])
-    sextic = Polynomial([1])
+    root = h.orderings.list_orderings(reducible)[1]
+    ops["sign_of.deg4.fallback"] = lambda: h.orderings.sign_of(zero_divisor, root)
+    ops["number_field.quartic"] = lambda: h.orderings.NumberField([-180, 0, 0, 0, 1])
+    deg8 = h.exactnum.Polynomial(X + Y + [1])
+    sextic = h.exactnum.Polynomial([1])
     for k in range(-2, 4):
-        sextic = sextic * Polynomial([-k, 1])
-    conditions = [Polynomial([X[i % 4], Y[(i + i // 4) % 4], 1]) for i in range(5)]
-    ops["sturm_sequence.deg8"] = lambda: sturm_sequence(Polynomial(deg8.coeffs))
-    ops["isolate_real_roots.deg8"] = lambda: isolate_real_roots(Polynomial(deg8.coeffs))
+        sextic = sextic * h.exactnum.Polynomial([-k, 1])
+    conditions = [h.exactnum.Polynomial([X[i % 4], Y[(i + i // 4) % 4], 1]) for i in range(5)]
+    ops["sturm_sequence.deg8"] = lambda: h.exactnum.sturm_sequence(h.exactnum.Polynomial(deg8.coeffs))
+    ops["isolate_real_roots.deg8"] = lambda: h.exactnum.isolate_real_roots(h.exactnum.Polynomial(deg8.coeffs))
     for r in (1, 3, 5):
-        ops[f"count_roots_with_signs_formula.r{r}"] = lambda r=r: count_roots_with_signs_formula(
-            Polynomial(sextic.coeffs), conditions[:r]
+        ops[f"count_roots_with_signs_formula.r{r}"] = lambda r=r: h.exactnum.count_roots_with_signs_formula(
+            h.exactnum.Polynomial(sextic.coeffs), conditions[:r]
         )
-    ops["count_roots_with_signs.r3"] = lambda: count_roots_with_signs(
-        Polynomial(sextic.coeffs), conditions[:3]
+    ops["count_roots_with_signs.r3"] = lambda: h.exactnum.count_roots_with_signs(
+        h.exactnum.Polynomial(sextic.coeffs), conditions[:3]
     )
-    ops["verify_sturm.30"] = lambda: criterion_sturm_oracle(random.Random(0), 30)
+    kept = h.exactnum.Polynomial(sextic.coeffs)
+    h.exactnum.count_roots_with_signs(kept, conditions[:3])
+    ops["count_roots_with_signs_formula.r3.kept"] = lambda: h.exactnum.count_roots_with_signs_formula(
+        kept, conditions[:3]
+    )
+    m8 = h.exactnum._primitive_integer(deg8)
+    cubic = h.exactnum._primitive_integer(h.exactnum.Polynomial(Y[:3] + [1]))
+    ops["tarski_chain.deg8"] = lambda: h.exactnum._tarski_chain(m8, cubic)
+    ops["verify_sturm.30"] = lambda: h.verify.criterion_sturm_oracle(random.Random(0), 30)
     ops["delement_mul.quaternion.deg1"] = lambda: q1 * r1
     ops["delement_mul.quaternion.deg4"] = lambda: q4 * r4
-    sqrt2 = quadratic_desc(fields[2], fields[2].generator())
-    s2 = DElement(sqrt2, (x[2], y[2]))
-    t2 = DElement(sqrt2, (y[2], x[2]))
+    sqrt2 = h.algebras.quadratic_desc(fields[2], fields[2].generator())
+    s2 = h.algebras.DElement(sqrt2, (x[2], y[2]))
+    t2 = h.algebras.DElement(sqrt2, (y[2], x[2]))
     ops["delement_mul.quadratic.deg2"] = lambda: s2 * t2
     ops["delement_norm.quaternion.deg4"] = q4.norm
-    ops.update(_hamilton_operations())
-    ops.update(_hamilton_m3_operations())
-    ops.update(_member_m3_deg4_operations())
-    ops.update(_cli_operations())
+    ops.update(_hamilton_operations(h))
+    ops.update(_hamilton_m3_operations(h))
+    ops.update(_member_m3_deg4_operations(h))
+    ops.update(_cli_operations(h))
     return ops
 
 
-def best_us(ops: dict) -> dict:
-    """Best time per call of each operation, in microseconds.
+def best_us(sides: list) -> list:
+    """Best time per call of each operation on each side, in microseconds.
 
-    Repeats go round-robin over the operations, so a slow spell of the
-    machine touches one repeat of each rather than every repeat of one.
+    `sides` holds one name -> callable dict per package.  Repeats go
+    round-robin over the operations, so a slow spell of the machine touches
+    one repeat of each rather than every repeat of one.  Within a repeat
+    each operation runs on every side back to back, and the side that goes
+    first alternates from one repeat to the next.
     """
-    timers, numbers = {}, {}
-    for name, fn in ops.items():
-        timer = timeit.Timer(fn)
-        number = 1
-        while timer.timeit(number) < TARGET_S / 4:
-            number *= 4
-        timers[name], numbers[name] = timer, number
-    best = {name: float("inf") for name in ops}
+    names = list(sides[0])
+    timed = []
+    for ops in sides:
+        timers = {}
+        for name in names:
+            timer = timeit.Timer(ops[name])
+            number = 1
+            while timer.timeit(number) < TARGET_S / 4:
+                number *= 4
+            timers[name] = (timer, number)
+        timed.append(timers)
+    best = [dict.fromkeys(names, float("inf")) for _ in sides]
+    order = list(range(len(sides)))
     for _ in range(REPEATS):
-        for name, timer in timers.items():
-            best[name] = min(best[name], timer.timeit(numbers[name]) / numbers[name])
-    return {name: round(t * 1e6, 3) for name, t in best.items()}
+        for name in names:
+            for side in order:
+                timer, number = timed[side][name]
+                best[side][name] = min(best[side][name], timer.timeit(number) / number)
+        order.reverse()
+    return [{name: round(t * 1e6, 3) for name, t in column.items()} for column in best]
 
 
-def checkout_label() -> str:
-    root = Path(hermsig.__file__).resolve().parents[2]
+def checkout_label(root: Path) -> str:
+    """The checkout's short commit, with "+dirty" when its src/ has changes."""
     try:
         commit = subprocess.run(
             ["git", "-C", str(root), "rev-parse", "--short", "HEAD"],
@@ -369,22 +393,54 @@ def checkout_label() -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description="Time the kernel rows into one column of a BENCH file.")
     parser.add_argument("out", type=Path, help="JSON file to add the column to, e.g. BENCH_12.json")
-    out = parser.parse_args().out
-    column = best_us(operations())
-    data = json.loads(out.read_text()) if out.exists() else {}
+    parser.add_argument(
+        "--against", type=Path, metavar="PATH",
+        help="another checkout, timed interleaved in this process as a second column",
+    )
+    args = parser.parse_args()
+    root = Path(importlib.import_module("hermsig").__file__).resolve().parents[2]
+    labels = [checkout_label(root)]
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [operations(load("hermsig"))]
+        if args.against is not None:
+            # the intra-package imports are relative, so a copy of the other
+            # checkout's package imports as itself under a second name
+            shutil.copytree(
+                args.against / "src" / "hermsig", Path(tmp) / AGAINST_PACKAGE,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+            sys.path.insert(0, tmp)
+            sides.append(operations(load(AGAINST_PACKAGE)))
+            label = checkout_label(args.against.resolve())
+            labels.append(label if label != labels[0] else label + "+against")
+        columns = best_us(sides)
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["unit"] = "us"
     data["method"] = (
         f"best of {REPEATS} round-robin timeit repeats of about {TARGET_S} s per operation"
     )
+    if args.against is not None:
+        data["method"] += (
+            "; both checkouts timed in one process, interleaved per operation, the"
+            " first side alternating per repeat; ratio is the first time over the second"
+        )
     data["machine"] = {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
     }
-    data.setdefault("columns", {})[checkout_label()] = column
-    out.write_text(json.dumps(data, indent=2) + "\n")
-    for name, us in column.items():
-        print(f"{name:32s} {us:10.3f} us")
+    for label, column in zip(labels, columns):
+        data.setdefault("columns", {})[label] = column
+    ratio = {}
+    if args.against is not None:
+        ratio = {name: round(us / columns[1][name], 3) for name, us in columns[0].items()}
+        data["ratio"] = {"of": labels[0], "over": labels[1], "rows": ratio}
+    args.out.write_text(json.dumps(data, indent=2) + "\n")
+    for name, us in columns[0].items():
+        line = f"{name:42s} {us:12.3f} us"
+        if ratio:
+            line += f" {columns[1][name]:12.3f} us  ratio {ratio[name]:.3f}"
+        print(line)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,15 @@ Sturm chains, real root counting and isolation, Tarski queries, and counts
 of roots under simultaneous sign conditions.  `Polynomial` coefficients are
 ``fractions.Fraction``; no floating point appears anywhere.  Every chain is
 built on integer coefficient tuples by primitive pseudo-remainders: each
-remainder is scaled by positive factors only and divided by its content, so
-each member is a positive multiple of the member a division over Q would
-give, and every sign-change count is the same.  A `Polynomial` keeps what
-is computed on it once built: its Sturm chain, so the squarefree test (the
-chain's last member is gcd(p, p')), isolation and refinement of one
-polynomial share it; its isolating intervals; and one Tarski chain per
-condition, keyed by the condition's primitive integer coefficients.
+remainder is scaled by positive factors only and divided by its content (and
+by -1 for a chain's negated remainder) in one pass, so each member is a
+positive multiple of the member a division over Q would give, and every
+sign-change count is the same.  A `Polynomial` keeps what is computed on it
+once built: its primitive integer coefficients; its Sturm chain, so the
+squarefree test (the chain's last member is gcd(p, p')), isolation and
+refinement of one polynomial share it; its isolating intervals; and one
+Tarski chain per condition, keyed by the condition's primitive integer
+coefficients.
 
 Isolation runs on an integer grid.  Every endpoint is a dyadic multiple of
 the Cauchy bound N/D, so intervals are bisected as integer numerators over
@@ -30,9 +32,11 @@ of conditions; the intervals and chains it uses are those m keeps.
 over the 2**r exponent vectors in {1,2}**r.  Every condition is coprime to
 m, so its square is positive at each real root of m and the sum runs over
 the products of the 2**r subsets of the conditions: 2**r - 1 Tarski chains,
-plus m's root count for the empty product.  It stays as the isolation-free
-reference and is cross-checked against the first path and against
-isolate-and-evaluate by the `sturm_sign_count_oracle` criterion.
+plus m's root count for the empty product.  Of these it reads the r
+singleton chains m already keeps and builds the rest; it reads no intervals
+and fills nothing.  It stays as the isolation-free reference and is
+cross-checked against the first path and against isolate-and-evaluate, which
+reads no Tarski chain, by the `sturm_sign_count_oracle` criterion.
 No polynomial gcd is computed: for squarefree m the Tarski chain seeded
 with (m, m'*g mod m) ends at gcd(m, g), so a condition sharing a root with
 m is rejected from the last member of a chain the count builds anyway, and
@@ -96,13 +100,14 @@ class Interval:
 class Polynomial:
     """Univariate polynomial over Q, coefficients lowest degree first."""
 
-    __slots__ = ("coeffs", "_sturm", "_roots", "_tarski")
+    __slots__ = ("coeffs", "_ints", "_sturm", "_roots", "_tarski")
 
     def __init__(self, coeffs):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._ints: tuple[int, ...] | None = None  # filled by _primitive_integer
         self._sturm: SturmSequence | None = None  # filled by sturm_sequence
         self._roots: tuple[Interval, ...] | None = None  # filled by _real_roots
         # primitive integer condition -> Tarski chain, filled by _tarski_of
@@ -176,19 +181,26 @@ def _count_changes(values) -> int:
     return changes
 
 
-def _primitive(cs) -> tuple[int, ...]:
-    """Integer list without trailing zeros, divided by its positive content."""
-    cs = list(cs)
+def _primitive(cs: list, sign: int = 1) -> tuple[int, ...]:
+    """Integer list without trailing zeros, divided by sign times its content.
+
+    The zeros are stripped from cs in place.
+    """
     while cs and not cs[-1]:
         cs.pop()
-    g = math.gcd(*cs)
-    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
+    g = math.gcd(*cs) * sign
+    return tuple(cs) if g == 1 else tuple(c // g for c in cs)
 
 
 def _primitive_integer(f: Polynomial) -> tuple[int, ...]:
-    """Coprime integer coefficients of a positive multiple of f; () for zero."""
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    return _primitive(c.numerator * (den // c.denominator) for c in f.coeffs)
+    """Coprime integer coefficients of a positive multiple of f; () for zero.
+
+    Computed once per polynomial and kept on f.
+    """
+    if f._ints is None:
+        den = math.lcm(*(c.denominator for c in f.coeffs))
+        f._ints = _primitive([c.numerator * (den // c.denominator) for c in f.coeffs])
+    return f._ints
 
 
 def _mul(a, b) -> list:
@@ -203,26 +215,31 @@ def _mul(a, b) -> list:
     return out
 
 
-def _prem(a, b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive positive integer multiple of a mod b, for b with b[-1] != 0.
+def _prem(a, b: tuple[int, ...], sign: int = 1) -> tuple[int, ...]:
+    """Primitive integer multiple of sign * (a mod b) by a positive factor.
 
-    Each step removes the leading term t of the partial remainder r as
-    (|lc b| * r - sign(lc b) * t * x^k * b) / gcd(lc b, t): the scale on r is
-    positive, so the result is a positive multiple of the remainder over Q.
+    b must have b[-1] != 0.  Each step removes the leading term t of the
+    partial remainder r as (|lc b| * r - sign(lc b) * t * x^k * b) /
+    gcd(lc b, t): the scale on r is positive, so the result is a positive
+    multiple of the remainder over Q.  Trailing zeros are stripped in place
+    and one pass divides by sign times the content (`_primitive`), so
+    `_chain` asks for sign -1 and gets its negated remainder without a
+    second copy.
     """
     db = len(b) - 1
     lc = b[-1]
+    scale, flip, head = abs(lc), lc < 0, b[:db]
     r = list(a)
     for k in range(len(r) - 1 - db, -1, -1):
         t = r.pop()
         if t:
-            g = math.gcd(lc, t)
-            u, v = abs(lc) // g, (t if lc > 0 else -t) // g
+            g = math.gcd(scale, t)
+            u, v = scale // g, (-t if flip else t) // g
             if u != 1:
                 r = [u * c for c in r]
-            for j, c in enumerate(b[:db], k):
+            for j, c in enumerate(head, k):
                 r[j] -= v * c
-    return _primitive(r)
+    return _primitive(r, sign)
 
 
 @dataclass(frozen=True)
@@ -306,16 +323,14 @@ def _interval_sign(cs, lo: int, hi: int, q: int) -> int:
 def _chain(f0: tuple[int, ...], f1: tuple[int, ...]) -> SturmSequence:
     """Chain of primitive integer members seeded with f0 and f1 (f0 nonzero).
 
-    A nonzero constant member ends the chain: any remainder by it is zero.
+    Each later member is `_prem(prev, last, -1)`, the negated remainder in
+    one pass.  A nonzero constant member ends the chain: any remainder by it
+    is zero.
     """
-    seq = [f0]
-    if f1:
-        seq.append(f1)
-        while len(seq[-1]) > 1:
-            r = _prem(seq[-2], seq[-1])
-            if not r:
-                break
-            seq.append(tuple(-c for c in r))
+    seq, r = [f0], f1
+    while r:
+        seq.append(r)
+        r = _prem(seq[-2], r, -1) if len(r) > 1 else ()
     return SturmSequence(tuple(seq))
 
 
@@ -535,20 +550,25 @@ def count_roots_with_signs_formula(m: Polynomial, gs) -> int:
     p * g_i mod m, one reduction per product.  The chain of the full
     product g1 * ... * gr is built first; it ends at gcd(m, g1 * ... * gr),
     and a nonconstant end rejects the query before any other chain is
-    built.  Kept as the isolation-free reference path, it reads m's Sturm
-    chain only and neither reads nor fills the chains and intervals m keeps.
+    built.  Kept as the isolation-free reference path, it reads no
+    intervals and fills nothing on m.  It reads the singleton chains m
+    already keeps (from `is_coprime`, `tarski_query` or the localized
+    count), keyed by the condition's primitive integer coefficients: the
+    chain of g and that of g mod m are one tuple, since m'*(c*g - q*m) is
+    c*m'*g mod m with c > 0.  It builds every other chain itself.
     """
     chain, gs = _check_sign_conditions(m, gs)
+    kept = m._tarski or {}
     m = chain.members[0]
-    products = []
+    products = []  # (the condition of a singleton, else None; product mod m)
     for g in gs:
-        g = _prem(g, m)
-        products += [g] + [_prem(_mul(p, g), m) for p in products]
-    full = _tarski_chain(m, products.pop())
+        reduced = _prem(g, m)
+        products += [(g, reduced)] + [(None, _prem(_mul(p, reduced), m)) for _, p in products]
+    chains = (kept.get(g) or _tarski_chain(m, p) for g, p in reversed(products))
+    full = next(chains)
     if len(full.members[-1]) > 1:
         raise SignConditionDegenerate()
-    total = chain.count_all() + full.count_all()
-    total += sum(_tarski_chain(m, p).count_all() for p in products)
+    total = chain.count_all() + full.count_all() + sum(c.count_all() for c in chains)
     if total % (1 << len(gs)):
         raise AssertionError("sign-condition count is not divisible by 2^r")
     return total >> len(gs)

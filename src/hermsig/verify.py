@@ -162,10 +162,12 @@ def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
     """Both sign-condition count paths against isolate-and-evaluate.
 
     The oracle and the localized count read the one isolation m keeps, and
-    the count reuses the Tarski chains `is_coprime` built on m; the formula
-    path shares neither.  Every condition kept is coprime to m, which the
-    formula's sum over subset products rests on: it builds 2**r - 1 Tarski
-    chains and reads the empty product's term off m's Sturm chain.
+    the count reuses the Tarski chains `is_coprime` built on m.  The formula
+    path reads no intervals and fills nothing; it reads those r singleton
+    chains and builds the other 2**r - 1 - r.  Every condition kept is
+    coprime to m, which the formula's sum over subset products rests on; it
+    reads the empty product's term off m's Sturm chain.  Isolate-and-evaluate
+    reads no Tarski chain, so it stays the independent check of both paths.
     """
     done = 0
     mismatches = 0

@@ -210,9 +210,9 @@ def test_count_roots_with_signs_examples():
             count(P(1, 0, 1), [P(1, 0, 1)])
 
 
-def test_formula_builds_one_chain_per_nonempty_subset(monkeypatch):
-    # the empty product's term is the root count of m, read off the Sturm
-    # chain it already has, so r conditions cost 2^r - 1 Tarski chains
+@pytest.fixture
+def built(monkeypatch):
+    """The conditions of the Tarski chains built while the test runs."""
     built = []
     tarski_chain = exactnum._tarski_chain
 
@@ -221,18 +221,67 @@ def test_formula_builds_one_chain_per_nonempty_subset(monkeypatch):
         return tarski_chain(m, g)
 
     monkeypatch.setattr(exactnum, "_tarski_chain", counted)
+    return built
+
+
+def _sextic():
+    """(x - 1)(x - 2)...(x - 6) and the conditions x > 1/2, x > 3/2, ..., x > 9/2."""
     sextic = P(1)
     for k in range(1, 7):
         sextic = sextic * P(-k, 1)
-    # x > 1/2, x > 3/2, ...: the first r conditions leave the roots r..6
-    gs = [P(-Fraction(2 * k + 1, 2), 1) for k in range(5)]
+    return sextic, [P(-Fraction(2 * k + 1, 2), 1) for k in range(5)]
+
+
+def test_formula_builds_one_chain_per_nonempty_subset(built):
+    # the empty product's term is the root count of m, read off the Sturm
+    # chain it already has, so r conditions cost 2^r - 1 Tarski chains
+    sextic, gs = _sextic()
+    # the first r conditions leave the roots r..6
     for r in range(1, 6):
         built.clear()
         m = Polynomial(sextic.coeffs)
         assert count_roots_with_signs_formula(m, gs[:r]) == 7 - r
         assert len(built) == 2**r - 1
-        # the reference path neither reads nor fills what m keeps
+        # the reference path fills nothing on m
         assert m._tarski is None and m._roots is None
+
+
+def test_formula_reads_the_singleton_chains_m_keeps(built):
+    # after the localized count m keeps one chain per condition, and the
+    # formula builds only the 2^r - 1 - r chains of products of two or more
+    sextic, gs = _sextic()
+    m = Polynomial(sextic.coeffs)
+    assert count_roots_with_signs(m, gs) == 2
+    roots, keys = m._roots, set(m._tarski)
+    for r in range(1, 6):
+        want = count_roots_with_signs_formula(Polynomial(sextic.coeffs), gs[:r])
+        built.clear()
+        assert count_roots_with_signs_formula(m, gs[:r]) == want == 7 - r
+        assert len(built) == 2**r - 1 - r
+        assert m._roots is roots and set(m._tarski) == keys
+    # a positive multiple of a condition has its primitive coefficients and
+    # reads its chain; the negated condition is another chain
+    g = gs[2]  # x > 5/2 holds at 3, 4, 5, 6
+    for h, chains, count in ((g * 2, 0, 4), (g * Fraction(1, 3), 0, 4), (-g, 1, 2)):
+        built.clear()
+        assert count_roots_with_signs_formula(m, [h]) == count
+        assert len(built) == chains
+        assert m._roots is roots and set(m._tarski) == keys
+
+
+def test_formula_rejects_a_kept_degenerate_chain(built):
+    # m = (x - 1)(x - 2)(x - 3) and g = (x - 2)(x + 5) share the root 2;
+    # is_coprime keeps g's chain, which ends at gcd(m, g) = x - 2
+    g = P(-2, 1) * P(5, 1)
+    for gs, chains in (([g], 0), ([P(0, 1), P(1, 0, 1), g], 1)):
+        m = P(-6, 11, -6, 1)
+        assert not is_coprime(m, g)
+        built.clear()
+        with pytest.raises(SignConditionDegenerate):
+            count_roots_with_signs_formula(m, gs)
+        # r = 1 reads the kept chain; r = 3 builds the full product's chain
+        # first and rejects the query before any other chain
+        assert len(built) == chains
 
 
 def test_condition_sharing_only_non_real_roots_is_degenerate():

@@ -7,6 +7,8 @@ tests check that no call order changes an answer: every count equals the
 count sympy gives on its own (`Poly.intervals`, refined with
 `Poly.refine_root` until the condition has no root left in the interval),
 whether the `Polynomial` is fresh or already holds its intervals and chains.
+The formula reads the singleton chains `is_coprime` kept, degenerate ones
+included, and must give the fresh answer or raise the fresh error.
 """
 
 import itertools
@@ -18,7 +20,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from hermsig.errors import SignConditionDegenerate  # noqa: E402
+from hermsig.errors import HermsigError, SignConditionDegenerate  # noqa: E402
 from hermsig.exactnum import (  # noqa: E402
     Polynomial,
     _primitive_integer,
@@ -167,3 +169,40 @@ def test_isolation_list_is_fresh_per_call(m_coeffs):
     assert second == want == isolate_real_roots(Polynomial(m_coeffs))
     second.clear()
     assert isolate_real_roots(m) == want
+
+
+@st.composite
+def _query(draw):
+    """m, squarefree or not, and one to three conditions, some degenerate.
+
+    A drawn factor h enters m up to twice (twice makes m non-squarefree);
+    a condition is random, a multiple of h, or zero.
+    """
+    h = draw(_poly(1, 2))
+    m = draw(_poly(0, 4))
+    for _ in range(draw(st.integers(0, 2))):
+        m = _times(m, h)
+    condition = st.one_of(
+        _poly(0, 3), _poly(0, 1).map(lambda k: _times(h, k)), st.just([0])
+    )
+    return m, draw(st.lists(condition, min_size=1, max_size=3))
+
+
+def _outcome(call):
+    """The call's value, or the type of the hermsig error it raised."""
+    try:
+        return call()
+    except HermsigError as exc:
+        return type(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_query())
+def test_formula_after_coprimality_readings_matches_fresh(instance):
+    m_coeffs, g_coeffs = instance
+    gs = [Polynomial(g) for g in g_coeffs]
+    fresh = _outcome(lambda: count_roots_with_signs_formula(Polynomial(m_coeffs), gs))
+    m = Polynomial(m_coeffs)
+    for g in gs:
+        _outcome(lambda: is_coprime(m, g))  # keeps g's chain on squarefree m
+    assert _outcome(lambda: count_roots_with_signs_formula(m, gs)) == fresh

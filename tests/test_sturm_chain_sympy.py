@@ -3,10 +3,12 @@
 hermsig builds every chain on primitive integer members; a division over Q
 gives the same members up to positive factors, so sign-change counts agree.
 sympy is the test-only oracle for the members over Q: `sympy.sturm`,
-`sympy.rem` and `sympy.gcd`.  A second test pins the integer members of
-one chain with rational input coefficients.
+`sympy.rem` and `sympy.gcd`.  Every member is also checked to be canonical:
+integers with content 1 and a nonzero last entry.  A second test pins the
+integer members of one chain with rational input coefficients.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,22 @@ def _squarefree(f):
     return sympy.gcd(f, f.diff(X)).degree() == 0
 
 
+def _canonical(member):
+    """Integer entries with content 1 and a nonzero last entry."""
+    return (
+        all(type(c) is int for c in member) and math.gcd(*member) == 1 and member[-1] != 0
+    )
+
+
+def _signed_remainders(f0, f1):
+    """f0, f1 and each -rem of the two before, over Q, up to a zero remainder."""
+    seq = [f0]
+    while not f1.is_zero:
+        seq.append(f1)
+        f1 = -sympy.rem(seq[-2], seq[-1])
+    return seq
+
+
 @settings(max_examples=150, deadline=None)
 @given(_poly())
 def test_sturm_members_match_sympy(coeffs):
@@ -82,6 +100,7 @@ def test_sturm_members_match_sympy(coeffs):
     # sympy divides p by its leading coefficient before building the chain
     sgn = 1 if coeffs[-1] > 0 else -1
     for member, e in zip(members, expected):
+        assert _canonical(member)
         assert _positive_multiple(member, e, sgn)
 
 
@@ -91,11 +110,10 @@ def test_non_squarefree_chain_ends_at_gcd(coeffs):
     f = _sympy_poly(coeffs)
     members = sturm_sequence(Polynomial(coeffs)).members
     # the Euclidean chain over Q, member by member, by sympy's remainders
-    expected = [f, f.diff(X)]
-    while not sympy.rem(expected[-2], expected[-1]).is_zero:
-        expected.append(-sympy.rem(expected[-2], expected[-1]))
+    expected = _signed_remainders(f, f.diff(X))
     assert len(members) == len(expected)
     for member, e in zip(members, expected):
+        assert _canonical(member)
         assert _positive_multiple(member, e)
     # the last member is the gcd up to a nonzero factor, whose sign varies
     g = sympy.gcd(f, f.diff(X))
@@ -106,14 +124,16 @@ def test_non_squarefree_chain_ends_at_gcd(coeffs):
 @settings(max_examples=150, deadline=None)
 @given(_poly(), _poly())
 def test_tarski_seed_is_positive_multiple_of_remainder(m, g):
+    # the whole chain, seed and every later member, against the signed
+    # remainder sequence of (m, m'*g mod m) over Q; m need not be squarefree
     assume(len(m) > 1)
     chain = _tarski_chain(_primitive_integer(Polynomial(m)), _primitive_integer(Polynomial(g)))
     fm = _sympy_poly(m)
-    rem = sympy.rem(fm.diff(X) * _sympy_poly(g), fm)
-    if rem.is_zero:
-        assert len(chain.members) == 1
-    else:
-        assert _positive_multiple(chain.members[1], rem)
+    expected = _signed_remainders(fm, sympy.rem(fm.diff(X) * _sympy_poly(g), fm))
+    assert len(chain.members) == len(expected)
+    for member, e in zip(chain.members, expected):
+        assert _canonical(member)
+        assert _positive_multiple(member, e)
 
 
 def P(*coeffs):
