@@ -44,8 +44,14 @@ certificate of a fixed positive definite hermitian matrix.  Over M_3 of
 (-1,-1) on x^4 - 180 it times reading a fixed 3 x 3 hermitian element
 from its wire form, integer coordinate strings as a `member` job sends
 them (`parse_algebra_element`), and deciding its membership in the + cone
-at the second ordering (`cone_membership`, a member).  The
-arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
+at the second ordering (`cone_membership`, a member).  Over the standard
+algebras of the property suite, each from one fixed rng state per call, it
+times one 3 x 3 `random_d_matrix` draw of height 2 per kind (over M_2(Q),
+M_2(Q(sqrt 2)(sqrt -1)) and M_2(H) descriptors) and one `sample_cone_member`
+of the + cone of M_2(H); `cone_axioms_check` there on ten fixed samples (five
+members, five symmetric draws) and four scalars; and `mideal_check` over H
+on eight fixed one-entry forms, rebuilt with the memo emptied on each call.
+The arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
 The hermsig measured is whichever one PYTHONPATH imports, so the same
 script times any checkout; its figures go into one column of the JSON file
 named on the command line, named by the checkout's git commit, with
@@ -282,6 +288,44 @@ def _cli_operations(h) -> dict:
     return ops
 
 
+def _sampling_operations(h) -> dict:
+    """Seeded draws and sampled checks, each call from one fixed rng state."""
+    algebras = h.verify.standard_algebras()
+    rng = random.Random(22)
+    state = rng.getstate()
+
+    def seeded(fn):
+        def run():
+            rng.setstate(state)
+            return fn(rng)
+
+        return run
+
+    ops = {}
+    for kind, key in (("base", "m2_qq"), ("quadratic", "m2_gauss_rt2"), ("quaternion", "m2_ham")):
+        desc = algebras[key].desc
+        ops[f"random_d_matrix.{kind}.m3"] = seeded(lambda rng, desc=desc: h.algebras.random_d_matrix(desc, 3, rng, 2))
+    M2H = algebras["m2_ham"]
+    cone = h.cones.list_positive_cones(M2H)[0]
+    ops["sample_cone_member.m2_ham"] = seeded(lambda rng: h.cones.sample_cone_member(cone, rng))
+    samples = [h.cones.sample_cone_member(cone, rng) for _ in range(5)]
+    samples += [h.hermitian.sample_symmetric(M2H, rng) for _ in range(5)]
+    scalars = [M2H.field.from_rational(c) for c in (3, -1, Fraction(1, 2), 0)]
+    ops["cone_axioms_check.m2_ham"] = lambda: h.cones.cone_axioms_check(cone, samples, scalars)
+    H = algebras["qq_ham"]
+    ham_cone = h.cones.list_positive_cones(H)[0]
+    units = [h.hermitian.random_symmetric_unit(H, rng, 2) for _ in range(8)]
+
+    def mideal(rng):
+        # fresh forms and an empty memo, so every call diagonalizes
+        H._diagonal_memo.clear()
+        forms = [h.hermitian.diagonal_form(H, [u]) for u in units]
+        return h.wittideal.mideal_check(ham_cone, forms, rng)
+
+    ops["mideal_check.qq_ham"] = seeded(mideal)
+    return ops
+
+
 def operations(h) -> dict:
     """Name -> zero-argument callable, on fixed operands, for the modules h."""
     fields = {
@@ -340,6 +384,7 @@ def operations(h) -> dict:
     ops.update(_hamilton_m3_operations(h))
     ops.update(_member_m3_deg4_operations(h))
     ops.update(_cli_operations(h))
+    ops.update(_sampling_operations(h))
     return ops
 
 

@@ -27,10 +27,18 @@ P-semidefinite hermitian matrices.  The rule for where A splits lives here
 too: `nil_orderings` lists the orderings at which every signature over
 (A, sigma) vanishes.  Algebra elements are canonical, so two of them are
 equal exactly when their entries are.  Matrices over D are not row
-reduced: `unit_congruence` and `mat_inv` test and invert x through the
-congruence diagonalization of theta(x)^t x by
-`hermitian.diagonalize_hermitian`, the one elimination over D, split D too.
-Phi is theta-hermitian already, so `_phi_inverse` diagonalizes Phi itself.
+reduced: `unit_congruence` tests x through the congruence diagonalization
+of theta(x)^t x by `hermitian.diagonalize_hermitian`, the one elimination
+over D, split D too.  `_hermitian_inverse` inverts a theta-hermitian matrix
+through its own congruence: Phi directly, and x as (x* x)^(-1) x* in
+`mat_inv`.
+
+The seeded draws start here, from one height table: `random_field_element`
+and `random_d_matrix` draw power-basis integers with `rng.randint` straight
+into one canonical block, with no `Fraction` and no per-component field
+element.  The samplers built on them stay in the layer whose operations they
+need: symmetric draws in `hermitian`, cone members and the axiom sample set
+in `cones`.
 """
 
 from __future__ import annotations
@@ -339,27 +347,31 @@ def quaternion_desc(
 # ---------------------------------------------------------------------------
 # seeded sampling
 
+# The coordinate heights of every seeded draw: field scalars, the transforms
+# G of sampled cone members, and the x of a symmetric draw x + sigma(x).
+# A criterion that wants other entries passes its own height to
+# `random_d_matrix` or the symmetric samplers.
+SCALAR_HEIGHT = 4
+TRANSFORM_HEIGHT = 2
+SYMMETRIC_HEIGHT = 3
 
-def random_field_element(field: NumberField, rng, height: int) -> FieldElement:
-    """Power-basis coordinates drawn uniformly from [-height, height]."""
-    return field.element(
-        [Fraction(rng.randint(-height, height)) for _ in range(field.degree)]
-    )
+
+def random_field_element(field: NumberField, rng) -> FieldElement:
+    """Power-basis integers drawn uniformly from [-SCALAR_HEIGHT, SCALAR_HEIGHT]."""
+    nums = tuple(rng.randint(-SCALAR_HEIGHT, SCALAR_HEIGHT) for _ in range(field.degree))
+    return FieldElement(field, nums, 1)
 
 
 def random_d_matrix(desc: DivisionAlgebraDesc, n: int, rng, height: int):
-    """An n x n matrix over D, drawn row by row, component by component."""
+    """An n x n matrix over D, drawn row by row, entry by entry.
+
+    Each entry's dim * deg F power-basis integers are drawn component by
+    component, uniformly from [-height, height], straight into its block.
+    """
+    size = desc.dim * desc.field.degree
+    draw = rng.randint
     return [
-        [
-            DElement(
-                desc,
-                tuple(
-                    random_field_element(desc.field, rng, height)
-                    for _ in range(desc.dim)
-                ),
-            )
-            for _ in range(n)
-        ]
+        [_make(desc, [draw(-height, height) for _ in range(size)], 1) for _ in range(n)]
         for _ in range(n)
     ]
 
@@ -410,7 +422,7 @@ def is_theta_hermitian(desc: DivisionAlgebraDesc, x) -> bool:
 
 
 def unit_congruence(x):
-    """(G, d, x*) with theta(G)^t (x* x) G = diag(d), where x* = theta(x)^t.
+    """(G, d) with theta(G)^t (x* x) G = diag(d), where x* = theta(x)^t.
 
     G is invertible, so x is a unit exactly when no d_i is zero; raises
     NotInvertible otherwise.
@@ -418,35 +430,32 @@ def unit_congruence(x):
     # hermitian imports this module, so the routine is looked up at call time
     from .hermitian import diagonalize_hermitian
 
-    xs = mat_theta_t(x)
-    G, d = diagonalize_hermitian(x[0][0].desc, mat_mul(xs, x))
+    G, d = diagonalize_hermitian(x[0][0].desc, mat_mul(mat_theta_t(x), x))
     if any(di.is_zero for di in d):
         raise NotInvertible()
-    return G, d, xs
+    return G, d
 
 
-def mat_inv(x):
-    """x^(-1) = (x* x)^(-1) x* = G diag(d)^(-1) theta(G)^t x*."""
-    G, d, xs = unit_congruence(x)
-    inverses = [di.inverse() for di in d]
-    scaled = [[g * u for g, u in zip(row, inverses)] for row in G]
-    return mat_mul(scaled, mat_mul(mat_theta_t(G), xs))
+def _hermitian_inverse(B, singular):
+    """B^(-1) for a theta-hermitian B, from B's own congruence.
 
-
-def _phi_inverse(phi):
-    """Phi^(-1) for a theta-hermitian Phi, from Phi's own congruence.
-
-    theta(G)^t Phi G = diag(d) gives Phi^(-1) = G diag(d)^(-1) theta(G)^t,
-    with no product x* x; raises PhiSingular when some d_i is zero.
+    theta(G)^t B G = diag(d) gives B^(-1) = G diag(d)^(-1) theta(G)^t;
+    raises `singular` when some d_i is zero.
     """
     from .hermitian import diagonalize_hermitian
 
-    G, d = diagonalize_hermitian(phi[0][0].desc, phi)
+    G, d = diagonalize_hermitian(B[0][0].desc, B)
     if any(di.is_zero for di in d):
-        raise PhiSingular()
+        raise singular()
     inverses = [di.inverse() for di in d]
     scaled = [[g * u for g, u in zip(row, inverses)] for row in G]
     return mat_mul(scaled, mat_theta_t(G))
+
+
+def mat_inv(x):
+    """x^(-1) = (x* x)^(-1) x*, with x* x inverted through its congruence."""
+    xs = mat_theta_t(x)
+    return mat_mul(_hermitian_inverse(mat_mul(xs, x), NotInvertible), xs)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +477,7 @@ class AlgebraWithInvolution:
         if not is_theta_hermitian(desc, phi):
             raise PhiNotSymmetric()
         self._phi_is_identity = phi == mat_identity(desc, n)
-        self._phi_inv = phi if self._phi_is_identity else _phi_inverse(phi)
+        self._phi_inv = phi if self._phi_is_identity else _hermitian_inverse(phi, PhiSingular)
         self.phi = [tuple(row) for row in phi]
         self._nil: tuple | None = None
         # Gram block coordinates -> diagonal, filled by hermitian forms

@@ -17,14 +17,14 @@ from .errors import HermsigError, ParseError
 from .exactnum import count_roots_with_signs
 from .orderings import embed_field, list_orderings
 from .algebras import nil_orderings, random_field_element
-from .hermitian import local_degree_nP, sample_symmetric, signature_vector
+from .hermitian import local_degree_nP, signature_vector
 from .cones import (
     PositiveConeHandle,
     cone_axioms_check,
     cone_membership,
     extend_cone,
     list_positive_cones,
-    sample_cone_member,
+    sample_axiom_set,
 )
 from .wittideal import (
     ZWitness,
@@ -109,10 +109,8 @@ def _cmd_cones(config, seed, bound):
     cones = []
     ok = True
     for cone in list_positive_cones(A):
-        half = sample_size // 2
-        samples = [sample_cone_member(cone, rng) for _ in range(half)]
-        samples += [sample_symmetric(A, rng) for _ in range(sample_size - half)]
-        scalars = [random_field_element(A.field, rng, 4) for _ in range(8)]
+        samples = sample_axiom_set(cone, rng, sample_size)
+        scalars = [random_field_element(A.field, rng) for _ in range(8)]
         checks = cone_axioms_check(cone, samples, scalars)
         ok = ok and checks["pass"]
         cones.append(
@@ -216,6 +214,8 @@ def _cmd_verify(config, seed, bound):
     if only is not None:
         if not isinstance(only, list) or not all(isinstance(c, str) for c in only):
             raise ParseError("criteria must be an array of criterion names")
+        if not only:
+            raise ParseError("criteria must name at least one criterion")
         jsonio.check_keys(only, ALL_CRITERIA, "criteria")
     sizes = config.get("sizes", {})
     if not isinstance(sizes, dict):

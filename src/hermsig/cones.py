@@ -10,10 +10,17 @@ tests symmetry only through the elimination's one-triangle hermitian test,
 and the elimination inverts a pivot only when a later column uses it.
 The transform and the diagonal form the certificate, and
 `ConeWitness.check` verifies one by multiplication, with no inverse.
+
+The sampled axiom checks draw from here: `sample_cone_member` (transforms
+and scalars at the heights of the `algebras` table), `sample_axiom_set` (the
+half-members, half-symmetric set both the `cones` command and the
+`cone_axioms` criterion check), and `tally`, the one report of a sampled
+check, which the m-ideal suite shares.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +33,7 @@ from .errors import (
     OrderingDoesNotRestrict,
 )
 from .algebras import (
+    TRANSFORM_HEIGHT,
     AlgebraElement,
     AlgebraWithInvolution,
     DivisionAlgebraDesc,
@@ -38,7 +46,7 @@ from .algebras import (
     random_field_element,
     unit_congruence,
 )
-from .hermitian import diagonalize_hermitian
+from .hermitian import diagonalize_hermitian, sample_symmetric
 from .orderings import FieldElement, FieldEmbedding, OrderingHandle, list_orderings, sign_of
 
 
@@ -162,14 +170,9 @@ def harrison_sigma(A: AlgebraWithInvolution, elements) -> tuple[PositiveConeHand
 # deterministic sampling of cone members
 
 
-# coordinate heights of the sampled nonnegative scalars and transforms
-_SCALAR_HEIGHT = 4
-_TRANSFORM_HEIGHT = 2
-
-
 def random_field_nonneg(field, P: OrderingHandle, rng, strict: bool = False):
     while True:
-        x = random_field_element(field, rng, _SCALAR_HEIGHT)
+        x = random_field_element(field, rng)
         s = sign_of(x, P)
         if s == 0:
             if strict:
@@ -180,7 +183,7 @@ def random_field_nonneg(field, P: OrderingHandle, rng, strict: bool = False):
 
 def random_invertible_d_matrix(desc: DivisionAlgebraDesc, n: int, rng):
     while True:
-        M = random_d_matrix(desc, n, rng, _TRANSFORM_HEIGHT)
+        M = random_d_matrix(desc, n, rng, TRANSFORM_HEIGHT)
         try:
             unit_congruence(M)
         except NotInvertible:
@@ -191,7 +194,10 @@ def random_invertible_d_matrix(desc: DivisionAlgebraDesc, n: int, rng):
 def sample_cone_member(
     cone: PositiveConeHandle, rng, invertible: bool = False
 ) -> AlgebraElement:
-    """eps * Phi * theta(G)^t diag(u) G for random G and P-nonnegative u."""
+    """eps * Phi * theta(G)^t diag(u) G for random G and P-nonnegative u.
+
+    diag(u) G is G with row i scaled by u_i.
+    """
     A = cone.algebra
     G = random_invertible_d_matrix(A.desc, A.n, rng)
     us = [
@@ -200,12 +206,29 @@ def sample_cone_member(
     ]
     if not invertible and us and rng.random() < 0.3:
         us[rng.randrange(len(us))] = A.field.zero()
-    elt = mat_mul(mat_theta_t(G), mat_mul(_diag(A.desc, us), G))
+    scaled = [[g.scale(u) for g in row] for row, u in zip(G, us)]
+    elt = mat_mul(mat_theta_t(G), scaled)
     return A.element(A.rescale(elt)) * Fraction(cone.orientation)
+
+
+def sample_axiom_set(cone: PositiveConeHandle, rng, size: int) -> list[AlgebraElement]:
+    """The axiom checks' sample set: size // 2 cone members, then symmetric draws."""
+    half = size // 2
+    members = [sample_cone_member(cone, rng) for _ in range(half)]
+    return members + [sample_symmetric(cone.algebra, rng) for _ in range(size - half)]
 
 
 # ---------------------------------------------------------------------------
 # sampled axiom checking
+
+
+def tally(outcomes) -> dict:
+    """The report of one sampled check: each outcome is True when it held."""
+    checked = violations = 0
+    for held in outcomes:
+        checked += 1
+        violations += not held
+    return {"pass": violations == 0, "checked": checked, "violations": violations}
 
 
 def cone_axioms_check(
@@ -218,7 +241,8 @@ def cone_axioms_check(
 
     ``samples`` are symmetric elements; members among them (plus the
     oriented Phi) drive the closure checks.  ``membership`` may replace the
-    real decision procedure, which the negative controls use.
+    real decision procedure, which the negative controls use.  Each axiom
+    is one `tally`, evaluated in the order P1 to P5.
     """
     A = cone.algebra
     P = cone.ordering
@@ -235,51 +259,25 @@ def cone_axioms_check(
     transforms = samples[:6] + [
         a * b for a, b in zip(samples[:4], samples[1:5])
     ]
-
-    report: dict = {}
-
-    p1_ok = membership(A.zero()) and bool(members)
-    report["P1"] = {"pass": bool(p1_ok), "checked": 1, "violations": 0 if p1_ok else 1}
-
-    # pair each member with a cyclic partner: linear in the sample size
-    viol = 0
-    checked = 0
-    for i, m1 in enumerate(members):
-        m2 = members[(i * 7 + 1) % len(members)]
-        checked += 1
-        if not membership(m1 + m2):
-            viol += 1
-    report["P2"] = {"pass": viol == 0, "checked": checked, "violations": viol}
-
-    viol = 0
-    checked = 0
-    if transforms:
-        for i, m in enumerate(nonzero_members):
-            a = transforms[i % len(transforms)]
-            checked += 1
-            if not membership(A.involution(a) * m * a):
-                viol += 1
-    report["P3"] = {"pass": viol == 0, "checked": checked, "violations": viol}
-
-    viol = 0
-    checked = 0
     probe = nonzero_members[:20]
-    for u in scalars:
-        checked += 1
-        stays = all(membership(m * u) for m in probe)
-        if stays != (sign_of(u, P) >= 0):
-            viol += 1
-    report["P4"] = {"pass": viol == 0, "checked": checked, "violations": viol}
-
-    viol = 0
-    checked = 0
-    for m in nonzero_members:
-        checked += 1
-        if membership(-m):
-            viol += 1
-    report["P5"] = {"pass": viol == 0, "checked": checked, "violations": viol}
-
-    report["pass"] = all(report[k]["pass"] for k in ("P1", "P2", "P3", "P4", "P5"))
+    report = {
+        "P1": tally([membership(A.zero()) and bool(members)]),
+        # each member with a cyclic partner: linear in the sample size
+        "P2": tally(
+            membership(m + members[(i * 7 + 1) % len(members)])
+            for i, m in enumerate(members)
+        ),
+        "P3": tally(
+            membership(A.involution(a) * m * a)
+            for m, a in zip(nonzero_members, itertools.cycle(transforms))
+        ),
+        "P4": tally(
+            all(membership(m * u) for m in probe) == (sign_of(u, P) >= 0)
+            for u in scalars
+        ),
+        "P5": tally(not membership(-m) for m in nonzero_members),
+    }
+    report["pass"] = all(check["pass"] for check in report.values())
     return report
 
 

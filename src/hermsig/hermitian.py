@@ -7,7 +7,8 @@ quadratic forms (the first-kind star pairing) are diagonalized here as
 well, and so are theta(x)^t x when `algebras.unit_congruence` tests x and
 Phi when an algebra inverts it.  It tests hermitian-ness once, on one
 triangle of its input (`algebras.is_theta_hermitian`), and that test is
-also the cones' symmetry test and `is_symmetric`'s.
+also the cones' symmetry test, `is_symmetric`'s, and `HermitianForm`'s on
+its unscaled and flattened Gram.
 Each Schur complement is theta-hermitian, so the elimination computes its
 lower triangle and mirrors the upper one by theta, and it inverts a pivot
 only when a later column needs the inverse.
@@ -55,6 +56,7 @@ from .algebras import (
     BASE,
     QUADRATIC,
     QUATERNION,
+    SYMMETRIC_HEIGHT,
     AlgebraElement,
     AlgebraWithInvolution,
     DivisionAlgebraDesc,
@@ -244,12 +246,10 @@ class HermitianForm:
             raise NotHermitian("Gram matrix is not square")
         if any(e.owner is not owner for row in gram for e in row):
             raise FieldMismatch()
-        for i in range(k):
-            for j in range(k):
-                if gram[i][j].is_zero and gram[j][i].is_zero:
-                    continue
-                if owner.involution(gram[j][i]) != gram[i][j]:
-                    raise NotHermitian()
+        # g_ij = sigma(g_ji) exactly when Phi^(-1) g_ij = theta(Phi^(-1) g_ji)^t
+        unscaled = [[owner.unscale(e.entries) for e in row] for row in gram]
+        if not is_theta_hermitian(owner.desc, flatten_blocks(owner, unscaled)):
+            raise NotHermitian()
         if all(gram[i][j].is_zero for i in range(k) for j in range(k) if i != j):
             blocks = tuple(((row[i],),) for i, row in enumerate(gram))
         else:
@@ -591,13 +591,17 @@ def star_pairing_form(h: HermitianForm, b: AlgebraElement) -> QuadraticForm:
 # maximal signatures
 
 
-def sample_symmetric(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraElement:
+def sample_symmetric(
+    A: AlgebraWithInvolution, rng, height: int = SYMMETRIC_HEIGHT
+) -> AlgebraElement:
     """x + sigma(x) for a random x with entries of the given height."""
     x = A.element(random_d_matrix(A.desc, A.n, rng, height))
     return x + A.involution(x)
 
 
-def random_symmetric_unit(A: AlgebraWithInvolution, rng, height: int = 3) -> AlgebraElement:
+def random_symmetric_unit(
+    A: AlgebraWithInvolution, rng, height: int = SYMMETRIC_HEIGHT
+) -> AlgebraElement:
     """A random invertible element of Sym(A, sigma), by rejection.
 
     Draws are tested with `is_unit`, which leaves <s>'s diagonal memoized.

@@ -59,6 +59,7 @@ from .cones import (
     cone_membership,
     extend_cone,
     list_positive_cones,
+    sample_axiom_set,
     sample_cone_member,
 )
 from .wittideal import (
@@ -355,13 +356,10 @@ def criterion_cone_axioms(algebras, rng, sample_size: int = 200) -> CriterionRes
         cones = list_positive_cones(A)
         if not cones:
             continue
-        scalars = [random_field_element(A.field, rng, 4) for _ in range(10)]
+        scalars = [random_field_element(A.field, rng) for _ in range(10)]
         scalars.append(A.field.zero())
         for cone in cones:
-            half = sample_size // 2
-            samples = [sample_cone_member(cone, rng) for _ in range(half)]
-            samples += [sample_symmetric(A, rng) for _ in range(sample_size - half)]
-            report = cone_axioms_check(cone, samples, scalars)
+            report = cone_axioms_check(cone, sample_axiom_set(cone, rng, sample_size), scalars)
             cones_checked += 1
             if not report["pass"]:
                 failures += 1
@@ -640,12 +638,16 @@ SIZE_KEYS = tuple(key for _, key, _, _ in _SUITE)
 
 
 def run_suite(seed: int = 0, only=None, sizes=None) -> list[CriterionResult]:
-    """Run the property suite; `sizes` may shrink sample counts for smoke runs."""
+    """Run the property suite; `sizes` may shrink sample counts for smoke runs.
+
+    `only` picks criteria by name; None runs all of them, and an empty
+    selection runs none.
+    """
     sizes = sizes or {}
     fields = functools.cache(standard_fields)
     algebras = functools.cache(lambda: standard_algebras(fields()))
     rng = random.Random(seed)
-    picked = set(only or ALL_CRITERIA)
+    picked = set(ALL_CRITERIA if only is None else only)
     return [
         run(fields, algebras, rng, sizes.get(key, default))
         for name, key, default, run in _SUITE

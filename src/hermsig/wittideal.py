@@ -9,6 +9,10 @@ Phi and then against random cone members drawn one at a time, each only
 after the previous reduction failed.  Witness isometries are evidenced by
 rank plus signatures at every ordering, which is labeled as evidence and
 never claimed to be a full isometry proof.
+
+The sampled m-ideal suite (`mideal_check`) draws its units with the shared
+`algebras.random_field_element` and reports each check through the shared
+`cones.tally`, as the cone axioms do.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     SingularForm,
 )
 from .algebras import AlgebraElement, random_field_element
-from .cones import PositiveConeHandle, cone_membership, sample_cone_member
+from .cones import PositiveConeHandle, cone_membership, sample_cone_member, tally
 from .hermitian import (
     HermitianForm,
     _division_diagonal,
@@ -231,7 +235,9 @@ def mideal_check(
     """Sampled m-ideal suite for (I_P, N_P) over the given cone.
 
     ``samples`` is a list of nonsingular hermitian forms.  ``membership``
-    may replace the kernel decision for negative controls.
+    may replace the kernel decision for negative controls.  Each of the six
+    checks is one `tally`, evaluated in report order, so the rng draws its
+    units in that order.
     """
     A = cone.algebra
     P = cone.ordering
@@ -241,76 +247,51 @@ def mideal_check(
 
     def rand_unit():
         while True:
-            u = random_field_element(field, rng, 4)
+            u = random_field_element(field, rng)
             if not u.is_zero:
                 return u
+
+    def rand_positive():
+        u = rand_unit()
+        return -u if sign_of(u, P) < 0 else u
 
     samples = list(samples)
     kernel_members = [form_direct_sum(s, form_scale(field.from_rational(-1), s)) for s in samples]
     kernel_members += [s for s in samples if membership(s)]
 
-    report: dict = {}
+    def primality():
+        for s in samples:
+            q = QuadraticForm(field, [rand_unit() for _ in range(rng.randint(1, 2))])
+            if membership(form_tensor_qf(q, s)):
+                yield in_IP(q, P) or membership(s)
+        # make sure the hypothesis is exercised at least once
+        q0 = QuadraticForm(field, [field.one(), field.from_rational(-1)])
+        for s in samples[:5]:
+            if membership(form_tensor_qf(q0, s)):
+                yield in_IP(q0, P) or membership(s)
 
-    checked = viol = 0
-    for i, h1 in enumerate(kernel_members):
-        h2 = kernel_members[(i + 1) % len(kernel_members)]
-        checked += 1
-        if not membership(form_direct_sum(h1, h2)):
-            viol += 1
-    report["N_plus_N"] = {"pass": viol == 0, "checked": checked, "violations": viol}
+    def torsion_free():
+        for s in samples:
+            for ell in range(2, _TORSION_MAX + 1):
+                if membership(form_repeat(ell, s)):
+                    yield membership(s)
+        for h in kernel_members[:5]:
+            for ell in (2, 3):
+                yield membership(form_repeat(ell, h)) and membership(h)
 
-    checked = viol = 0
-    for h in kernel_members:
-        u = rand_unit()
-        checked += 1
-        if not membership(form_scale(u, h)):
-            viol += 1
-    report["WF_times_N"] = {"pass": viol == 0, "checked": checked, "violations": viol}
-
-    checked = viol = 0
-    for s in samples:
-        u = rand_unit()
-        if sign_of(u, P) < 0:
-            u = -u
-        two_dim = QuadraticForm(field, [field.one(), -u])
-        checked += 1
-        if not membership(form_tensor_qf(two_dim, s)):
-            viol += 1
-    report["IP_times_W"] = {"pass": viol == 0, "checked": checked, "violations": viol}
-
-    proper = not membership(diagonal_form(A, [A.phi_element()]))
-    report["N_proper"] = {"pass": proper, "checked": 1, "violations": 0 if proper else 1}
-
-    checked = viol = 0
-    for s in samples:
-        diag = [rand_unit() for _ in range(rng.randint(1, 2))]
-        q = QuadraticForm(field, diag)
-        if membership(form_tensor_qf(q, s)):
-            checked += 1
-            if not (in_IP(q, P) or membership(s)):
-                viol += 1
-    # make sure the hypothesis is exercised at least once
-    q0 = QuadraticForm(field, [field.one(), field.from_rational(-1)])
-    for s in samples[:5]:
-        if membership(form_tensor_qf(q0, s)):
-            checked += 1
-            if not (in_IP(q0, P) or membership(s)):
-                viol += 1
-    report["primality"] = {"pass": viol == 0, "checked": checked, "violations": viol}
-
-    checked = viol = 0
-    for s in samples:
-        for ell in range(2, _TORSION_MAX + 1):
-            if membership(form_repeat(ell, s)):
-                checked += 1
-                if not membership(s):
-                    viol += 1
-    for h in kernel_members[:5]:
-        for ell in (2, 3):
-            checked += 1
-            if not (membership(form_repeat(ell, h)) and membership(h)):
-                viol += 1
-    report["torsion_free"] = {"pass": viol == 0, "checked": checked, "violations": viol}
-
+    report = {
+        "N_plus_N": tally(
+            membership(form_direct_sum(h, kernel_members[(i + 1) % len(kernel_members)]))
+            for i, h in enumerate(kernel_members)
+        ),
+        "WF_times_N": tally(membership(form_scale(rand_unit(), h)) for h in kernel_members),
+        "IP_times_W": tally(
+            membership(form_tensor_qf(QuadraticForm(field, [field.one(), -rand_positive()]), s))
+            for s in samples
+        ),
+        "N_proper": tally([not membership(diagonal_form(A, [A.phi_element()]))]),
+        "primality": tally(primality()),
+        "torsion_free": tally(torsion_free()),
+    }
     report["pass"] = all(check["pass"] for check in report.values())
     return report

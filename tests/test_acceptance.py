@@ -39,7 +39,7 @@ WORK = {
     "nil_forms": (verify, "trace_transfer"),
     "max_trials": (hermitian, "random_symmetric_unit"),
     "cone_equality": (verify, "cone_membership"),
-    "axiom_samples": (verify, "sample_cone_member"),
+    "axiom_samples": (cones, "cone_membership"),
     "same_signature": (verify, "sample_cone_member"),
     "mideal": (verify, "random_symmetric_unit"),
     "z_height": (hermitian.HermitianForm, "__init__"),
@@ -75,6 +75,8 @@ def test_suite_builds_only_what_picked_criteria_read(monkeypatch):
     monkeypatch.setattr(
         verify, "standard_algebras", lambda F: built.append("A") or algebras(F)
     )
+    # an empty selection runs nothing and builds nothing
+    assert run_suite(seed=0, only=[]) == []
     run_suite(seed=0, only=["sturm_sign_count_oracle"], sizes={"sturm_instances": 1})
     assert built == []
     only = ["nil_vanishing", "star_ratio_constancy", "cone_extension"]

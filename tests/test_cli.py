@@ -255,6 +255,7 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         ("orderings", {"field": {"min_poly": [" -2 ", "0", "1"]}}, "bad rational"),
         ("orderings", {"field": {"min_poly": ["-2_0", "0", "1"]}}, "bad rational"),
         ("member", {"algebra": HAM, "element": [[[["1/0"], "0", "0", "0"]]]}, "bad rational"),
+        ("verify", {"criteria": []}, "at least one"),
     ],
     ids=[
         "diag_not_array",
@@ -282,6 +283,7 @@ def test_bad_phi_shape_exit_2(tmp_path, capsys):
         "spaces",
         "underscore",
         "zero_denominator",
+        "criteria_empty",
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, config, fragment):

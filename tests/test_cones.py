@@ -31,6 +31,7 @@ from hermsig.cones import (
     list_positive_cones,
     project_pi,
     psd_membership,
+    sample_axiom_set,
     sample_cone_member,
 )
 from hermsig.hermitian import (
@@ -278,8 +279,7 @@ def test_cone_axioms_check_passes():
     M2 = make_algebra(BQQ, 2)
     P = list_orderings(QQ)[0]
     cone = PositiveConeHandle(M2, P, 1)
-    samples = [sample_cone_member(cone, rng) for _ in range(10)]
-    samples += [sample_symmetric(M2, rng) for _ in range(10)]
+    samples = sample_axiom_set(cone, rng, 20)
     scalars = [QQ.from_rational(v) for v in (3, -1, Fraction(1, 2), 0, -5)]
     report = cone_axioms_check(cone, samples, scalars)
     assert report["pass"], report

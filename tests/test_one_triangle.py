@@ -8,7 +8,8 @@ same exact value, so (G, d) must be equal, not merely congruent.  Matrices
 are drawn over the D of each of the nine standard algebras and over the
 split quaternions (1, 1)_Q, with zero entries and zero diagonals, so the
 off-diagonal pivot step runs too.  The same one-triangle test decides
-`is_symmetric` on Phi^(-1) x; it is checked against building sigma(x).
+`is_symmetric` on Phi^(-1) x and `HermitianForm`'s check of its unscaled,
+flattened Gram; both are checked against building sigma.
 """
 
 import warnings
@@ -20,7 +21,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hermsig.algebras import DElement, mat_identity, quaternion_desc  # noqa: E402
-from hermsig.hermitian import diagonalize_hermitian  # noqa: E402
+from hermsig.errors import NotHermitian  # noqa: E402
+from hermsig.hermitian import HermitianForm, diagonalize_hermitian  # noqa: E402
 from hermsig.orderings import FieldElement, NumberField  # noqa: E402
 from hermsig.verify import standard_algebras  # noqa: E402
 
@@ -253,3 +255,39 @@ def test_is_symmetric_reads_phi():
     assert A.is_symmetric(m2([[1, 2], [-2, 3]]))
     assert not A.is_symmetric(m2([[1, 2], [2, 3]]))
     assert A.is_symmetric(A.phi_element())
+
+
+@st.composite
+def gram_matrices(draw, A):
+    """A 2 x 2 Gram over A: hermitian, hermitian with one entry moved, or random."""
+    a, b, c, d = (draw(algebra_elements(A))[1] for _ in range(4))
+    shape = draw(st.sampled_from(["hermitian", "perturbed", "random"]))
+    if shape == "random":
+        return shape, [[a, b], [c, d]]
+    gram = [[a + A.involution(a), b], [A.involution(b), c + A.involution(c)]]
+    if shape == "perturbed":
+        i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        gram[i][j] = gram[i][j] + (A.identity() if d.is_zero else d)
+    return shape, gram
+
+
+@pytest.mark.parametrize("key", sorted(ALGEBRAS))
+def test_hermitian_form_raises_exactly_when_sigma_disagrees(key):
+    # a Gram is hermitian when g_ij = sigma(g_ji) for all i, j; the form
+    # tests Phi^(-1) g_ij = theta(Phi^(-1) g_ji)^t on one flattened triangle
+    A = ALGEBRAS[key]
+
+    @settings(max_examples=25, deadline=None)
+    @given(gram_matrices(A))
+    def check(case):
+        shape, gram = case
+        hermitian = all(A.involution(gram[j][i]) == gram[i][j] for i in range(2) for j in range(2))
+        if shape == "hermitian":
+            assert hermitian
+        if hermitian:
+            HermitianForm(A, gram)
+        else:
+            with pytest.raises(NotHermitian):
+                HermitianForm(A, gram)
+
+    check()
