@@ -51,6 +51,10 @@ M_2(Q(sqrt 2)(sqrt -1)) and M_2(H) descriptors) and one `sample_cone_member`
 of the + cone of M_2(H); `cone_axioms_check` there on ten fixed samples (five
 members, five symmetric draws) and four scalars; and `mideal_check` over H
 on eight fixed one-entry forms, rebuilt with the memo emptied on each call.
+Over M_2(Q) with Phi = diag(1, -1) it times building a fixed non-diagonal
+2 x 2 form and its first `signature`, with the memo emptied on each call,
+and over H the `trace_transfer` of a fixed diagonal form of four entries,
+built once.
 The arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
 The hermsig measured is whichever one PYTHONPATH imports, so the same
 script times any checkout; its figures go into one column of the JSON file
@@ -64,8 +68,9 @@ the package name `hermsig_against` (every import inside the package is
 relative, so the copy imports itself), builds the same operations from it,
 and runs each operation on both packages back to back in every repeat, the
 side that goes first alternating per repeat.  Both columns are written,
-plus `ratio`: per row, the PYTHONPATH checkout's time over PATH's.  Rows of
-code neither side changed should read close to 1.
+plus `ratio`: per row, the median over repeats of the PYTHONPATH checkout's
+time over PATH's in the same repeat.  Rows of code neither side changed
+should read close to 1.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ import json
 import platform
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -326,6 +332,32 @@ def _sampling_operations(h) -> dict:
     return ops
 
 
+def _form_operations(h) -> dict:
+    """A form's construction with its first signature, and a trace transfer."""
+    algebras = h.verify.standard_algebras()
+    A = algebras["m2_qq_phi"]
+    F = A.field
+
+    def m2(rows):
+        return A.element([[A.desc.from_field(F.from_rational(c)) for c in row] for row in rows])
+
+    # Phi = diag(1, -1): the symmetric elements are [[a, b], [-b, c]]
+    x = m2([[1, 2], [3, -1]])
+    gram = [[m2([[2, 1], [-1, 5]]), x], [A.involution(x), m2([[-3, 0], [0, 1]])]]
+    P = h.orderings.list_orderings(F)[0]
+
+    def fresh_form():
+        A._diagonal_memo.clear()
+        return h.hermitian.signature(h.hermitian.HermitianForm(A, gram), P)
+
+    H = algebras["qq_ham"]
+    form = h.hermitian.diagonal_form(H, [3, -1, Fraction(1, 2), 5])
+    return {
+        "hermitian_form.m2_qq_phi.2x2": fresh_form,
+        "trace_transfer.qq_ham": lambda: h.hermitian.trace_transfer(form),
+    }
+
+
 def operations(h) -> dict:
     """Name -> zero-argument callable, on fixed operands, for the modules h."""
     fields = {
@@ -385,17 +417,21 @@ def operations(h) -> dict:
     ops.update(_member_m3_deg4_operations(h))
     ops.update(_cli_operations(h))
     ops.update(_sampling_operations(h))
+    ops.update(_form_operations(h))
     return ops
 
 
-def best_us(sides: list) -> list:
+def best_us(sides: list) -> tuple[list, dict]:
     """Best time per call of each operation on each side, in microseconds.
 
     `sides` holds one name -> callable dict per package.  Repeats go
     round-robin over the operations, so a slow spell of the machine touches
     one repeat of each rather than every repeat of one.  Within a repeat
     each operation runs on every side back to back, and the side that goes
-    first alternates from one repeat to the next.
+    first alternates from one repeat to the next.  With two sides, the
+    second value maps each operation to the median over repeats of the
+    first side's time over the second's in the same repeat: a spell that
+    lasts one repeat moves one pair, not a side's best.
     """
     names = list(sides[0])
     timed = []
@@ -408,15 +444,22 @@ def best_us(sides: list) -> list:
                 number *= 4
             timers[name] = (timer, number)
         timed.append(timers)
-    best = [dict.fromkeys(names, float("inf")) for _ in sides]
+    times = [{name: [] for name in names} for _ in sides]
     order = list(range(len(sides)))
     for _ in range(REPEATS):
         for name in names:
             for side in order:
                 timer, number = timed[side][name]
-                best[side][name] = min(best[side][name], timer.timeit(number) / number)
+                times[side][name].append(timer.timeit(number) / number)
         order.reverse()
-    return [{name: round(t * 1e6, 3) for name, t in column.items()} for column in best]
+    best = [{name: round(min(ts) * 1e6, 3) for name, ts in column.items()} for column in times]
+    ratio = {}
+    if len(sides) == 2:
+        ratio = {
+            name: round(statistics.median(a / b for a, b in zip(times[0][name], times[1][name])), 3)
+            for name in names
+        }
+    return best, ratio
 
 
 def checkout_label(root: Path) -> str:
@@ -458,7 +501,7 @@ def main() -> None:
             sides.append(operations(load(AGAINST_PACKAGE)))
             label = checkout_label(args.against.resolve())
             labels.append(label if label != labels[0] else label + "+against")
-        columns = best_us(sides)
+        columns, ratio = best_us(sides)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["unit"] = "us"
     data["method"] = (
@@ -467,7 +510,8 @@ def main() -> None:
     if args.against is not None:
         data["method"] += (
             "; both checkouts timed in one process, interleaved per operation, the"
-            " first side alternating per repeat; ratio is the first time over the second"
+            " first side alternating per repeat; ratio is the median over repeats of the"
+            " first side's time over the second's in the same repeat"
         )
     data["machine"] = {
         "python": platform.python_version(),
@@ -476,9 +520,7 @@ def main() -> None:
     }
     for label, column in zip(labels, columns):
         data.setdefault("columns", {})[label] = column
-    ratio = {}
-    if args.against is not None:
-        ratio = {name: round(us / columns[1][name], 3) for name, us in columns[0].items()}
+    if ratio:
         data["ratio"] = {"of": labels[0], "over": labels[1], "rows": ratio}
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     for name, us in columns[0].items():

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     FieldMismatch,
@@ -75,9 +74,9 @@ def _diag(desc: DivisionAlgebraDesc, us):
     ]
 
 
-def _oriented(b: AlgebraElement, cone: PositiveConeHandle):
-    """The entries of eps * b."""
-    return b.entries if cone.orientation == 1 else (-b).entries
+def _oriented(b: AlgebraElement, cone: PositiveConeHandle) -> AlgebraElement:
+    """eps * b, by negation when eps = -1."""
+    return b if cone.orientation == 1 else -b
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class ConeWitness:
         """
         A = cone.algebra
         G, d = self.transform, self.diagonal
-        unscaled = A.unscale(_oriented(b, cone))
+        unscaled = A.unscale(_oriented(b, cone).entries)
         congruent = mat_mul(mat_theta_t(G), mat_mul(unscaled, G)) == _diag(A.desc, d)
         if not congruent or any(sign_of(u, cone.ordering) < 0 for u in d):
             return False
@@ -132,7 +131,7 @@ def cone_membership(
     if b.owner is not A:
         raise FieldMismatch()
     try:
-        return psd_membership(A.desc, A.unscale(_oriented(b, cone)), cone.ordering)
+        return psd_membership(A.desc, A.unscale(_oriented(b, cone).entries), cone.ordering)
     except NotHermitian:
         raise NotSymmetric() from None
 
@@ -208,7 +207,7 @@ def sample_cone_member(
         us[rng.randrange(len(us))] = A.field.zero()
     scaled = [[g.scale(u) for g in row] for row, u in zip(G, us)]
     elt = mat_mul(mat_theta_t(G), scaled)
-    return A.element(A.rescale(elt)) * Fraction(cone.orientation)
+    return _oriented(A.element(A.rescale(elt)), cone)
 
 
 def sample_axiom_set(cone: PositiveConeHandle, rng, size: int) -> list[AlgebraElement]:
@@ -252,7 +251,7 @@ def cone_axioms_check(
     for s in samples:
         if not A.is_symmetric(s):
             raise NotSymmetric()
-    phi_oriented = A.phi_element() * Fraction(cone.orientation)
+    phi_oriented = _oriented(A.phi_element(), cone)
     members = [s for s in samples if membership(s)]
     members.append(phi_oriented)
     nonzero_members = [m for m in members if not m.is_zero]

@@ -8,7 +8,7 @@ well, and so are theta(x)^t x when `algebras.unit_congruence` tests x and
 Phi when an algebra inverts it.  It tests hermitian-ness once, on one
 triangle of its input (`algebras.is_theta_hermitian`), and that test is
 also the cones' symmetry test, `is_symmetric`'s, and `HermitianForm`'s on
-its unscaled and flattened Gram.
+each of its unscaled and flattened Gram blocks.
 Each Schur complement is theta-hermitian, so the elimination computes its
 lower triangle and mirrors the upper one by theta, and it inverts a pivot
 only when a later column needs the inverse.
@@ -20,19 +20,19 @@ instead of building a dense Gram matrix.  Every computation on a form reads
 its blocks: signatures, the star pairing (one star Gram per block, each
 entry read off one coordinate of a product, no trace products), the
 congruence transform (a sum over nonzero block entries) and the trace
-transfer (one division-ring diagonalization per block).  The dense `gram`
-is only an assembled view for reports.  Each block's diagonal is computed
+transfer (read off the form's diagonal).  The dense `gram` is only an
+assembled view for reports.  Each block's diagonal is made with the form,
 in two explicit steps: unscale each entry by Phi^(-1) with the algebra's
 `unscale`, then flatten the m x m matrix over M_n(D) to an mn x mn
-theta-hermitian matrix over D and diagonalize it by congruence.
-Block diagonals are cached on the form and memoized on the algebra; scaling
-a form by u in F scales its cached diagonals by u.  With the reference form
-fixed as the one-dimensional form on Phi itself, the scaling sends the
-reference to the identity matrix, so no further sign normalization is
-needed: the signature at a non-nil ordering is the count of positive minus
-negative entries over all block diagonals, which is the additivity of the
-signature on orthogonal sums.  At nil orderings (`algebras.nil_orderings`)
-every signature is zero.
+theta-hermitian matrix over D and diagonalize it by congruence, which is
+also the block's hermitian test.  Block diagonals are memoized on the
+algebra; sums and repeats of forms reuse their diagonals, and scaling a
+form by u in F scales them by u.  With the reference form fixed as the
+one-dimensional form on Phi itself, the scaling sends the reference to the
+identity matrix, so no further sign normalization is needed: the signature
+at a non-nil ordering is the count of positive minus negative entries over
+all block diagonals, which is the additivity of the signature on orthogonal
+sums.  At nil orderings (`algebras.nil_orderings`) every signature is zero.
 
 The same memoized diagonal decides whether a symmetric x is a unit
 (`is_unit`: no zero in the diagonal of <x>), over every D, split quaternions
@@ -204,9 +204,10 @@ def flatten_blocks(A: AlgebraWithInvolution, blocks):
 def _block_diagonal(A: AlgebraWithInvolution, block) -> tuple[FieldElement, ...]:
     """Diagonal of one Gram block, unscaled by Phi^(-1) and flattened.
 
+    The elimination tests the block hermitian and raises NotHermitian.
     Memoized on the algebra by the block's coordinates, so a block that
     recurs (a reused sample, a cone member rebuilt with its sign) is
-    diagonalized once per algebra.
+    diagonalized once per algebra; only hermitian blocks are memoized.
     """
     key = tuple(
         (x.nums, x.den)
@@ -232,9 +233,10 @@ class HermitianForm:
 
     Each block is a square Gram matrix over A, and the form's Gram matrix is
     their block-diagonal sum.  A diagonal Gram splits into one block per
-    entry; any other Gram given here is one block.  Every computation reads
-    the blocks; `gram` only assembles the dense view for callers that print
-    or compare whole Grams.
+    entry; any other Gram given here is one block.  Each block's diagonal
+    is made with the form, and every computation reads the blocks and
+    their diagonals; `gram` only assembles the dense view for callers that
+    print or compare whole Grams.
     """
 
     __slots__ = ("owner", "blocks", "_diagonals")
@@ -246,25 +248,25 @@ class HermitianForm:
             raise NotHermitian("Gram matrix is not square")
         if any(e.owner is not owner for row in gram for e in row):
             raise FieldMismatch()
-        # g_ij = sigma(g_ji) exactly when Phi^(-1) g_ij = theta(Phi^(-1) g_ji)^t
-        unscaled = [[owner.unscale(e.entries) for e in row] for row in gram]
-        if not is_theta_hermitian(owner.desc, flatten_blocks(owner, unscaled)):
-            raise NotHermitian()
         if all(gram[i][j].is_zero for i in range(k) for j in range(k) if i != j):
             blocks = tuple(((row[i],),) for i, row in enumerate(gram))
         else:
             blocks = (gram,)
+        # g_ij = sigma(g_ji) exactly when Phi^(-1) g_ij = theta(Phi^(-1) g_ji)^t,
+        # so each block's elimination is its hermitian test
         self.owner = owner
         self.blocks = blocks
-        self._diagonals = [None] * len(blocks)
+        self._diagonals = tuple(_block_diagonal(owner, b) for b in blocks)
 
     @classmethod
     def _orthogonal_sum(cls, owner, blocks, diagonals=None) -> "HermitianForm":
-        """The form on already-checked blocks, with any known block diagonals."""
+        """The form on already-checked blocks, with their diagonals if known."""
         h = cls.__new__(cls)
         h.owner = owner
         h.blocks = tuple(blocks)
-        h._diagonals = list(diagonals) if diagonals else [None] * len(h.blocks)
+        if diagonals is None:
+            diagonals = (_block_diagonal(owner, b) for b in h.blocks)
+        h._diagonals = tuple(diagonals)
         return h
 
     @property
@@ -283,20 +285,13 @@ class HermitianForm:
             rows.extend((zero,) * left + row + (zero,) * pad for row in b)
         return tuple(rows)
 
-    def _block_diagonals(self) -> list[tuple[FieldElement, ...]]:
-        ds = self._diagonals
-        for i, d in enumerate(ds):
-            if d is None:
-                ds[i] = _block_diagonal(self.owner, self.blocks[i])
-        return ds
-
     def flattened_diagonal(self) -> tuple[FieldElement, ...]:
         """Diagonal of the scaled and flattened form.
 
         The flattened Gram is block diagonal, so it is the concatenation of
-        the blocks' cached diagonals.
+        the blocks' diagonals.
         """
-        return tuple(x for d in self._block_diagonals() for x in d)
+        return tuple(x for d in self._diagonals for x in d)
 
     def rank(self) -> int:
         return sum(1 for d in self.flattened_diagonal() if not d.is_zero)
@@ -349,7 +344,7 @@ def form_scale(u: FieldElement, h: HermitianForm) -> HermitianForm:
     return HermitianForm._orthogonal_sum(
         h.owner,
         [tuple(tuple(e * u for e in row) for row in b) for b in h.blocks],
-        [tuple(x * u for x in d) for d in h._block_diagonals()],
+        [tuple(x * u for x in d) for d in h._diagonals],
     )
 
 
@@ -463,14 +458,14 @@ def signature_vector(h: HermitianForm) -> SignatureVector:
 
 
 def _division_diagonal(h: HermitianForm) -> tuple[FieldElement, ...]:
-    """F-diagonal of a form over (D, theta) (n = 1), unscaled, block by block."""
-    return tuple(
-        x
-        for block in h.blocks
-        for x in diagonalize_hermitian(
-            h.owner.desc, [[e.entries[0][0] for e in row] for row in block]
-        )[1]
-    )
+    """F-diagonal of a form over (D, theta) (n = 1), not unscaled.
+
+    Phi = (phi) is a central scalar of F, so each block's Gram over D is phi
+    times its unscaled one and eliminates with the same pivots and the same
+    G: the diagonal is the form's own diagonal times phi.
+    """
+    phi = h.owner.phi[0][0].scalar_part()
+    return tuple(x * phi for x in h.flattened_diagonal())
 
 
 def trace_transfer(h: HermitianForm) -> QuadraticForm:

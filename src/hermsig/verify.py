@@ -115,12 +115,6 @@ def standard_algebras(fields=None) -> dict:
     }
 
 
-def _first_cone(A, orientation=1) -> PositiveConeHandle:
-    nil = set(nil_orderings(A))
-    P = next(P for P in list_orderings(A.field) if P not in nil)
-    return PositiveConeHandle(A, P, orientation)
-
-
 def _random_poly(rng, max_deg, max_coeff):
     deg = rng.randint(1, max_deg)
     coeffs = [rng.randint(-max_coeff, max_coeff) for _ in range(deg)]
@@ -412,9 +406,10 @@ def criterion_mideal(algebras, rng, per_algebra: int = 100) -> CriterionResult:
     failures = 0
     reports = {}
     for key, A in algebras.items():
-        if not list_positive_cones(A):
+        cones = list_positive_cones(A)
+        if not cones:
             continue
-        cone = _first_cone(A)
+        cone = cones[0]
         dim_cap = 1 if A.n > 1 else 2
         samples = [
             diagonal_form(
@@ -456,7 +451,7 @@ def criterion_z_witness_small_scale(algebras, rng, height: int = 5) -> Criterion
     entries = vals + [-v for v in vals]
     for key in ("qq_id", "qq_ham"):
         A = algebras[key]
-        cone = _first_cone(A)
+        cone = list_positive_cones(A)[0]
         P = cone.ordering
         for c1 in entries:
             for c2 in entries:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     ExpectedNPMember,
@@ -28,7 +27,7 @@ from .errors import (
     SingularForm,
 )
 from .algebras import AlgebraElement, random_field_element
-from .cones import PositiveConeHandle, cone_membership, sample_cone_member, tally
+from .cones import PositiveConeHandle, _oriented, cone_membership, sample_cone_member, tally
 from .hermitian import (
     HermitianForm,
     _division_diagonal,
@@ -102,7 +101,7 @@ def sylvester_reduction(
     checked nonsingular, then a symmetric, then a unit, each once: both star
     Grams are read by `_star_gram_diagonal` directly, without the symmetry
     check `star_pairing_form` makes for outside callers.  The right side
-    scales the cached diagonal of <a> instead of diagonalizing each u*a.
+    scales the diagonal <a> holds instead of diagonalizing each u*a.
     """
     A = h.owner
     P = cone.ordering
@@ -164,10 +163,9 @@ def find_Z_witness(
 ):
     """Search for a balanced-diagonal witness for a kernel member.
 
-    Tries the direct split with q = <1> first (after a division-ring
-    diagonalization when n = 1), then the Sylvester reduction against Phi,
-    then, when an rng is given, reductions against random invertible cone
-    members.  Each member is drawn only after the previous reduction failed,
+    Tries the direct split with q = <1> first (on the form's diagonal, times
+    Phi, when n = 1), then the Sylvester reduction against Phi, then, when
+    an rng is given, reductions against random invertible cone members.  Each member is drawn only after the previous reduction failed,
     and at most search_bound are drawn, so the rng advances by the members
     tried and no further.  A NotFound result is not a disproof.
     """
@@ -190,7 +188,7 @@ def find_Z_witness(
     draws = search_bound if rng is not None else 0
     # a member is drawn only after the previous reduction has failed
     pool = itertools.chain(
-        [A.phi_element() * Fraction(cone.orientation)],
+        [_oriented(A.phi_element(), cone)],
         (sample_cone_member(cone, rng, invertible=True) for _ in range(draws)),
     )
     for a in pool:

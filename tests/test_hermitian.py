@@ -379,11 +379,12 @@ def test_block_diagonals_stay_small(monkeypatch):
 
     M2 = make_algebra(base_desc(QQ), 2)
     rng = random.Random(88)
-    h = diagonal_form(M2, [random_symmetric_unit(M2, rng, 2) for _ in range(8)])
+    units = [random_symmetric_unit(M2, rng, 2) for _ in range(8)]
     b = random_symmetric_unit(M2, rng, 2)
-    # drawing units fills the memo with their diagonals; start from empty
+    # drawing units fills the memo with their diagonals; start from empty,
+    # and record from there on, since a form's blocks are eliminated when
+    # the form is built
     M2._diagonal_memo.clear()
-    forms = (h, form_repeat(3, h), form_direct_sum(h, h))
     sizes = []
     real = hermitian.diagonalize_hermitian
 
@@ -396,6 +397,8 @@ def test_block_diagonals_stay_small(monkeypatch):
 
     monkeypatch.setattr(hermitian, "diagonalize_hermitian", recording)
     monkeypatch.setattr(algebras, "mat_mul", no_mat_mul)
+    h = diagonal_form(M2, units)
+    forms = (h, form_repeat(3, h), form_direct_sum(h, h))
     vectors = [signature_vector(f).values for f in forms]
     assert 0 < len(sizes) <= 8 and max(sizes) <= M2.n
     assert vectors[1] == tuple(3 * v for v in vectors[0])
