@@ -44,17 +44,24 @@ certificate of a fixed positive definite hermitian matrix.  Over M_3 of
 (-1,-1) on x^4 - 180 it times reading a fixed 3 x 3 hermitian element
 from its wire form, integer coordinate strings as a `member` job sends
 them (`parse_algebra_element`), and deciding its membership in the + cone
-at the second ordering (`cone_membership`, a member).  Over the standard
+at the second ordering (`cone_membership`, a member, with the algebra's
+memo emptied on each call).  Over the standard
 algebras of the property suite, each from one fixed rng state per call, it
 times one 3 x 3 `random_d_matrix` draw of height 2 per kind (over M_2(Q),
 M_2(Q(sqrt 2)(sqrt -1)) and M_2(H) descriptors) and one `sample_cone_member`
 of the + cone of M_2(H); `cone_axioms_check` there on ten fixed samples (five
-members, five symmetric draws) and four scalars; and `mideal_check` over H
+members, five symmetric draws) and four scalars, with the memo emptied on
+each call; and `mideal_check` over H
 on eight fixed one-entry forms, rebuilt with the memo emptied on each call.
 Over M_2(Q) with Phi = diag(1, -1) it times building a fixed non-diagonal
 2 x 2 form and its first `signature`, with the memo emptied on each call,
 and over H the `trace_transfer` of a fixed diagonal form of four entries,
-built once.
+built once.  Over fresh quartic fields x^4 - c, cycling through 64
+values of c so that nothing kept per field is reused within a cycle, it
+times building the base and the (-1,-1) descriptor over a field built
+beforehand (`division_desc.*.deg4`), and reading the wire descriptor of
+M_2((-1,-1)) on x^4 - c, field and algebra included
+(`parse_algebra.quaternion.m2.deg4`).
 The arithmetic operands are those of `perfbench/tracer.py`'s kernel timings.
 The hermsig measured is whichever one PYTHONPATH imports, so the same
 script times any checkout; its figures go into one column of the JSON file
@@ -78,7 +85,9 @@ from __future__ import annotations
 import argparse
 import importlib
 import io
+import itertools
 import json
+import math
 import platform
 import random
 import shutil
@@ -190,9 +199,14 @@ def _member_m3_deg4_operations(h) -> dict:
     b = h.jsonio.parse_algebra_element(A, wire)
     cone = h.cones.PositiveConeHandle(A, h.orderings.list_orderings(field)[1], 1)
     assert h.cones.cone_membership(b, cone)[0]
+    def fresh_membership():
+        # membership reads the congruence of <b> from the algebra's memo
+        A._diagonal_memo.clear()
+        return h.cones.cone_membership(b, cone)
+
     return {
         "parse_algebra_element.quaternion.m3.deg4": lambda: h.jsonio.parse_algebra_element(A, wire),
-        "cone_membership.quaternion.m3.deg4": lambda: h.cones.cone_membership(b, cone),
+        "cone_membership.quaternion.m3.deg4": fresh_membership,
     }
 
 
@@ -317,7 +331,12 @@ def _sampling_operations(h) -> dict:
     samples = [h.cones.sample_cone_member(cone, rng) for _ in range(5)]
     samples += [h.hermitian.sample_symmetric(M2H, rng) for _ in range(5)]
     scalars = [M2H.field.from_rational(c) for c in (3, -1, Fraction(1, 2), 0)]
-    ops["cone_axioms_check.m2_ham"] = lambda: h.cones.cone_axioms_check(cone, samples, scalars)
+
+    def axioms():
+        M2H._diagonal_memo.clear()
+        return h.cones.cone_axioms_check(cone, samples, scalars)
+
+    ops["cone_axioms_check.m2_ham"] = axioms
     H = algebras["qq_ham"]
     ham_cone = h.cones.list_positive_cones(H)[0]
     units = [h.hermitian.random_symmetric_unit(H, rng, 2) for _ in range(8)]
@@ -355,6 +374,31 @@ def _form_operations(h) -> dict:
     return {
         "hermitian_form.m2_qq_phi.2x2": fresh_form,
         "trace_transfer.qq_ham": lambda: h.hermitian.trace_transfer(form),
+    }
+
+
+def _descriptor_operations(h) -> dict:
+    """Descriptors and wire algebras over x^4 - c, a new c on each call."""
+    cs = [c for c in range(2, 100) if math.isqrt(c) ** 2 != c][:64]
+    fields = itertools.cycle([h.orderings.NumberField([-c, 0, 0, 0, 1]) for c in cs])
+    configs = itertools.cycle([
+        {
+            "field": {"min_poly": [str(-c), "0", "0", "0", "1"]},
+            "division": {"kind": "quaternion", "a": "-1", "b": "-1"},
+            "n": 2,
+        }
+        for c in cs
+    ])
+
+    def quaternion():
+        F = next(fields)
+        minus_one = F.from_rational(-1)
+        return h.algebras.quaternion_desc(F, minus_one, minus_one)
+
+    return {
+        "division_desc.base.deg4": lambda: h.algebras.base_desc(next(fields)),
+        "division_desc.quaternion.deg4": quaternion,
+        "parse_algebra.quaternion.m2.deg4": lambda: h.jsonio.parse_algebra(next(configs)),
     }
 
 
@@ -418,6 +462,7 @@ def operations(h) -> dict:
     ops.update(_cli_operations(h))
     ops.update(_sampling_operations(h))
     ops.update(_form_operations(h))
+    ops.update(_descriptor_operations(h))
     return ops
 
 

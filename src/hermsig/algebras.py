@@ -9,12 +9,16 @@ invertible Phi; arbitrary structure-constant presentations are out of scope.
 An element of D is one canonical integer block (see `DElement`).  D has
 the basis of words e_p = u^(p_0) v^(p_1) in anticommuting units, u^2 = d or
 a and v^2 = b, so e_p e_q = (-1)^(p_1 q_0) (u^2)^(p_0 q_0) (v^2)^(p_1 q_1)
-e_(p xor q).  Each descriptor folds these constants once into an integer
-table; one routine multiplies blocks through it (integer convolution, one
-reduction modulo the cleared minimal polynomial, one gcd), and the norm
-x * theta(x) through the diagonal table (1, -u^2, -v^2, u^2 v^2).  A
-descriptor also builds its zero and one once, next to the tables, and hands
-the same immutable element to every caller of `zero()` and `one()`.
+e_(p xor q).  These constants, reduced in F, fold into an integer table
+that depends only on the shape: the degree of F and the constants'
+coordinates.  One table is built per shape and shared by every field and
+descriptor of that shape (x^2 - c and x^4 - c with a = b = -1 for every
+c, say); it holds no field.  One routine multiplies blocks through it
+(integer convolution, one reduction modulo the cleared minimal polynomial
+of the descriptor's own field, one gcd), and the norm x * theta(x) through
+the diagonal table (1, -u^2, -v^2, u^2 v^2).  A descriptor also builds its
+zero and one once, next to the tables, and hands the same immutable element
+to every caller of `zero()` and `one()`.
 
 This module is the only one that knows Phi.  `AlgebraWithInvolution.unscale`
 (m -> Phi^(-1) m) sends the symmetric elements onto the theta-hermitian
@@ -43,6 +47,7 @@ in `cones`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -82,35 +87,60 @@ def _is_rational_square(q: Fraction) -> bool:
     return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
 
-def _table(field: NumberField, entries, out_dim: int) -> tuple:
-    """The terms c x_p y_q e_r, entries[p] listing (q, r, c), in integers.
+def _table(deg: int, entries, out_dim: int) -> tuple:
+    """The terms c x_p y_q e_r over a field of degree deg, in integers.
 
-    Returns (field, rows, width, size, den): rows[i] lists (j, o, n) for each
-    term n * x[i] * y[j], n a coefficient of some c over the common
-    denominator den, on slot o of out_dim unreduced polynomials of `width`
-    coefficients each (size slots).
+    entries[p] lists (q, r, nums, den) for each constant c = nums/den, a
+    canonical power-basis block already reduced in the field.  Returns
+    (rows, width, size, den): rows[i] lists (j, o, n) for each term
+    n * x[i] * y[j], n a coefficient of some c over the common denominator
+    den, on slot o of out_dim unreduced polynomials of `width` coefficients
+    each (size slots).
     """
-    deg = field.degree
-    den = math.lcm(*(c.den for row in entries for *_, c in row))
-    support = [k for row in entries for *_, c in row for k, n in enumerate(c.nums) if n]
+    den = math.lcm(*(cden for row in entries for *_, cden in row))
+    support = [k for row in entries for *_, nums, _ in row for k, n in enumerate(nums) if n]
     width = 2 * deg - 1 + max(support)
     rows = []
     for row, i in itertools.product(entries, range(deg)):
         rows.append(tuple(
-            (q * deg + j, r * width + i + j + k, n * (den // c.den))
-            for q, r, c in row for k, n in enumerate(c.nums) if n for j in range(deg)
+            (q * deg + j, r * width + i + j + k, n * (den // cden))
+            for q, r, nums, cden in row for k, n in enumerate(nums) if n for j in range(deg)
         ))
-    return field, rows, width, out_dim * width, den
+    return tuple(rows), width, out_dim * width, den
 
 
-def _product(table: tuple, x, xden: int, y, yden: int):
+# a shape's two tables take at most about 26 KB (quaternions at degree 4);
+# the bound keeps a program that meets many distinct constants from
+# holding them all
+@functools.lru_cache(maxsize=64)
+def _shape_tables(deg: int, power: tuple) -> tuple:
+    """The product and norm tables of one shape, shared by every field.
+
+    power lists (u^2)^(p_0 q_0) (v^2)^(p_1 q_1) by the bits of p & q, that
+    is 1, d or 1, a, b, ab, as canonical power-basis blocks (nums, den)
+    already reduced in a field of degree deg; its length is dim D.  Neither
+    table holds a field: `_product` reduces with the field it is given.
+    """
+    dim = len(power)
+    signed = {1: power, -1: [(tuple(-n for n in nums), den) for nums, den in power]}
+
+    def const(p, q, sign=1):
+        return signed[-sign if p >> 1 & q & 1 else sign][p & q]
+
+    mul = [[(q, p ^ q, *const(p, q)) for q in range(dim)] for p in range(dim)]
+    # theta(e_p) = -e_p for p > 0, and the cross terms of x theta(x) cancel
+    norm = [[(p, 0, *const(p, p, -1 if p else 1))] for p in range(dim)]
+    return _table(deg, mul, dim), _table(deg, norm, 1)
+
+
+def _product(field: NumberField, table: tuple, x, xden: int, y, yden: int):
     """Integer block and denominator of x * y through `table`, gcd not taken.
 
-    Components are reduced modulo the cleared minimal polynomial, top term
-    first; when it is not integral each step scales the whole block, so the
-    block keeps one denominator.
+    Components are reduced modulo field's cleared minimal polynomial, top
+    term first; when it is not integral each step scales the whole block, so
+    the block keeps one denominator.
     """
-    field, rows, width, size, den = table
+    rows, width, size, den = table
     acc = [0] * size
     for i, a in enumerate(x):
         if a:
@@ -148,6 +178,8 @@ class DivisionAlgebraDesc:
     def __post_init__(self):
         if self.kind not in _DIMS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        # u^2 = d, or u^2 = a, v^2 = b and their product
+        squares = ()
         if self.kind == QUADRATIC:
             if self.d is None or self.d.is_zero:
                 raise ZeroElement("quadratic kind needs a nonzero d")
@@ -155,26 +187,20 @@ class DivisionAlgebraDesc:
                 raise FieldMismatch()
             if self.d.is_rational and _is_rational_square(self.d.as_fraction()):
                 raise ValueError("d is a rational square; F(sqrt d) is not a field")
+            squares = (self.d,)
         if self.kind == QUATERNION:
             if self.a is None or self.b is None or self.a.is_zero or self.b.is_zero:
                 raise ZeroElement("quaternion kind needs nonzero a, b")
             if self.a.owner != self.field or self.b.owner != self.field:
                 raise FieldMismatch()
-        squares = {BASE: (), QUADRATIC: (self.d,), QUATERNION: (self.a, self.b)}
-        one, dim = self.field.one(), self.dim
-        u, v = (*squares[self.kind], one, one)[:2]
-        # (u^2)^(p_0 q_0) (v^2)^(p_1 q_1), indexed by the bits of p & q
-        power = (one, u, v, u * v)
-
-        def const(p, q):
-            return -power[p & q] if p >> 1 & q & 1 else power[p & q]
-
-        mul = [[(q, p ^ q, const(p, q)) for q in range(dim)] for p in range(dim)]
-        # theta(e_p) = -e_p for p > 0, and the cross terms of x theta(x) cancel
-        norm = [[(p, 0, -const(p, p) if p else one)] for p in range(dim)]
+            squares = (self.a, self.b, self.a * self.b)
+        # the constants reduced in F, not a and b, key the shared tables
+        one = self.field.one()
+        power = tuple((c.nums, c.den) for c in (one, *squares))
+        mul, norm = _shape_tables(self.field.degree, power)
         # derived data, outside the dataclass fields, equality and hash
-        object.__setattr__(self, "_mul", _table(self.field, mul, dim))
-        object.__setattr__(self, "_norm", _table(self.field, norm, 1))
+        object.__setattr__(self, "_mul", mul)
+        object.__setattr__(self, "_norm", norm)
         # elements are never mutated, so every caller can share these two
         object.__setattr__(self, "_zero", self._unit(self.field.zero()))
         object.__setattr__(self, "_one", self._unit(one))
@@ -278,7 +304,7 @@ class DElement:
         if c.is_rational:
             return _make(desc, [a * c.nums[0] for a in self.nums], self.den * c.den)
         # c is central, so x c = c x, and c's block is the sparser left factor
-        return _make(desc, *_product(desc._mul, c.nums, c.den, self.nums, self.den))
+        return _make(desc, *_product(desc.field, desc._mul, c.nums, c.den, self.nums, self.den))
 
     def __mul__(self, other):
         if not isinstance(other, DElement):
@@ -291,7 +317,7 @@ class DElement:
         if not any(other.nums):
             return other
         desc = self.desc
-        return _make(desc, *_product(desc._mul, self.nums, self.den, other.nums, other.den))
+        return _make(desc, *_product(desc.field, desc._mul, self.nums, self.den, other.nums, other.den))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -306,7 +332,7 @@ class DElement:
     def norm(self) -> FieldElement:
         """x * conj(x), always a field element."""
         desc = self.desc
-        nums, den = _product(desc._norm, self.nums, self.den, self.nums, self.den)
+        nums, den = _product(desc.field, desc._norm, self.nums, self.den, self.nums, self.den)
         return _canonical(desc.field, nums, den)
 
     def __repr__(self) -> str:
@@ -480,7 +506,8 @@ class AlgebraWithInvolution:
         self._phi_inv = phi if self._phi_is_identity else _hermitian_inverse(phi, PhiSingular)
         self.phi = [tuple(row) for row in phi]
         self._nil: tuple | None = None
-        # Gram block coordinates -> diagonal, filled by hermitian forms
+        # Gram block coordinates -> congruence (G, d), filled by hermitian
+        # forms and cone membership
         self._diagonal_memo: dict = {}
         if desc.kind == QUATERNION:
             try:

@@ -45,7 +45,7 @@ from .algebras import (
     random_field_element,
     unit_congruence,
 )
-from .hermitian import diagonalize_hermitian, sample_symmetric
+from .hermitian import _block_congruence, diagonalize_hermitian, sample_symmetric
 from .orderings import FieldElement, FieldEmbedding, OrderingHandle, list_orderings, sign_of
 
 
@@ -112,7 +112,11 @@ def psd_membership(
     """Positive semidefiniteness of a hermitian matrix over (D, theta) at P."""
     if P.owner != desc.field:
         raise FieldMismatch()
-    G, d = diagonalize_hermitian(desc, B)
+    return _certified(*diagonalize_hermitian(desc, B), P)
+
+
+def _certified(G, d, P: OrderingHandle) -> tuple[bool, ConeWitness | None]:
+    """(True, the certificate (G, d)) when every d_i >= 0 at P, else (False, None)."""
     if all(sign_of(x, P) >= 0 for x in d):
         return True, ConeWitness(G, d)
     return False, None
@@ -125,15 +129,21 @@ def cone_membership(
 
     b is symmetric exactly when Phi^(-1) b is theta-hermitian, since
     sigma(b) = Phi theta(Phi^(-1) b)^t, so the elimination's own hermitian
-    test decides symmetry: its NotHermitian is raised as NotSymmetric.
+    test decides symmetry: its NotHermitian is raised as NotSymmetric.  The
+    congruence of Phi^(-1) b is the one the form <b> memoizes.  Eliminating
+    -Phi^(-1) b takes the same pivots and the same multipliers, so the other
+    orientation keeps G and negates d.
     """
     A = cone.algebra
-    if b.owner is not A:
+    if b.owner is not A or cone.ordering.owner != A.field:
         raise FieldMismatch()
     try:
-        return psd_membership(A.desc, A.unscale(_oriented(b, cone).entries), cone.ordering)
+        G, d = _block_congruence(A, ((b,),))
     except NotHermitian:
         raise NotSymmetric() from None
+    if cone.orientation == -1:
+        d = tuple(-x for x in d)
+    return _certified(G, d, cone.ordering)
 
 
 def list_positive_cones(A: AlgebraWithInvolution) -> tuple[PositiveConeHandle, ...]:

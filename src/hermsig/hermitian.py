@@ -25,8 +25,9 @@ assembled view for reports.  Each block's diagonal is made with the form,
 in two explicit steps: unscale each entry by Phi^(-1) with the algebra's
 `unscale`, then flatten the m x m matrix over M_n(D) to an mn x mn
 theta-hermitian matrix over D and diagonalize it by congruence, which is
-also the block's hermitian test.  Block diagonals are memoized on the
-algebra; sums and repeats of forms reuse their diagonals, and scaling a
+also the block's hermitian test.  Block congruences (G, d) are memoized
+on the algebra, and cone membership reads the same memo for the one-entry
+block <b>; sums and repeats of forms reuse their diagonals, and scaling a
 form by u in F scales them by u.  With the reference form fixed as the
 one-dimensional form on Phi itself, the scaling sends the reference to the
 identity matrix, so no further sign normalization is needed: the signature
@@ -201,13 +202,15 @@ def flatten_blocks(A: AlgebraWithInvolution, blocks):
     return [[x for m in row for x in m[r]] for row in blocks for r in range(A.n)]
 
 
-def _block_diagonal(A: AlgebraWithInvolution, block) -> tuple[FieldElement, ...]:
-    """Diagonal of one Gram block, unscaled by Phi^(-1) and flattened.
+def _block_congruence(A: AlgebraWithInvolution, block):
+    """(G, d) of one Gram block, unscaled by Phi^(-1) and flattened.
 
     The elimination tests the block hermitian and raises NotHermitian.
     Memoized on the algebra by the block's coordinates, so a block that
-    recurs (a reused sample, a cone member rebuilt with its sign) is
-    diagonalized once per algebra; only hermitian blocks are memoized.
+    recurs (a reused sample, a cone member rebuilt with its sign, the same
+    element asked about at another cone) is diagonalized once per algebra;
+    only hermitian blocks are memoized.  G and d are shared by every caller
+    and never changed.
     """
     key = tuple(
         (x.nums, x.den)
@@ -216,12 +219,12 @@ def _block_diagonal(A: AlgebraWithInvolution, block) -> tuple[FieldElement, ...]
         for entry_row in e.entries
         for x in entry_row
     )
-    d = A._diagonal_memo.get(key)
-    if d is None:
+    found = A._diagonal_memo.get(key)
+    if found is None:
         unscaled = [[A.unscale(e.entries) for e in row] for row in block]
-        _, d = diagonalize_hermitian(A.desc, flatten_blocks(A, unscaled))
-        A._diagonal_memo[key] = d
-    return d
+        found = diagonalize_hermitian(A.desc, flatten_blocks(A, unscaled))
+        A._diagonal_memo[key] = found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +259,7 @@ class HermitianForm:
         # so each block's elimination is its hermitian test
         self.owner = owner
         self.blocks = blocks
-        self._diagonals = tuple(_block_diagonal(owner, b) for b in blocks)
+        self._diagonals = tuple(_block_congruence(owner, b)[1] for b in blocks)
 
     @classmethod
     def _orthogonal_sum(cls, owner, blocks, diagonals=None) -> "HermitianForm":
@@ -265,7 +268,7 @@ class HermitianForm:
         h.owner = owner
         h.blocks = tuple(blocks)
         if diagonals is None:
-            diagonals = (_block_diagonal(owner, b) for b in h.blocks)
+            diagonals = (_block_congruence(owner, b)[1] for b in h.blocks)
         h._diagonals = tuple(diagonals)
         return h
 
@@ -321,10 +324,15 @@ def diagonal_form(A: AlgebraWithInvolution, entries) -> HermitianForm:
             e = A.field.from_rational(e)
         if isinstance(e, FieldElement):
             e = A.scalar(e)
-        elif not A.is_symmetric(e):
-            raise NotHermitian("diagonal entry is not symmetric")
+        else:
+            A._own(e)
         elems.append(e)
-    return HermitianForm._orthogonal_sum(A, [((e,),) for e in elems])
+    # e is symmetric exactly when Phi^(-1) e is theta-hermitian, which the
+    # elimination of its one-entry block tests
+    try:
+        return HermitianForm._orthogonal_sum(A, [((e,),) for e in elems])
+    except NotHermitian:
+        raise NotHermitian("diagonal entry is not symmetric") from None
 
 
 def form_direct_sum(h1: HermitianForm, h2: HermitianForm) -> HermitianForm:

@@ -14,6 +14,7 @@ from hermsig.errors import (
     OrderingDoesNotRestrict,
 )
 from hermsig.algebras import (
+    BASE,
     DElement,
     base_desc,
     make_algebra,
@@ -34,6 +35,7 @@ from hermsig.cones import (
     sample_axiom_set,
     sample_cone_member,
 )
+from hermsig import hermitian
 from hermsig.hermitian import (
     congruence_transform,
     diagonal_form,
@@ -462,3 +464,59 @@ def test_member_signature_orientation():
         for _ in range(8):
             b = sample_cone_member(cone, rng, invertible=True)
             assert signature(diagonal_form(M2, [b]), P) == cone.orientation * 2
+
+
+def test_membership_shares_one_congruence_per_element(monkeypatch):
+    # both orientations read the congruence the form <b> memoizes: the first
+    # eliminates Phi^(-1) b, the second keeps G and negates d, and both give
+    # the witness a direct elimination of eps Phi^(-1) b gives
+    eliminations = []
+    real = hermitian.diagonalize_hermitian
+
+    def counting(desc, B):
+        eliminations.append(B)
+        return real(desc, B)
+
+    monkeypatch.setattr(hermitian, "diagonalize_hermitian", counting)
+    rng = random.Random(24)
+    for key, A in standard_algebras().items():
+        desc, cones = A.desc, list_positive_cones(A)
+        samples = [A.zero()]
+        if A.n > 1:
+            # Phi diag(1, 0): a singular member of every + cone
+            samples.append(A.element(A.rescale(
+                [[desc.one() if i == j == 0 else desc.zero() for j in range(A.n)] for i in range(A.n)]
+            )))
+        for cone in cones:
+            samples.append(sample_cone_member(cone, rng))
+        samples += [sample_symmetric(A, rng) for _ in range(3)]
+        for s, b in enumerate(samples):
+            for pair in range(0, len(cones), 2):
+                A._diagonal_memo.clear()
+                # the + cone first on even samples, the - cone first on odd ones
+                for i, cone in enumerate(cones[pair : pair + 2][:: 1 - 2 * (s % 2)]):
+                    before = len(eliminations)
+                    got = cone_membership(b, cone)
+                    assert len(eliminations) - before == (i == 0), key
+                    oriented = b if cone.orientation == 1 else -b
+                    assert got == psd_membership(desc, A.unscale(oriented.entries), cone.ordering), key
+
+
+@pytest.mark.parametrize("key", sorted(standard_algebras()))
+def test_a_non_symmetric_element_raises_every_time(key):
+    A = standard_algebras()[key]
+    desc = A.desc
+    cones = list_positive_cones(A)
+    candidates = [
+        A.element([[t if (r, c) == (0, A.n - 1) else desc.zero() for c in range(A.n)] for r in range(A.n)])
+        for t in desc.basis()
+    ]
+    b = next((x for x in candidates if not A.is_symmetric(x)), None)
+    if b is None:
+        # (Q, id) at n = 1 has only symmetric elements
+        assert desc.kind == BASE and A.n == 1
+        return
+    for _ in range(2):
+        with pytest.raises(NotSymmetric):
+            cone_membership(b, cones[0])
+    assert not A._diagonal_memo

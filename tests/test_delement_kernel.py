@@ -1,7 +1,9 @@
 """Division-algebra arithmetic against independent references.
 
 `DElement` holds one integer block over one denominator and multiplies
-through a structure-constant table per descriptor.  Two references check it:
+through a structure-constant table per shape (field degree and reduced
+constants), shared by every field of that shape; the reduction comes from
+the descriptor's own field.  Two references check it:
 
 - the benchmark's `perfbench/exact.py` `Division`, which shares no code with
   hermsig and models Q[x]/(x^d - c) for d in {1, 2, 4} with fractions;
@@ -251,3 +253,64 @@ def test_zero_and_one_are_shared_and_stay_intact():
         assert (zero.nums, zero.den) == (fresh_zero.nums, fresh_zero.den)
         assert (one.nums, one.den) == (fresh_one.nums, fresh_one.den)
         assert zero.desc is desc and one.desc is desc
+
+
+# pairs of fields of one degree: two values of c for x^2 - c and x^4 - c, and
+# the non-monic 3x^2 - 2 (its reduction scales every step) next to x^2 - 2
+SHARED_FIELD_PAIRS = [
+    (NumberField([-2, 0, 1]), NumberField([-3, 0, 1])),
+    (NumberField([-2, 0, 0, 0, 1]), NumberField([-5, 0, 0, 0, 1])),
+    (NumberField([-2, 0, 3]), NumberField([-2, 0, 1])),
+]
+SHAPES = {
+    "base": base_desc,
+    "quadratic -1": lambda F: quadratic_desc(F, F.from_rational(-1)),
+    "quaternion (-1, -1)": lambda F: quaternion_desc(F, F.from_rational(-1), F.from_rational(-1)),
+    # a = b = the generator: a * b reduces to c, so the two fields of a pair
+    # have different constants although a and b have the same coordinates
+    "quaternion (g, g)": lambda F: quaternion_desc(F, F.generator(), F.generator()),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(SHARED_FIELD_PAIRS),
+    st.sampled_from(sorted(SHAPES)),
+    st.booleans(),
+    st.data(),
+)
+def test_shared_tables_keep_each_fields_reduction(pair, shape, swap, data):
+    first, second = pair[::-1] if swap else pair
+    d1 = SHAPES[shape](first)
+    x, y = data.draw(elements(d1, 2))
+    d2 = SHAPES[shape](second)
+    u, v = data.draw(elements(d2, 2))
+    for desc, (p, q) in ((d1, (x, y)), (d2, (u, v))):
+        assert p * q == formula_mul(p, q), (shape, desc.field.min_poly)
+        assert p.norm() == formula_norm(p), (shape, desc.field.min_poly)
+        g = desc.field.generator()
+        assert p.scale(g) == DElement(desc, tuple(c * g for c in p.comps))
+
+
+def test_one_shape_shares_one_table():
+    def quaternion(F, a, b):
+        return quaternion_desc(F, F.from_rational(a), F.from_rational(b))
+
+    def generator(F):
+        return quaternion_desc(F, F.generator(), F.generator())
+
+    F3, F5 = NumberField([-3, 0, 0, 0, 1]), NumberField([-5, 0, 0, 0, 1])
+    R2, R3 = NumberField([-2, 0, 1]), NumberField([-3, 0, 1])
+    d3, d5 = quaternion(F3, -1, -1), quaternion(F5, -1, -1)
+    # rows are the first part of a table; no table holds a field
+    assert d3._mul[0] is d5._mul[0] and d3._norm[0] is d5._norm[0]
+    for table in (d3._mul, d3._norm):
+        assert not any(isinstance(part, NumberField) for part in table)
+    assert base_desc(F3)._mul[0] is base_desc(F5)._mul[0]
+    # the non-monic 3x^2 - 2 shares with x^2 - 2; only the reduction differs
+    assert quaternion(NumberField([-2, 0, 3]), -1, -1)._mul[0] is quaternion(R2, -1, -1)._mul[0]
+    # other constants, another denominator or another degree: another table
+    for other in (quaternion(F3, -2, -1), quaternion(F3, Fraction(1, 2), -1), quaternion(R3, -1, -1)):
+        assert other._mul[0] is not d3._mul[0]
+    # a = b = the generator multiply to 2 over x^2 - 2 and to 3 over x^2 - 3
+    assert generator(R2)._mul[0] is not generator(R3)._mul[0]

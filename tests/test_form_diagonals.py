@@ -70,6 +70,34 @@ def test_a_two_by_two_gram_is_unscaled_once(monkeypatch):
     assert len(calls) == 4
 
 
+def test_a_diagonal_entry_is_unscaled_once(monkeypatch):
+    # the elimination of <x> is the entry's symmetry test, so a fresh entry
+    # is unscaled once, as `is_unit` unscales it
+    A = standard_algebras()["m2_qq_phi"]
+    F = A.field
+
+    def m2(rows):
+        return A.element([[A.desc.from_field(F.from_rational(c)) for c in row] for row in rows])
+
+    calls = []
+    real = A.unscale
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(A, "unscale", counting)
+    h = diagonal_form(A, [m2([[2, 1], [-1, 5]])])
+    assert len(calls) == 1 and h.rank() == 2
+    # a non-symmetric entry keeps its message, and an entry of another
+    # algebra is rejected before any elimination
+    with pytest.raises(NotHermitian, match="diagonal entry is not symmetric"):
+        diagonal_form(A, [m2([[2, 1], [1, 5]])])
+    other = make_algebra(A.desc, A.n, A.phi)
+    with pytest.raises(FieldMismatch):
+        diagonal_form(A, [m2([[2, 1], [1, 5]]), other.identity()])
+
+
 def _non_symmetric(A):
     """E_ij t for the first basis element t of D that is not symmetric, or None."""
     desc = A.desc
