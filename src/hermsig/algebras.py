@@ -136,9 +136,9 @@ def _shape_tables(deg: int, power: tuple) -> tuple:
 def _product(field: NumberField, table: tuple, x, xden: int, y, yden: int):
     """Integer block and denominator of x * y through `table`, gcd not taken.
 
-    Components are reduced modulo field's cleared minimal polynomial, top
-    term first; when it is not integral each step scales the whole block, so
-    the block keeps one denominator.
+    Components are reduced modulo the cleared minimal polynomial of
+    `field`, top term first; when it is not integral each step scales the
+    whole block, so the block keeps one denominator.
     """
     rows, width, size, den = table
     acc = [0] * size
