@@ -56,7 +56,10 @@ on eight fixed one-entry forms, rebuilt with the memo emptied on each call.
 Over M_2(Q) with Phi = diag(1, -1) it times building a fixed non-diagonal
 2 x 2 form and its first `signature`, with the memo emptied on each call,
 and over H the `trace_transfer` of a fixed diagonal form of four entries,
-built once.  Over fresh quartic fields x^4 - c, cycling through 64
+built once.  On forms built once it times `form_scale` of that 2 x 2 form
+by 3/2 (`form_scale.m2_qq_phi`) and `form_tensor_qf` of a 4-entry
+quadratic form with a 2-entry diagonal form over M_2(H)
+(`form_tensor_qf.m2_ham`); neither reads the result's blocks.  Over fresh quartic fields x^4 - c, cycling through 64
 values of c so that nothing kept per field is reused within a cycle, it
 times building the base and the (-1,-1) descriptor over a field built
 beforehand (`division_desc.*.deg4`), and reading the wire descriptor of
@@ -104,7 +107,8 @@ from types import SimpleNamespace
 REPEATS = 15
 TARGET_S = 0.02  # time per repeat
 MODULES = (
-    "algebras", "cli", "cones", "exactnum", "hermitian", "jsonio", "orderings", "verify", "wittideal",
+    "algebras", "cli", "cones", "exactnum", "hermitian", "jsonio", "orderings", "qforms", "verify",
+    "wittideal",
 )
 AGAINST_PACKAGE = "hermsig_against"
 
@@ -371,9 +375,27 @@ def _form_operations(h) -> dict:
 
     H = algebras["qq_ham"]
     form = h.hermitian.diagonal_form(H, [3, -1, Fraction(1, 2), 5])
+    scaled = h.hermitian.HermitianForm(A, gram)
+    half = F.from_rational(Fraction(3, 2))
+
+    M2H = algebras["m2_ham"]
+    QQ = M2H.field
+
+    def m2h(*rows):
+        return M2H.element(
+            [[h.algebras.DElement(M2H.desc, tuple(QQ.from_rational(c) for c in e)) for e in row] for row in rows]
+        )
+
+    units = h.hermitian.diagonal_form(M2H, [
+        m2h([(2, 0, 0, 0), (1, 1, 0, 0)], [(1, -1, 0, 0), (3, 0, 0, 0)]),
+        m2h([(1, 0, 0, 0), (0, 1, 1, 0)], [(0, -1, -1, 0), (-4, 0, 0, 0)]),
+    ])
+    q = h.qforms.QuadraticForm(QQ, [QQ.from_rational(c) for c in (1, -2, 3, Fraction(1, 2))])
     return {
         "hermitian_form.m2_qq_phi.2x2": fresh_form,
         "trace_transfer.qq_ham": lambda: h.hermitian.trace_transfer(form),
+        "form_scale.m2_qq_phi": lambda: h.hermitian.form_scale(half, scaled),
+        "form_tensor_qf.m2_ham": lambda: h.hermitian.form_tensor_qf(q, units),
     }
 
 

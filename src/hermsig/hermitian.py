@@ -25,10 +25,13 @@ assembled view for reports.  Each block's diagonal is made with the form,
 in two explicit steps: unscale each entry by Phi^(-1) with the algebra's
 `unscale`, then flatten the m x m matrix over M_n(D) to an mn x mn
 theta-hermitian matrix over D and diagonalize it by congruence, which is
-also the block's hermitian test.  Block congruences (G, d) are memoized
-on the algebra, and cone membership reads the same memo for the one-entry
-block <b>; sums and repeats of forms reuse their diagonals, and scaling a
-form by u in F scales them by u.  With the reference form fixed as the
+also the block's hermitian test.  Block congruences are memoized on the
+algebra, (G, d) for one-entry blocks, which cone membership reads for <b>,
+and d alone for larger blocks.  Sums and repeats of forms reuse their
+blocks and diagonals.  Scaling a form by u in F (<u> tensor h, and q tensor
+h entry by entry) scales the diagonals by u and leaves u pending on each
+block, composed with any scalar already there; the scaled blocks are built
+only when something reads them.  With the reference form fixed as the
 one-dimensional form on Phi itself, the scaling sends the reference to the
 identity matrix, so no further sign normalization is needed: the signature
 at a non-nil ordering is the count of positive minus negative entries over
@@ -209,8 +212,11 @@ def _block_congruence(A: AlgebraWithInvolution, block):
     Memoized on the algebra by the block's coordinates, so a block that
     recurs (a reused sample, a cone member rebuilt with its sign, the same
     element asked about at another cone) is diagonalized once per algebra;
-    only hermitian blocks are memoized.  G and d are shared by every caller
-    and never changed.
+    only hermitian blocks are memoized.  G is kept for one-entry blocks
+    only, which is all cone membership reads; a k-entry block memoizes
+    (None, d).  A key holds (k n)^2 coordinates, so within one algebra its
+    length fixes k and the two kinds of entry never share a key.  G and d
+    are shared by every caller and never changed.
     """
     key = tuple(
         (x.nums, x.den)
@@ -222,7 +228,8 @@ def _block_congruence(A: AlgebraWithInvolution, block):
     found = A._diagonal_memo.get(key)
     if found is None:
         unscaled = [[A.unscale(e.entries) for e in row] for row in block]
-        found = diagonalize_hermitian(A.desc, flatten_blocks(A, unscaled))
+        G, d = diagonalize_hermitian(A.desc, flatten_blocks(A, unscaled))
+        found = (G if len(block) == 1 else None, d)
         A._diagonal_memo[key] = found
     return found
 
@@ -237,12 +244,17 @@ class HermitianForm:
     Each block is a square Gram matrix over A, and the form's Gram matrix is
     their block-diagonal sum.  A diagonal Gram splits into one block per
     entry; any other Gram given here is one block.  Each block's diagonal
-    is made with the form, and every computation reads the blocks and
-    their diagonals; `gram` only assembles the dense view for callers that
-    print or compare whole Grams.
+    is made with the form.  A block may carry a pending central scalar u in
+    F (`_scalars`, None for the whole form when no block has one): the
+    block then stands for u times its stored Gram, and its diagonal is
+    already scaled.  `blocks` applies the pending scalars on its first read
+    and keeps the result; signatures, ranks, `dim` and `is_diagonal` read
+    the diagonals, the block shapes and the scalars, and build no block.
+    `gram` only assembles the dense view for callers that print or compare
+    whole Grams.
     """
 
-    __slots__ = ("owner", "blocks", "_diagonals")
+    __slots__ = ("owner", "_raw", "_scalars", "_blocks", "_diagonals")
 
     def __init__(self, owner: AlgebraWithInvolution, gram):
         gram = tuple(tuple(row) for row in gram)
@@ -258,23 +270,46 @@ class HermitianForm:
         # g_ij = sigma(g_ji) exactly when Phi^(-1) g_ij = theta(Phi^(-1) g_ji)^t,
         # so each block's elimination is its hermitian test
         self.owner = owner
-        self.blocks = blocks
+        self._raw = self._blocks = blocks
+        self._scalars = None
         self._diagonals = tuple(_block_congruence(owner, b)[1] for b in blocks)
 
     @classmethod
-    def _orthogonal_sum(cls, owner, blocks, diagonals=None) -> "HermitianForm":
-        """The form on already-checked blocks, with their diagonals if known."""
+    def _orthogonal_sum(
+        cls, owner, blocks, diagonals=None, scalars=None
+    ) -> "HermitianForm":
+        """The form on already-checked blocks, with their diagonals if known.
+
+        `scalars`, when given, holds one pending scalar (or None) per block,
+        and `diagonals` then holds the scaled diagonals.
+        """
         h = cls.__new__(cls)
         h.owner = owner
-        h.blocks = tuple(blocks)
+        h._raw = blocks = tuple(blocks)
+        h._scalars = scalars
+        h._blocks = blocks if scalars is None else None
         if diagonals is None:
-            diagonals = (_block_congruence(owner, b)[1] for b in h.blocks)
+            diagonals = (_block_congruence(owner, b)[1] for b in blocks)
         h._diagonals = tuple(diagonals)
         return h
 
+    def _pending(self) -> tuple:
+        """One pending scalar per block, None where a block has none."""
+        return self._scalars or (None,) * len(self._raw)
+
+    @property
+    def blocks(self):
+        """The Gram blocks, each times its pending scalar, built once."""
+        if self._blocks is None:
+            self._blocks = tuple(
+                b if u is None else tuple(tuple(e * u for e in row) for row in b)
+                for b, u in zip(self._raw, self._scalars)
+            )
+        return self._blocks
+
     @property
     def dim(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(len(b) for b in self._raw)
 
     @property
     def gram(self):
@@ -304,12 +339,17 @@ class HermitianForm:
         return self.rank() == self.dim * self.owner.n
 
     def is_diagonal(self) -> bool:
+        # a nonzero scalar keeps every zero and nonzero entry; a zero one
+        # makes the whole block zero
         return all(
-            b[i][j].is_zero
-            for b in self.blocks
-            for i in range(len(b))
-            for j in range(len(b))
-            if i != j
+            (u is not None and u.is_zero)
+            or all(
+                b[i][j].is_zero
+                for i in range(len(b))
+                for j in range(len(b))
+                if i != j
+            )
+            for b, u in zip(self._raw, self._pending())
         )
 
     def __repr__(self) -> str:
@@ -338,38 +378,49 @@ def diagonal_form(A: AlgebraWithInvolution, entries) -> HermitianForm:
 def form_direct_sum(h1: HermitianForm, h2: HermitianForm) -> HermitianForm:
     if h1.owner is not h2.owner:
         raise FieldMismatch()
+    scalars = None
+    if h1._scalars is not None or h2._scalars is not None:
+        scalars = h1._pending() + h2._pending()
     return HermitianForm._orthogonal_sum(
-        h1.owner, h1.blocks + h2.blocks, h1._diagonals + h2._diagonals
+        h1.owner, h1._raw + h2._raw, h1._diagonals + h2._diagonals, scalars
     )
 
 
 def form_scale(u: FieldElement, h: HermitianForm) -> HermitianForm:
     """The form <u> tensor h.
 
-    Every block and its diagonal are scaled by u: u is central and fixed by
-    the involution, so theta(G)^t (u B) G = u theta(G)^t B G.
+    u is central and fixed by the involution, so
+    theta(G)^t (u B) G = u theta(G)^t B G: the diagonals are scaled by u
+    now, and each block only gains u as a pending scalar, composed with the
+    one it has (v, then u, gives v u).  No block entry is multiplied until
+    `blocks` is read.
     """
-    return HermitianForm._orthogonal_sum(
-        h.owner,
-        [tuple(tuple(e * u for e in row) for row in b) for b in h.blocks],
-        [tuple(x * u for x in d) for d in h._diagonals],
-    )
+    return form_tensor_qf(QuadraticForm(h.owner.field, (u,)), h)
 
 
 def form_tensor_qf(q: QuadraticForm, h: HermitianForm) -> HermitianForm:
-    """The orthogonal sum of <u> tensor h over q's entries u; empty if q is."""
+    """The orthogonal sum of <u> tensor h over q's entries u; empty if q is.
+
+    One orthogonal sum over the blocks of h, repeated once per entry u,
+    each with its pending scalar composed with u and its diagonal scaled
+    by u; the block entries are not copied or multiplied.
+    """
     if q.owner != h.owner.field:
         raise FieldMismatch()
-    out = HermitianForm._orthogonal_sum(h.owner, ())
-    for u in q.diag:
-        out = form_direct_sum(out, form_scale(u, h))
-    return out
+    pending = h._pending()
+    return HermitianForm._orthogonal_sum(
+        h.owner,
+        h._raw * len(q.diag),
+        [tuple(x * u for x in d) for u in q.diag for d in h._diagonals],
+        tuple(u if v is None else v * u for u in q.diag for v in pending),
+    )
 
 
 def form_repeat(ell: int, h: HermitianForm) -> HermitianForm:
-    """Orthogonal sum of ell copies of h."""
+    """Orthogonal sum of ell copies of h, sharing its blocks and scalars."""
+    scalars = None if h._scalars is None else h._scalars * ell
     return HermitianForm._orthogonal_sum(
-        h.owner, h.blocks * ell, h._diagonals * ell
+        h.owner, h._raw * ell, h._diagonals * ell, scalars
     )
 
 

@@ -9,6 +9,11 @@ orderings), with zero and singular diagonal entries allowed.  The star
 pairing and the congruence transform, which the library also computes block
 by block, are checked against dense computations built here from the
 assembled Gram matrix.
+
+Scaling leaves a central scalar pending on each block, so the scaled,
+repeated, summed and tensored forms below are also compared with forms
+whose blocks are multiplied out entry by entry here, and D-operations are
+counted to show that the blocks are only multiplied when read.
 """
 
 import pytest
@@ -26,12 +31,14 @@ from hermsig.hermitian import (  # noqa: E402
     form_direct_sum,
     form_repeat,
     form_scale,
+    form_tensor_qf,
     nil_orderings,
     signature,
+    signature_vector,
     star_pairing_form,
 )
 from hermsig.orderings import list_orderings, sign_of  # noqa: E402
-from hermsig.qforms import signature_qf  # noqa: E402
+from hermsig.qforms import QuadraticForm, signature_qf  # noqa: E402
 from hermsig.verify import standard_algebras  # noqa: E402
 
 ALGEBRAS = standard_algebras()
@@ -255,3 +262,108 @@ def test_star_gram_coordinates_match_trace_products(key, data):
         for d in diagonalize_hermitian(*trace_product_gram(block, b))[1]
     )
     assert _star_gram_diagonal(h, b) == expected
+
+
+def eager(block, *scalars):
+    """The block with every entry multiplied by each scalar in turn."""
+    for u in scalars:
+        block = tuple(tuple(e * u for e in row) for row in block)
+    return block
+
+
+def unit_triangular(draw, A, k):
+    """A unit upper triangular k x k matrix over A, hence invertible."""
+    G = [[A.identity() if i == j else A.zero() for j in range(k)] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            G[i][j] = draw(algebra_elements(A, 1))
+    return G
+
+
+@st.composite
+def scaled_cases(draw):
+    """(form built by the library, its blocks multiplied out here, G)."""
+    A = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    F = A.field
+    if draw(st.booleans()):
+        h = diagonal_form(A, draw(st.lists(symmetric_entries(A), min_size=1, max_size=2)))
+    else:
+        x = draw(algebra_elements(A))
+        s1, s2 = draw(symmetric_entries(A)), draw(symmetric_entries(A))
+        h = HermitianForm(A, [[s1, x], [A.involution(x), s2]])
+    other = diagonal_form(A, [draw(symmetric_entries(A))])
+    u, v = (draw(field_elements(F, 3)) for _ in range(2))
+    shape = draw(st.sampled_from(["nested", "repeat", "sum", "tensor"]))
+    if shape == "nested":
+        form = form_scale(u, form_scale(v, h))
+        blocks = [eager(b, v, u) for b in h.blocks]
+    elif shape == "repeat":
+        form = form_repeat(2, form_scale(u, h))
+        blocks = [eager(b, u) for b in h.blocks] * 2
+    elif shape == "sum":
+        scaled = form_scale(u, h)
+        if draw(st.booleans()):
+            form = form_direct_sum(scaled, other)
+            blocks = [eager(b, u) for b in h.blocks] + list(other.blocks)
+        else:
+            form = form_scale(v, form_direct_sum(other, scaled))
+            blocks = [eager(b, v) for b in other.blocks]
+            blocks += [eager(b, u, v) for b in h.blocks]
+    else:
+        diag = draw(st.permutations([u, F.zero()]))
+        form = form_tensor_qf(QuadraticForm(F, diag), form_scale(v, h))
+        blocks = [eager(b, v, w) for w in diag for b in h.blocks]
+    return form, tuple(blocks), unit_triangular(draw, A, form.dim), draw(symmetric_entries(A))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_cases())
+def test_pending_scalars_match_blocks_multiplied_out(case):
+    form, blocks, G, b = case
+    reference = HermitianForm._orthogonal_sum(form.owner, blocks)
+    # every reader that needs no block runs before the blocks are built
+    assert form.dim == reference.dim
+    assert form.is_diagonal() == reference.is_diagonal()
+    assert form.rank() == reference.rank()
+    assert form.flattened_diagonal() == reference.flattened_diagonal()
+    assert signature_vector(form) == signature_vector(reference)
+    assert star_pairing_form(form, b).diag == star_pairing_form(reference, b).diag
+    assert form.blocks == blocks
+    assert form.gram == reference.gram
+    moved = congruence_transform(form, G)
+    assert moved.gram == congruence_transform(reference, G).gram
+    assert moved.flattened_diagonal() == congruence_transform(reference, G).flattened_diagonal()
+
+
+@pytest.mark.parametrize("key", ["m2_ham", "m2_qq_phi", "rt2_nil_quat"])
+def test_scaling_makes_no_d_operation_until_blocks_are_read(key, monkeypatch):
+    A = ALGEBRAS[key]
+    F = A.field
+    x = A.element([[A.desc.one() if i == j else A.desc.zero() for j in range(A.n)] for i in range(A.n)])
+    phi = A.phi_element()
+    h = HermitianForm(A, [[phi, x], [A.involution(x), phi * 3]])
+    h = form_direct_sum(h, diagonal_form(A, [phi * -2]))
+    u, v = F.from_rational(-3), F.element([1, 1][: F.degree])
+    q = QuadraticForm(F, [u, F.zero(), v])
+    calls = []
+    for name in ("scale", "__mul__"):
+        real = getattr(DElement, name)
+
+        def counted(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(DElement, name, counted)
+    forms = [form_scale(u, h), form_tensor_qf(q, h), form_repeat(3, form_scale(v, h))]
+    forms.append(form_tensor_qf(q, form_repeat(2, forms[0])))
+    forms.append(form_direct_sum(forms[1], h))
+    for f in forms:
+        f.dim, f.rank(), f.is_diagonal(), f.flattened_diagonal()
+    assert calls == []
+    forms[0].blocks
+    assert calls
+    calls.clear()
+    forms[0].blocks
+    assert calls == []
+    forms[1].gram
+    assert calls

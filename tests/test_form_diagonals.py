@@ -25,7 +25,7 @@ from hermsig.algebras import (  # noqa: E402
     quadratic_desc,
     quaternion_desc,
 )
-from hermsig.cones import list_positive_cones  # noqa: E402
+from hermsig.cones import cone_membership, list_positive_cones  # noqa: E402
 from hermsig.errors import FieldMismatch, NotHermitian  # noqa: E402
 from hermsig.hermitian import (  # noqa: E402
     HermitianForm,
@@ -108,6 +108,22 @@ def _non_symmetric(A):
                 if not A.is_symmetric(x):
                     return x
     return None
+
+
+@pytest.mark.parametrize("key", sorted(ALGEBRAS))
+def test_only_one_entry_blocks_keep_their_transform(key):
+    # cone membership reads G of <b> only; a k-entry block's key holds
+    # (k n)^2 coordinates and its memo entry keeps d alone
+    A = ALGEBRAS[key]
+    A._diagonal_memo.clear()
+    phi, one = A.phi_element(), A.identity()
+    h = HermitianForm(A, [[phi, one], [A.involution(one), phi * 3]])
+    h = congruence_transform(h, [[one, one], [A.zero(), one]])
+    diagonal_form(A, [phi * -2])
+    kept = {len(k): G is not None for k, (G, d) in A._diagonal_memo.items()}
+    assert kept == {A.n**2: True, 4 * A.n**2: False}
+    member, witness = cone_membership(phi * 2, list_positive_cones(A)[0])
+    assert member and witness.transform is not None
 
 
 @pytest.mark.parametrize("key", sorted(ALGEBRAS))
