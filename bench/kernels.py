@@ -375,8 +375,8 @@ def _form_operations(h) -> dict:
 
     H = algebras["qq_ham"]
     form = h.hermitian.diagonal_form(H, [3, -1, Fraction(1, 2), 5])
-    scaled = h.hermitian.HermitianForm(A, gram)
-    half = F.from_rational(Fraction(3, 2))
+    built = h.hermitian.HermitianForm(A, gram)
+    three_halves = F.from_rational(Fraction(3, 2))
 
     M2H = algebras["m2_ham"]
     QQ = M2H.field
@@ -394,7 +394,7 @@ def _form_operations(h) -> dict:
     return {
         "hermitian_form.m2_qq_phi.2x2": fresh_form,
         "trace_transfer.qq_ham": lambda: h.hermitian.trace_transfer(form),
-        "form_scale.m2_qq_phi": lambda: h.hermitian.form_scale(half, scaled),
+        "form_scale.m2_qq_phi": lambda: h.hermitian.form_scale(three_halves, built),
         "form_tensor_qf.m2_ham": lambda: h.hermitian.form_tensor_qf(q, units),
     }
 

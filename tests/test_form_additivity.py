@@ -339,9 +339,8 @@ def test_pending_scalars_match_blocks_multiplied_out(case):
 def test_scaling_makes_no_d_operation_until_blocks_are_read(key, monkeypatch):
     A = ALGEBRAS[key]
     F = A.field
-    x = A.element([[A.desc.one() if i == j else A.desc.zero() for j in range(A.n)] for i in range(A.n)])
-    phi = A.phi_element()
-    h = HermitianForm(A, [[phi, x], [A.involution(x), phi * 3]])
+    phi, one = A.phi_element(), A.identity()
+    h = HermitianForm(A, [[phi, one], [A.involution(one), phi * 3]])
     h = form_direct_sum(h, diagonal_form(A, [phi * -2]))
     u, v = F.from_rational(-3), F.element([1, 1][: F.degree])
     q = QuadraticForm(F, [u, F.zero(), v])
