@@ -7,22 +7,29 @@ built on integer coefficient tuples by primitive pseudo-remainders: each
 remainder is scaled by positive factors only and divided by its content (and
 by -1 for a chain's negated remainder) in one pass, so each member is a
 positive multiple of the member a division over Q would give, and every
-sign-change count is the same.  A `Polynomial` keeps what is computed on it
+sign-change count is the same.  A normal step, where the degree drops by
+one (almost every step of a chain), is computed in one pass as
+lc^2 * a - (q1 x + q0) * b.  A `Polynomial` keeps what is computed on it
 once built: its primitive integer coefficients; its Sturm chain, so the
 squarefree test (the chain's last member is gcd(p, p')), isolation and
-refinement of one polynomial share it; its isolating intervals; and one
-Tarski chain per condition, keyed by the condition's primitive integer
-coefficients.
+refinement of one polynomial share it; its isolating intervals, as integer
+triples; and one Tarski chain per condition, keyed by the condition's
+primitive integer coefficients.
 
 Isolation runs on an integer grid.  Every endpoint is a dyadic multiple of
 the Cauchy bound N/D, so intervals are bisected as integer numerators over
 D*2**k; each midpoint is one integer reading of the chain, which gives both
-its variation and whether the midpoint is a root.  `Fraction`s appear only
-in the returned `Interval`s.
+its variation and whether the midpoint is a root.  Mahler's root-separation
+bound caps the depth, so a faulty chain raises instead of looping.  The
+isolation is kept as triples (lo, hi, q), the interval [lo/q, hi/q], and the
+localized count, `orderings` and the verify suite read them as integers;
+`Fraction`s appear only in the `Interval`s `isolate_real_roots` returns.
 
 Integer interval Horner (`_interval_sign`) bounds a polynomial over an
 interval with integer ends over one denominator; `orderings.sign_of` and
-the verify suite's isolate-and-evaluate oracle read signs from it.
+the verify suite's isolate-and-evaluate oracle read signs from it, and both
+narrow an interval by the sign of the polynomial at its midpoint, reading
+no chain.
 
 Sign-condition counts come in two forms.  `count_roots_with_signs` isolates
 the roots of m once and then runs one localized Tarski query per condition
@@ -36,7 +43,8 @@ plus m's root count for the empty product.  Of these it reads the r
 singleton chains m already keeps and builds the rest; it reads no intervals
 and fills nothing.  It stays as the isolation-free reference and is
 cross-checked against the first path and against isolate-and-evaluate, which
-reads no Tarski chain, by the `sturm_sign_count_oracle` criterion.
+reads no chain at all past the isolation, by the `sturm_sign_count_oracle`
+criterion.
 No polynomial gcd is computed: for squarefree m the Tarski chain seeded
 with (m, m'*g mod m) ends at gcd(m, g), so a condition sharing a root with
 m is rejected from the last member of a chain the count builds anyway, and
@@ -109,7 +117,8 @@ class Polynomial:
         self.coeffs = tuple(cs)
         self._ints: tuple[int, ...] | None = None  # filled by _primitive_integer
         self._sturm: SturmSequence | None = None  # filled by sturm_sequence
-        self._roots: tuple[Interval, ...] | None = None  # filled by _real_roots
+        # isolating triples (lo, hi, q), filled by _real_roots
+        self._roots: tuple[tuple[int, int, int], ...] | None = None
         # primitive integer condition -> Tarski chain, filled by _tarski_of
         self._tarski: dict[tuple[int, ...], SturmSequence] | None = None
 
@@ -189,7 +198,7 @@ def _primitive(cs: list, sign: int = 1) -> tuple[int, ...]:
     while cs and not cs[-1]:
         cs.pop()
     g = math.gcd(*cs) * sign
-    return tuple(cs) if g == 1 else tuple(c // g for c in cs)
+    return tuple(cs) if g == 1 else tuple([c // g for c in cs])
 
 
 def _primitive_integer(f: Polynomial) -> tuple[int, ...]:
@@ -218,16 +227,26 @@ def _mul(a, b) -> list:
 def _prem(a, b: tuple[int, ...], sign: int = 1) -> tuple[int, ...]:
     """Primitive integer multiple of sign * (a mod b) by a positive factor.
 
-    b must have b[-1] != 0.  Each step removes the leading term t of the
-    partial remainder r as (|lc b| * r - sign(lc b) * t * x^k * b) /
-    gcd(lc b, t): the scale on r is positive, so the result is a positive
-    multiple of the remainder over Q.  Trailing zeros are stripped in place
-    and one pass divides by sign times the content (`_primitive`), so
+    b must have b[-1] != 0.  A normal step, deg a = deg b + 1 (almost
+    every step of a chain), is one pass: with lc = b[-1], q1 = lc * a[-1] and
+    q0 = lc * a[-2] - a[-1] * b[-2], r = lc^2 * a - (q1 x + q0) * b has its
+    two top terms cancelled, and lc^2 > 0 makes it a positive multiple of
+    the remainder over Q.  Any other degree gap removes the leading term t
+    of the partial remainder r step by step as (|lc| * r - sign(lc) * t *
+    x^k * b) / gcd(lc, t), again scaling r by positive factors only.  Either
+    way trailing zeros are stripped in place and one pass divides by sign
+    times the content (`_primitive`), so both give the same tuple, and
     `_chain` asks for sign -1 and gets its negated remainder without a
     second copy.
     """
     db = len(b) - 1
     lc = b[-1]
+    if len(a) == db + 2 and db:
+        top = a[-1]
+        q1, q0, l2 = lc * top, lc * a[-2] - top * b[-2], lc * lc
+        r = [l2 * a[0] - q0 * b[0]]
+        r += [l2 * x - q1 * y - q0 * z for x, y, z in zip(a[1:db], b, b[1:])]
+        return _primitive(r, sign)
     scale, flip, head = abs(lc), lc < 0, b[:db]
     r = list(a)
     for k in range(len(r) - 1 - db, -1, -1):
@@ -356,23 +375,15 @@ def count_real_roots(p: Polynomial, window: Interval | None = None) -> int:
     return chain.count_in(window.lo, window.hi)
 
 
-def _root_bound(p: Polynomial) -> Fraction:
-    """Cauchy bound: every real root lies strictly inside (-B, B)."""
-    lead = abs(p.leading)
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lead
-
-
 def isolate_real_roots(p: Polynomial) -> list[Interval]:
-    """Disjoint rational intervals, one simple root each, ordered by midpoint.
+    """Disjoint rational intervals, one simple root each, in increasing order.
 
     No endpoint is a root of p.  Raises NotSquarefree unless p is squarefree,
     read off the end of the Sturm chain p keeps; callers need not normalize p.
-    Bisection runs on integers over the denominators D*2**k of the Cauchy
-    bound's dyadic grid, reading the chain once per midpoint.  The intervals
-    are isolated once and kept on p; each call returns a fresh list.
+    The roots are isolated once, as integer triples kept on p (`_isolate`);
+    each call reads them as a fresh list of `Interval`s.
     """
-    return list(_real_roots(p, _squarefree_chain(p)))
+    return [Interval(Fraction(lo, q), Fraction(hi, q)) for lo, hi, q in _real_roots(p)]
 
 
 def _squarefree_chain(p: Polynomial) -> SturmSequence:
@@ -386,49 +397,73 @@ def _squarefree_chain(p: Polynomial) -> SturmSequence:
     return chain
 
 
-def _real_roots(p: Polynomial, chain: SturmSequence) -> tuple[Interval, ...]:
-    """Isolating intervals of squarefree p, isolated once and kept on p."""
+def _real_roots(p: Polynomial) -> tuple[tuple[int, int, int], ...]:
+    """Isolating triples (lo, hi, q) of squarefree p, isolated once and kept on p."""
     if p._roots is None:
-        p._roots = _isolate(p, chain)
+        p._roots = _isolate(_squarefree_chain(p))
     return p._roots
 
 
-def _isolate(p: Polynomial, chain: SturmSequence) -> tuple[Interval, ...]:
-    """Isolating intervals of squarefree p, given its Sturm chain.
+def _isolate(chain: SturmSequence) -> tuple[tuple[int, int, int], ...]:
+    """Isolating triples (lo, hi, q) of a squarefree f, given its Sturm chain.
 
-    Every endpoint is j*B/2**k for the Cauchy bound B = N/D, so each
-    interval is carried as integer numerators over one denominator D*2**k,
-    with the variations of the chain at both ends.  A bisection reads the
-    chain once, at the midpoint, and the same reading says whether the
-    midpoint is a root.  No endpoint is a root of p: endpoints are +/-B,
-    bisection midpoints that are not roots, or the non-root ends of a
-    window carved around a rational root.
+    Each triple is the interval [lo/q, hi/q], q > 0, holding one root of f;
+    the triples are ordered by their roots.  Every endpoint is j*B/2**k for
+    the Cauchy bound B = N/D = 1 + max|f_i| / |f_d| in lowest terms, taken
+    on f's primitive integer coefficients, so each interval is carried as
+    integer numerators over one denominator D*2**k, with the variations of
+    the chain at both ends.  A bisection reads the chain once, at the
+    midpoint, and the same reading says whether the midpoint is a root.  No
+    endpoint is a root of f: endpoints are +/-B, bisection midpoints that
+    are not roots, or the non-root ends of a window carved around a
+    rational root.
+
+    Isolation is bounded.  Distinct roots of f, of degree d, lie more than
+    s = sqrt(3) * d**(-(d + 2)/2) * |f|_2**(1 - d) apart (Mahler 1964), and
+    K = ceil(sqrt(d**(d + 2) * |f|_2**(2(d - 1)))) >= sqrt(3) / s is
+    computed once, on integers.  An interval holding two roots is wider
+    than s, and a window about a rational root fails its check (an end is a
+    root, or it holds a second root) only while its half-width exceeds s.
+    An interval of integer width W = hi - lo keeps W while it is
+    bisected, so once q > W*K it is narrower than 1/K < s; each interval
+    carries that limit, and a window of half-width delta has the limit
+    delta*K.  A larger q, or a negative variation difference, can only come
+    from a faulty chain and raises AssertionError instead of bisecting
+    forever; the check is one comparison of q per step.
     """
-    if p.degree == 0:
+    f = chain.members[0]
+    d = len(f) - 1
+    if d == 0:
         return ()
-    bound = _root_bound(p)
-    n, q = bound.numerator, bound.denominator
+    lead = abs(f[-1])
+    top = max(abs(c) for c in f[:-1])
+    g = math.gcd(top, lead)
+    n, q = (lead + top) // g, lead // g
+    k = 1 + math.isqrt(d ** (d + 2) * sum(c * c for c in f) ** (d - 1) - 1)
     read = chain.read
     found = []
-    stack = [(-n, n, q, read(-n, q)[1], read(n, q)[1])]
+    stack = [(-n, n, q, read(-n, q)[1], read(n, q)[1], 2 * n * k)]
     while stack:
-        lo, hi, q, v_lo, v_hi = stack.pop()
+        lo, hi, q, v_lo, v_hi, limit = stack.pop()
         c = v_lo - v_hi
         if c == 0:
             continue
         if c == 1:
             found.append((lo, hi, q))
             continue
+        if c < 0 or q > limit:
+            raise AssertionError("Sturm chain does not isolate")
         mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
         value, v_mid = read(mid, q)
         if value:
-            stack.append((lo, mid, q, v_lo, v_mid))
-            stack.append((mid, hi, q, v_mid, v_hi))
+            stack.append((lo, mid, q, v_lo, v_mid, limit))
+            stack.append((mid, hi, q, v_mid, v_hi, limit))
             continue
         # rational root exactly at the midpoint: carve out the window
         # mid -/+ delta with non-root ends, delta a quarter of the width
         # halved until it holds one root, then recurse on the sides
         delta = hi - lo
+        limit = delta * k
         lo, mid, hi, q = 4 * lo, 4 * mid, 4 * hi, 4 * q
         while True:
             a, b = mid - delta, mid + delta
@@ -437,12 +472,15 @@ def _isolate(p: Polynomial, chain: SturmSequence) -> tuple[Interval, ...]:
                 value_b, v_b = read(b, q)
                 if value_b and v_a - v_b == 1:
                     break
+            if q > limit:
+                raise AssertionError("Sturm chain does not isolate")
             lo, mid, hi, q = 2 * lo, 2 * mid, 2 * hi, 2 * q
         found.append((a, b, q))
-        stack.append((lo, a, q, v_lo, v_a))
-        stack.append((b, hi, q, v_b, v_hi))
-    out = [Interval(Fraction(lo, q), Fraction(hi, q)) for lo, hi, q in found]
-    return tuple(sorted(out, key=lambda iv: iv.mid))
+        limit = (a - lo) * k
+        stack.append((lo, a, q, v_lo, v_a, limit))
+        stack.append((b, hi, q, v_b, v_hi, limit))
+    q = max((q for _, _, q in found), default=1)
+    return tuple(sorted(found, key=lambda t: t[0] * (q // t[2])))
 
 
 def tarski_query(m: Polynomial, g: Polynomial) -> int:
@@ -510,13 +548,14 @@ def _check_sign_conditions(m: Polynomial, gs) -> tuple[SturmSequence, list]:
 def count_roots_with_signs(m: Polynomial, gs) -> int:
     """Number of real roots c of m with g(c) > 0 for every g in gs.
 
-    Uses the isolating intervals and Tarski chains m keeps, building those
-    it lacks: the roots of m are isolated once, on its own Sturm chain, and
+    Uses the isolating triples and Tarski chains m keeps, building those it
+    lacks: the roots of m are isolated once, on its own Sturm chain, and
     each condition's chain is built once per polynomial.  For each
     condition g, one localized Tarski query decides sgn g(c) at every root c
-    still counted: across an isolating interval (a, b) of c, the chain
-    seeded with (m, m'*g mod m) drops by exactly sgn g(c), because a and b
-    are not roots of m and g is coprime to m.  All these chains are built
+    still counted: across an isolating interval (lo/q, hi/q) of c, the
+    chain seeded with (m, m'*g mod m), read at the integers lo, hi over q,
+    drops by exactly sgn g(c), because the ends are not roots of m and g is
+    coprime to m.  All these chains are built
     before isolating: for squarefree m each one ends at gcd(m, g), so a
     nonconstant last member rejects a condition sharing a root with m, even
     one that comes after the roots have run out.  The work is at most one
@@ -526,11 +565,12 @@ def count_roots_with_signs(m: Polynomial, gs) -> int:
     queries = [_tarski_of(m, chain, g) for g in gs]
     if any(len(local.members[-1]) > 1 for local in queries):
         raise SignConditionDegenerate()
-    roots = _real_roots(m, chain)
+    roots = _real_roots(m)
     for local in queries:
         if not roots:
             break
-        roots = [iv for iv in roots if local.count_in(iv.lo, iv.hi) == 1]
+        read = local.read
+        roots = [t for t in roots if read(t[0], t[2])[1] - read(t[1], t[2])[1] == 1]
     return len(roots)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,13 +20,12 @@ from .exactnum import (
     Polynomial,
     _interval_sign,
     _primitive_integer,
+    _real_roots,
     _scaled_value,
     count_roots_with_signs,
     count_roots_with_signs_formula,
     is_coprime,
     is_squarefree,
-    isolate_real_roots,
-    sturm_sequence,
 )
 from .orderings import NumberField, embed_field, list_orderings
 from .qforms import signature_qf
@@ -124,45 +122,52 @@ def _random_poly(rng, max_deg, max_coeff):
     return Polynomial(coeffs + [lead])
 
 
-def _oracle_sign_at_root(gs, ps, chain, iv):
-    """Sign of g at the isolated root of p: interval refinement only.
+def _oracle_sign_at_root(gs, ps, root):
+    """Sign of g at the root of p isolated by `root`: interval refinement only.
 
     gs and ps are the integer coefficients of positive multiples of g and
-    p, `chain` is the Sturm chain of p and `iv` an isolating interval whose
-    endpoints are not roots of p; each step keeps the half holding the root.
-    The ends are integers lo/q and hi/q over one denominator: step k of the
-    interval Horner bound of g is scaled by q^k, and p and g are read at the
-    midpoint as q^deg times their values, so every test is an integer sign.
+    p, and `root` an integer triple (lo, hi, q) for the interval
+    [lo/q, hi/q] whose ends are not roots of p and hold one root of p
+    between them.  p changes sign across it; each step reads p at the
+    midpoint, one Horner value, and keeps the half where p changes sign,
+    the same way `orderings.sign_of` narrows.  Step k of the interval Horner
+    bound of g is scaled by q^k, and p and g are read at the midpoint as
+    q^deg times their values, so every test is an integer sign.  No chain
+    is read, so the oracle shares no Sturm or Tarski work with either count
+    it checks.
     """
-    q = math.lcm(iv.lo.denominator, iv.hi.denominator)
-    lo = iv.lo.numerator * (q // iv.lo.denominator)
-    hi = iv.hi.numerator * (q // iv.hi.denominator)
-    v_lo = chain.read(lo, q)[1]
+    lo, hi, q = root
+    lo_negative = _scaled_value(ps, lo, q) < 0
+    if (_scaled_value(ps, hi, q) < 0) == lo_negative:
+        raise AssertionError("p does not change sign across the interval")
     while True:
         s = _interval_sign(gs, lo, hi, q)
         if s:
             return s
         mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
-        if _scaled_value(ps, mid, q) == 0:
+        value = _scaled_value(ps, mid, q)
+        if not value:
             v = _scaled_value(gs, mid, q)
             return (v > 0) - (v < 0)
-        v_mid = chain.read(mid, q)[1]
-        if v_lo - v_mid == 1:
-            hi = mid
+        if (value < 0) == lo_negative:
+            lo = mid
         else:
-            lo, v_lo = mid, v_mid
+            hi = mid
 
 
 def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
     """Both sign-condition count paths against isolate-and-evaluate.
 
-    The oracle and the localized count read the one isolation m keeps, and
-    the count reuses the Tarski chains `is_coprime` built on m.  The formula
-    path reads no intervals and fills nothing; it reads those r singleton
-    chains and builds the other 2**r - 1 - r.  Every condition kept is
-    coprime to m, which the formula's sum over subset products rests on; it
-    reads the empty product's term off m's Sturm chain.  Isolate-and-evaluate
-    reads no Tarski chain, so it stays the independent check of both paths.
+    The oracle and the localized count read the one isolation m keeps, as
+    integer triples, and the count reuses the Tarski chains `is_coprime`
+    built on m.  The formula path reads no intervals and fills nothing; it
+    reads those r singleton chains and builds the other 2**r - 1 - r.
+    Every condition kept is coprime to m, which the formula's sum over
+    subset products rests on; it reads the empty product's term off m's
+    Sturm chain.  Isolate-and-evaluate narrows each isolating interval by
+    the sign of m alone and reads no chain past the isolation, so it stays
+    the independent check of both paths.  A faulty chain makes the
+    isolation raise AssertionError rather than loop.
     """
     done = 0
     mismatches = 0
@@ -178,13 +183,12 @@ def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:
                 gs.append(g)
         if not gs:
             continue
-        chain = sturm_sequence(m)
-        ps = chain.members[0]
+        ps = _primitive_integer(m)
         conditions = [_primitive_integer(g) for g in gs]
         expected = sum(
             1
-            for iv in isolate_real_roots(m)
-            if all(_oracle_sign_at_root(g, ps, chain, iv) == 1 for g in conditions)
+            for root in _real_roots(m)
+            if all(_oracle_sign_at_root(g, ps, root) == 1 for g in conditions)
         )
         if (
             count_roots_with_signs(m, gs) != expected

@@ -33,7 +33,7 @@ def test_criterion(name, suite_results):
 # per sizes key, a call its criterion makes a number of times that grows
 # with that size
 WORK = {
-    "sturm_instances": (verify, "sturm_sequence"),
+    "sturm_instances": (verify, "is_squarefree"),
     "trace_transfer": (verify, "trace_transfer"),
     "congruence": (verify, "congruence_transform"),
     "nil_forms": (verify, "trace_transfer"),

@@ -1,4 +1,5 @@
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from hermsig.exactnum import (
     sturm_sequence,
     tarski_query,
 )
+from hermsig.verify import criterion_sturm_oracle
 
 
 def P(*coeffs):
@@ -431,3 +433,46 @@ def test_refinement_keeps_opposite_signs():
             lo_s, hi_s = _value(p, small.lo), _value(p, small.hi)
             assert lo_s * hi_s < 0 or lo_s == 0 or hi_s == 0
         done += 1
+
+
+def _read_without_last_member(monkeypatch):
+    read = exactnum.SturmSequence.read
+    monkeypatch.setattr(
+        exactnum.SturmSequence,
+        "read",
+        lambda chain, p, q: read(exactnum.SturmSequence(chain.members[:-1]), p, q),
+    )
+
+
+def _stop_negating_after_third_member(monkeypatch):
+    prem = exactnum._prem
+
+    def chain(f0, f1):
+        seq, r = [f0], f1
+        while r:
+            seq.append(r)
+            r = prem(seq[-2], r, -1 if len(seq) < 3 else 1) if len(r) > 1 else ()
+        return exactnum.SturmSequence(tuple(seq))
+
+    monkeypatch.setattr(exactnum, "_chain", chain)
+
+
+@pytest.mark.parametrize("fault", [_read_without_last_member, _stop_negating_after_third_member])
+def test_faulty_chain_fails_the_oracle_criterion_in_seconds(fault, monkeypatch):
+    # isolation is bounded by the root-separation bound and rejects a
+    # negative variation difference, so a faulty chain gives a failing or
+    # raising criterion, never an endless bisection
+    def give_up(signum, frame):
+        raise TimeoutError("the criterion did not return within 20 s")
+
+    fault(monkeypatch)
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        result = criterion_sturm_oracle(random.Random(0), 300)
+    except AssertionError:
+        return
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not result.passed

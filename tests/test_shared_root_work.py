@@ -1,6 +1,7 @@
 """Root work kept on a `Polynomial`, against sympy, on hypothesis-drawn instances.
 
-A `Polynomial` keeps its isolating intervals and one Tarski chain per
+A `Polynomial` keeps its isolating intervals, as integer triples (lo, hi, q)
+that `isolate_real_roots` reads as `Interval`s, and one Tarski chain per
 condition once they are built, and `is_coprime`, `isolate_real_roots`,
 `tarski_query` and both sign-condition counts read what it keeps.  These
 tests check that no call order changes an answer: every count equals the
@@ -22,6 +23,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from hermsig.errors import HermsigError, SignConditionDegenerate  # noqa: E402
 from hermsig.exactnum import (  # noqa: E402
+    Interval,
     Polynomial,
     _primitive_integer,
     count_roots_with_signs,
@@ -162,10 +164,16 @@ def test_isolation_list_is_fresh_per_call(m_coeffs):
     assume(_squarefree(m_coeffs))
     m = Polynomial(m_coeffs)
     first = isolate_real_roots(m)
+    # the list reads the integer triples kept on m, in order
+    kept = m._roots
+    assert first == [Interval(Fraction(lo, q), Fraction(hi, q)) for lo, hi, q in kept]
+    assert all(q > 0 for _, _, q in kept)
+    assert all(a.hi <= b.lo for a, b in zip(first, first[1:]))
     want = list(first)
     first.reverse()
     first.append(None)
     second = isolate_real_roots(m)
+    assert m._roots is kept  # read again, not isolated again
     assert second == want == isolate_real_roots(Polynomial(m_coeffs))
     second.clear()
     assert isolate_real_roots(m) == want

@@ -3,7 +3,9 @@
 sympy is a test-only oracle: it isolates the real roots of m with
 `Poly.intervals` and decides the sign of each condition at each root by
 exact bisection with its own root counts.  No hermsig code is involved in
-the expected value.
+the expected value.  The same sympy signs check the verify suite's
+isolate-and-evaluate oracle root by root, on the integer triples hermsig
+keeps for m, rational roots on bisection midpoints included.
 """
 
 from fractions import Fraction
@@ -12,13 +14,16 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from hermsig.exactnum import (  # noqa: E402
     Polynomial,
+    _primitive_integer,
+    _real_roots,
     count_roots_with_signs,
     count_roots_with_signs_formula,
 )
+from hermsig.verify import _oracle_sign_at_root  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -113,3 +118,19 @@ def test_sign_condition_counts_match_sympy(m_coeffs, g_coeffs):
     hgs = [Polynomial(g) for g in g_coeffs]
     assert count_roots_with_signs(hm, hgs) == expected
     assert count_roots_with_signs_formula(hm, hgs) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(m_coeffs=st.one_of(_random_m(), _m_with_rational_roots()), g_coeffs=_condition())
+# x^3 - x: the window carved about the root 0 has 0 as its midpoint, so
+# the oracle's first midpoint is a root of m
+@example(m_coeffs=[Fraction(c) for c in (0, -1, 0, 1)], g_coeffs=[Fraction(c) for c in (1, 3)])
+def test_oracle_sign_matches_sympy_at_every_root(m_coeffs, g_coeffs):
+    m = _sympy_poly(m_coeffs)
+    g = _sympy_poly(g_coeffs)
+    assume(sympy.gcd(m, m.diff(X)).degree() == 0)
+    assume(sympy.gcd(m, g).degree() == 0)
+    want = [_sign_at_root(m, g, lo, hi) for (lo, hi), _ in m.intervals()]
+    hm = Polynomial(m_coeffs)
+    ps, gs = _primitive_integer(hm), _primitive_integer(Polynomial(g_coeffs))
+    assert [_oracle_sign_at_root(gs, ps, root) for root in _real_roots(hm)] == want

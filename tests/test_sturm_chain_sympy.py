@@ -4,7 +4,10 @@ hermsig builds every chain on primitive integer members; a division over Q
 gives the same members up to positive factors, so sign-change counts agree.
 sympy is the test-only oracle for the members over Q: `sympy.sturm`,
 `sympy.rem` and `sympy.gcd`.  Every member is also checked to be canonical:
-integers with content 1 and a nonzero last entry.  A second test pins the
+integers with content 1 and a nonzero last entry.  The pseudo-remainder
+kernel `_prem` is checked alone on integer pairs of every degree gap from -1
+to 3, the one-pass normal step (gap 1) included, against sympy's remainder
+over Q made primitive with the requested sign.  A last test pins the
 integer members of one chain with rational input coefficients.
 """
 
@@ -19,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from hermsig.exactnum import (  # noqa: E402
     Polynomial,
+    _prem,
     _primitive_integer,
     _tarski_chain,
     count_roots_with_signs,
@@ -134,6 +138,33 @@ def test_tarski_seed_is_positive_multiple_of_remainder(m, g):
     for member, e in zip(chain.members, expected):
         assert _canonical(member)
         assert _positive_multiple(member, e)
+
+
+INT = st.integers(-9, 9)
+
+
+@st.composite
+def _prem_case(draw):
+    """Integer a and b, lowest degree first, deg a - deg b in -1..3."""
+    db = draw(st.integers(0, 6))
+    da = max(0, db + draw(st.integers(-1, 3)))
+    a = draw(st.lists(INT, min_size=da, max_size=da)) + [draw(INT.filter(bool))]
+    b = draw(st.lists(INT, min_size=db, max_size=db)) + [draw(INT.filter(bool))]
+    return a, b, draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_prem_case())
+def test_prem_is_the_primitive_signed_remainder(case):
+    a, b, sgn = case
+    rem = sympy.rem(
+        sympy.Poly(list(reversed(a)), X, domain="QQ"), sympy.Poly(list(reversed(b)), X, domain="QQ")
+    )
+    want = [sympy.Rational(c) for c in _low_first(rem)] if not rem.is_zero else []
+    den = math.lcm(*(int(c.q) for c in want)) if want else 1
+    ints = [int(c * den) for c in want]
+    content = math.gcd(*ints) if ints else 1
+    assert _prem(tuple(a), tuple(b), sgn) == tuple(sgn * c // content for c in ints)
 
 
 def P(*coeffs):
