@@ -11,12 +11,11 @@ opposite signs.  The narrowed interval is kept on the field, next to the
 ordering list, as a few integers per ordering; the handle's own `isolating`
 interval never changes.  Narrowing stops after a fixed number of steps per
 ordering, and then, or when a midpoint is a root, one localized Tarski query
-decides: the Sturm chain seeded with (p, p'*a mod p), read at the isolating
-interval's integer ends, drops by exactly sgn a(root), zero included, so
-zero divisors of a reducible p that passes the rational-root screen get
-sign 0.  The isolation is the integer triples p keeps: `list_orderings`
-starts the narrowed intervals from them and the Tarski query reads them,
-and only the handles' `isolating` intervals are `Fraction`s.
+decides: the Sturm chain seeded with (p, p'*a mod p), read across the
+isolating interval, drops by exactly sgn a(root), zero included, so zero
+divisors of a reducible p that passes the rational-root screen get sign 0.
+The narrowed intervals start from the integer triples p keeps, and only the
+handles' `isolating` intervals are `Fraction`s.
 Real closures are never materialized.
 
 A field element is integer numerators over one denominator in the power
@@ -379,12 +378,10 @@ def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
     Interval Horner over P's narrowed interval first, bisecting it while
     the bound straddles 0 and the ordering's cap allows; the narrowed
     interval is stored back on the field.  Otherwise one localized Tarski
-    query: across the isolating interval of P, read at the integer triple
-    min_poly keeps, whose ends are not roots of min_poly, the chain seeded
-    with (min_poly, min_poly' * alpha mod min_poly) drops by
-    sgn alpha(root).  A handle built outside `list_orderings` is read at
-    its `isolating` interval.  alpha * den has alpha's sign, so both read
-    the numerators alone.
+    query: across the isolating interval of P, whose endpoints are not roots
+    of min_poly, the chain seeded with (min_poly, min_poly' * alpha mod
+    min_poly) drops by sgn alpha(root).  alpha * den has alpha's sign, so
+    both read the numerators alone.
     """
     field = P.owner
     if alpha.owner is not field and alpha.owner != field:
@@ -415,11 +412,6 @@ def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
             field._narrowed[P.root_index] = (lo, hi, q, p_lo_negative, steps)
         if s:
             return s
-        # the isolating triple, not the narrowed one: after the cap the
-        # narrowed q carries a factor 2**64, and every chain read pays for it
-        lo, hi, q = _real_roots(field.min_poly)[P.root_index]
-        read = _tarski_chain(ints, nums).read
-        return read(lo, q)[1] - read(hi, q)[1]
     iv = P.isolating
     return _tarski_chain(field._ints, nums).count_in(iv.lo, iv.hi)
 
