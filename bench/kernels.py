@@ -38,8 +38,8 @@ each with the memo emptied on each call, and one `cli.run` each of the
 for a fixed 2 x 2 hermitian matrix over (-1,-1) on the quartic field
 x^4 - 180, and of the `np` command with the witness search on the golden
 `np_search_m2_qq` case (config and seed from `tests/golden/cases.json`),
-stdout discarded.  Over M_3(H) it times `mat_inv` of a fixed
-3 x 3 matrix, building the algebra with Phi = I, and checking the cone
+stdout discarded.  Over M_3(H) it times `A.invert` of a fixed
+3 x 3 element, building the algebra with Phi = I, and checking the cone
 certificate of a fixed positive definite hermitian matrix.  Over M_3 of
 (-1,-1) on x^4 - 180 it times reading a fixed 3 x 3 hermitian element
 from its wire form, integer coordinate strings as a `member` job sends
@@ -156,14 +156,16 @@ def _hamilton_m3_operations(h) -> dict:
     minus_one = qq.from_rational(-1)
     desc = h.algebras.quaternion_desc(qq, minus_one, minus_one)
     coords = X + Y
-    x = [
-        [
-            h.algebras.DElement(desc, tuple(qq.from_rational(coords[(3 * i + j + k) % 8]) for k in range(4)))
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
     M3H = h.algebras.make_algebra(desc, 3)
+    x = M3H.element(
+        [
+            [
+                h.algebras.DElement(desc, tuple(qq.from_rational(coords[(3 * i + j + k) % 8]) for k in range(4)))
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+    )
     # a hermitian matrix shifted by 20 I: positive definite, so in the + cone
     S = _hermitian_matrix(h, desc, 3)
     b = M3H.element([[e + desc.one() * 20 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(S)])
@@ -176,7 +178,7 @@ def _hamilton_m3_operations(h) -> dict:
         # checkouts before `ConeWitness.check` rebuilt the element instead
         check = lambda: w.reconstruct(cone) == b
     return {
-        "mat_inv.quaternion.m3": lambda: h.algebras.mat_inv(x),
+        "invert.quaternion.m3": lambda: M3H.invert(x),
         "algebra_init.quaternion.m3": lambda: h.algebras.make_algebra(desc, 3),
         "cone_witness_check.quaternion.m3": check,
     }

@@ -35,7 +35,7 @@ reduced: `unit_congruence` tests x through the congruence diagonalization
 of theta(x)^t x by `hermitian.diagonalize_hermitian`, the one elimination
 over D, split D too.  `_hermitian_inverse` inverts a theta-hermitian matrix
 through its own congruence: Phi directly, and x as (x* x)^(-1) x* in
-`mat_inv`.
+`AlgebraWithInvolution.invert`.
 
 The seeded draws start here, from one height table: `random_field_element`
 and `random_d_matrix` draw power-basis integers with `rng.randint` straight
@@ -478,12 +478,6 @@ def _hermitian_inverse(B, singular):
     return mat_mul(scaled, mat_theta_t(G))
 
 
-def mat_inv(x):
-    """x^(-1) = (x* x)^(-1) x*, with x* x inverted through its congruence."""
-    xs = mat_theta_t(x)
-    return mat_mul(_hermitian_inverse(mat_mul(xs, x), NotInvertible), xs)
-
-
 # ---------------------------------------------------------------------------
 # the algebra M_n(D) with involution Int(Phi) o theta^t
 
@@ -587,8 +581,12 @@ class AlgebraWithInvolution:
         return is_theta_hermitian(self.desc, self.unscale(x.entries))
 
     def invert(self, x: "AlgebraElement") -> "AlgebraElement":
+        """x^(-1) = (x* x)^(-1) x*, with x* x inverted through its congruence."""
         self._own(x)
-        return self.element(mat_inv(x.entries))
+        xs = mat_theta_t(x.entries)
+        return self.element(
+            mat_mul(_hermitian_inverse(mat_mul(xs, x.entries), NotInvertible), xs)
+        )
 
     def reduced_trace(self, x: "AlgebraElement") -> DElement:
         """Center-valued reduced trace, returned as a central DElement.

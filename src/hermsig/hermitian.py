@@ -13,30 +13,32 @@ Each Schur complement is theta-hermitian, so the elimination computes its
 lower triangle and mirrors the upper one by theta, and it inverts a pivot
 only when a later column needs the inverse.
 
-A `HermitianForm` is an orthogonal sum of square Gram blocks over A:
-diagonal forms are sums of one-entry blocks, and direct sums, scalings,
-repeats and tensors with diagonal quadratic forms keep the block structure
+A `HermitianForm` is an orthogonal sum of parts.  A part is a square Gram
+block over A, a pending scalar in F or None, and the block's diagonal:
+diagonal forms have one one-entry part per entry, and direct sums,
+scalings, repeats and tensors with diagonal quadratic forms combine parts
 instead of building a dense Gram matrix.  Every computation on a form reads
-its blocks: signatures, the star pairing (one star Gram per block, each
-entry read off one coordinate of a product, no trace products), the
-congruence transform (a sum over nonzero block entries) and the trace
+its parts: signatures (the diagonals), the star pairing (one star Gram per
+block, each entry read off one coordinate of a product, no trace products),
+the congruence transform (a sum over nonzero block entries) and the trace
 transfer (read off the form's diagonal).  The dense `gram` is only an
-assembled view for reports.  Each block's diagonal is made with the form,
+assembled view for reports.  A new block's diagonal is made with its part,
 in two explicit steps: unscale each entry by Phi^(-1) with the algebra's
 `unscale`, then flatten the m x m matrix over M_n(D) to an mn x mn
 theta-hermitian matrix over D and diagonalize it by congruence, which is
 also the block's hermitian test.  Block congruences are memoized on the
 algebra, (G, d) for one-entry blocks, which cone membership reads for <b>,
-and d alone for larger blocks.  Sums and repeats of forms reuse their
-blocks and diagonals.  Scaling a form by u in F (<u> tensor h, and q tensor
-h entry by entry) scales the diagonals by u and leaves u pending on each
-block, composed with any scalar already there; the scaled blocks are built
-only when something reads them.  With the reference form fixed as the
-one-dimensional form on Phi itself, the scaling sends the reference to the
-identity matrix, so no further sign normalization is needed: the signature
-at a non-nil ordering is the count of positive minus negative entries over
-all block diagonals, which is the additivity of the signature on orthogonal
-sums.  At nil orderings (`algebras.nil_orderings`) every signature is zero.
+and d alone for larger blocks.  Sums and repeats of forms concatenate the
+parts of their summands.  Scaling a form by u in F (<u> tensor h, and
+q tensor h entry by entry) maps each part (B, v, d) to (B, v u, u d), with
+u alone when v is None: the diagonal is scaled now, and the scaled block
+is built only when something reads `blocks`.  With the reference form
+fixed as the one-dimensional form on Phi itself, the scaling sends the
+reference to the identity matrix, so no further sign normalization is
+needed: the signature at a non-nil ordering is the count of positive minus
+negative entries over all the parts' diagonals, which is the additivity of
+the signature on orthogonal sums.  At nil orderings
+(`algebras.nil_orderings`) every signature is zero.
 
 The same memoized diagonal decides whether a symmetric x is a unit
 (`is_unit`: no zero in the diagonal of <x>), over every D, split quaternions
@@ -238,23 +240,31 @@ def _block_congruence(A: AlgebraWithInvolution, block):
 # forms
 
 
-class HermitianForm:
-    """A hermitian form over (A, sigma), held as an orthogonal sum of blocks.
+def _parts(owner: AlgebraWithInvolution, blocks) -> tuple:
+    """Unscaled parts (block, None, diagonal) on new, unchecked blocks.
 
-    Each block is a square Gram matrix over A, and the form's Gram matrix is
-    their block-diagonal sum.  A diagonal Gram splits into one block per
-    entry; any other Gram given here is one block.  Each block's diagonal
-    is made with the form.  A block may carry a pending central scalar u in
-    F (`_scalars`, None for the whole form when no block has one): the
-    block then stands for u times its stored Gram, and its diagonal is
-    already scaled.  `blocks` applies the pending scalars on its first read
-    and keeps the result; signatures, ranks, `dim` and `is_diagonal` read
-    the diagonals, the block shapes and the scalars, and build no block.
-    `gram` only assembles the dense view for callers that print or compare
-    whole Grams.
+    Each block is eliminated through `_block_congruence`, which is also its
+    hermitian test.
+    """
+    return tuple((b, None, _block_congruence(owner, b)[1]) for b in blocks)
+
+
+class HermitianForm:
+    """A hermitian form over (A, sigma), held as an orthogonal sum of parts.
+
+    A part is a triple (block, scalar, diagonal).  The block is a square
+    Gram matrix over A, and the form's Gram matrix is the block-diagonal sum
+    of the parts' blocks, each times its scalar.  A diagonal Gram splits
+    into one block per entry; any other Gram given here is one block.  The
+    scalar is a central u in F still pending on the stored block, or None;
+    the diagonal is the block's congruence diagonal, already scaled by u,
+    made with the part.  `blocks` multiplies the pending scalars out on its
+    first read and keeps the result; signatures, ranks, `dim` and
+    `is_diagonal` read the parts alone and build no block.  `gram` only
+    assembles the dense view for callers that print or compare whole Grams.
     """
 
-    __slots__ = ("owner", "_raw", "_scalars", "_blocks", "_diagonals")
+    __slots__ = ("owner", "_parts", "_blocks")
 
     def __init__(self, owner: AlgebraWithInvolution, gram):
         gram = tuple(tuple(row) for row in gram)
@@ -270,32 +280,17 @@ class HermitianForm:
         # g_ij = sigma(g_ji) exactly when Phi^(-1) g_ij = theta(Phi^(-1) g_ji)^t,
         # so each block's elimination is its hermitian test
         self.owner = owner
-        self._raw = self._blocks = blocks
-        self._scalars = None
-        self._diagonals = tuple(_block_congruence(owner, b)[1] for b in blocks)
+        self._parts = _parts(owner, blocks)
+        self._blocks = None
 
     @classmethod
-    def _orthogonal_sum(
-        cls, owner, blocks, diagonals=None, scalars=None
-    ) -> "HermitianForm":
-        """The form on already-checked blocks, with their diagonals if known.
-
-        `scalars`, when given, holds one pending scalar (or None) per block,
-        and `diagonals` then holds the scaled diagonals.
-        """
+    def _of(cls, owner, parts: tuple) -> "HermitianForm":
+        """The form on already-made parts."""
         h = cls.__new__(cls)
         h.owner = owner
-        h._raw = blocks = tuple(blocks)
-        h._scalars = scalars
-        h._blocks = blocks if scalars is None else None
-        if diagonals is None:
-            diagonals = (_block_congruence(owner, b)[1] for b in blocks)
-        h._diagonals = tuple(diagonals)
+        h._parts = parts
+        h._blocks = None
         return h
-
-    def _pending(self) -> tuple:
-        """One pending scalar per block, None where a block has none."""
-        return self._scalars or (None,) * len(self._raw)
 
     @property
     def blocks(self):
@@ -303,13 +298,13 @@ class HermitianForm:
         if self._blocks is None:
             self._blocks = tuple(
                 b if u is None else tuple(tuple(e * u for e in row) for row in b)
-                for b, u in zip(self._raw, self._scalars)
+                for b, u, _ in self._parts
             )
         return self._blocks
 
     @property
     def dim(self) -> int:
-        return sum(len(b) for b in self._raw)
+        return sum(len(b) for b, _, _ in self._parts)
 
     @property
     def gram(self):
@@ -327,9 +322,9 @@ class HermitianForm:
         """Diagonal of the scaled and flattened form.
 
         The flattened Gram is block diagonal, so it is the concatenation of
-        the blocks' diagonals.
+        the parts' diagonals.
         """
-        return tuple(x for d in self._diagonals for x in d)
+        return tuple(x for _, _, d in self._parts for x in d)
 
     def rank(self) -> int:
         return sum(1 for d in self.flattened_diagonal() if not d.is_zero)
@@ -349,7 +344,7 @@ class HermitianForm:
                 for j in range(len(b))
                 if i != j
             )
-            for b, u in zip(self._raw, self._pending())
+            for b, u, _ in self._parts
         )
 
     def __repr__(self) -> str:
@@ -370,7 +365,7 @@ def diagonal_form(A: AlgebraWithInvolution, entries) -> HermitianForm:
     # e is symmetric exactly when Phi^(-1) e is theta-hermitian, which the
     # elimination of its one-entry block tests
     try:
-        return HermitianForm._orthogonal_sum(A, [((e,),) for e in elems])
+        return HermitianForm._of(A, _parts(A, [((e,),) for e in elems]))
     except NotHermitian:
         raise NotHermitian("diagonal entry is not symmetric") from None
 
@@ -378,12 +373,7 @@ def diagonal_form(A: AlgebraWithInvolution, entries) -> HermitianForm:
 def form_direct_sum(h1: HermitianForm, h2: HermitianForm) -> HermitianForm:
     if h1.owner is not h2.owner:
         raise FieldMismatch()
-    scalars = None
-    if h1._scalars is not None or h2._scalars is not None:
-        scalars = h1._pending() + h2._pending()
-    return HermitianForm._orthogonal_sum(
-        h1.owner, h1._raw + h2._raw, h1._diagonals + h2._diagonals, scalars
-    )
+    return HermitianForm._of(h1.owner, h1._parts + h2._parts)
 
 
 def form_scale(u: FieldElement, h: HermitianForm) -> HermitianForm:
@@ -401,32 +391,30 @@ def form_scale(u: FieldElement, h: HermitianForm) -> HermitianForm:
 def form_tensor_qf(q: QuadraticForm, h: HermitianForm) -> HermitianForm:
     """The orthogonal sum of <u> tensor h over q's entries u; empty if q is.
 
-    One orthogonal sum over the blocks of h, repeated once per entry u,
-    each with its pending scalar composed with u and its diagonal scaled
-    by u; the block entries are not copied or multiplied.
+    The parts of h, repeated once per entry u, each with its pending
+    scalar composed with u and its diagonal scaled by u; the block entries
+    are not copied or multiplied.
     """
     if q.owner != h.owner.field:
         raise FieldMismatch()
-    pending = h._pending()
-    return HermitianForm._orthogonal_sum(
+    return HermitianForm._of(
         h.owner,
-        h._raw * len(q.diag),
-        [tuple(x * u for x in d) for u in q.diag for d in h._diagonals],
-        tuple(u if v is None else v * u for u in q.diag for v in pending),
+        tuple(
+            (b, u if v is None else v * u, tuple(x * u for x in d))
+            for u in q.diag
+            for b, v, d in h._parts
+        ),
     )
 
 
 def form_repeat(ell: int, h: HermitianForm) -> HermitianForm:
-    """Orthogonal sum of ell copies of h, sharing its blocks and scalars."""
-    scalars = None if h._scalars is None else h._scalars * ell
-    return HermitianForm._orthogonal_sum(
-        h.owner, h._raw * ell, h._diagonals * ell, scalars
-    )
+    """Orthogonal sum of ell copies of h, sharing its parts."""
+    return HermitianForm._of(h.owner, h._parts * ell)
 
 
 def _entry_form(x: AlgebraElement) -> HermitianForm:
     """The one-dimensional form <x> on an x already known to be symmetric."""
-    return HermitianForm._orthogonal_sum(x.owner, [((x,),)])
+    return HermitianForm._of(x.owner, _parts(x.owner, [((x,),)]))
 
 
 def is_unit(x: AlgebraElement) -> bool:
@@ -459,7 +447,7 @@ def congruence_transform(h: HermitianForm, G) -> HermitianForm:
                     if not left.is_zero:
                         prod[i] = [p + left * g for p, g in zip(prod[i], G[b])]
         offset += len(block)
-    return HermitianForm._orthogonal_sum(A, [tuple(tuple(row) for row in prod)])
+    return HermitianForm._of(A, _parts(A, [tuple(tuple(row) for row in prod)]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ a does not vanish at the root.  Otherwise the interval is bisected, one sign
 of p per step: the ends of an isolating interval of squarefree p have
 opposite signs.  The narrowed interval is kept on the field, next to the
 ordering list, as a few integers per ordering; the handle's own `isolating`
-interval never changes.  Narrowing stops after a fixed number of steps per
-ordering, and then, or when a midpoint is a root, one localized Tarski query
-decides: the Sturm chain seeded with (p, p'*a mod p), read across the
-isolating interval, drops by exactly sgn a(root), zero included, so zero
-divisors of a reducible p that passes the rational-root screen get sign 0.
+interval never changes.  No midpoint is a root: the rational-root screen
+rejects a minimal polynomial of degree 2 or more with a rational root, and
+over a degree-1 field every element is rational, so its sign is read
+without narrowing.  Narrowing stops after a fixed number of steps per
+ordering, and then one localized Tarski query decides: the Sturm chain
+seeded with (p, p'*a mod p), read across the isolating interval, drops by
+exactly sgn a(root), zero included, so zero divisors of a reducible p that
+passes the rational-root screen get sign 0.
 The narrowed intervals start from the integer triples p keeps, and only the
 handles' `isolating` intervals are `Fraction`s.
 Real closures are never materialized.
@@ -400,10 +403,7 @@ def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
             if s or steps == _NARROW_CAP:
                 break
             mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
-            value = _scaled_value(ints, mid, q)
-            if not value:
-                break
-            if (value < 0) == p_lo_negative:
+            if (_scaled_value(ints, mid, q) < 0) == p_lo_negative:
                 lo = mid
             else:
                 hi = mid

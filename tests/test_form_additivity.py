@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hermsig.algebras import QUADRATIC, DElement, base_desc, mat_mul  # noqa: E402
 from hermsig.hermitian import (  # noqa: E402
     HermitianForm,
+    _parts,
     _star_gram_diagonal,
     congruence_transform,
     diagonal_form,
@@ -320,7 +321,7 @@ def scaled_cases(draw):
 @given(scaled_cases())
 def test_pending_scalars_match_blocks_multiplied_out(case):
     form, blocks, G, b = case
-    reference = HermitianForm._orthogonal_sum(form.owner, blocks)
+    reference = HermitianForm._of(form.owner, _parts(form.owner, blocks))
     # every reader that needs no block runs before the blocks are built
     assert form.dim == reference.dim
     assert form.is_diagonal() == reference.is_diagonal()

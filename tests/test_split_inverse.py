@@ -1,6 +1,6 @@
 """Inverses over split quaternion algebras, against an independent rank.
 
-`algebras.mat_inv` reads x^(-1) off the congruence diagonalization of the
+`AlgebraWithInvolution.invert` reads x^(-1) off the congruence diagonalization of the
 theta-hermitian theta(x)^t x, so it needs no pivot of nonzero norm, and
 `unit_congruence` decides unit-ness from the same diagonal.  An algebra's
 Phi^(-1) comes from the congruence diagonalization of Phi itself.  Over
