@@ -38,8 +38,8 @@ SEEDS = st.integers(0, 2**16)
 def samples(A, rng):
     """The cones of A; a member of each cone, then as many symmetric draws."""
     cones = list_positive_cones(A)
-    members = [sample_cone_member(cone, rng) for cone in cones]
-    return cones, members + [sample_symmetric(A, rng) for _ in members]
+    drawn = [sample_cone_member(cone, rng) for cone in cones]
+    return cones, drawn + [sample_symmetric(A, rng) for _ in drawn]
 
 
 def members(xs, cone):
