@@ -10,7 +10,9 @@ warm: after the first call the ordering's narrowed interval is stored on
 the field, so the row times the interval test on it; `sign_of` of the zero
 divisor x^2 - 2 over x^4 - 4 (`sign_of.deg4.fallback`), which after the
 first call goes straight from an undecided interval test to the Tarski
-query; building the `NumberField` x^4 - 180 (screens included);
+query; building the `NumberField` x^4 - 180 (screens included) and
+x^2 - (10^12 + 39) (`number_field.quadratic.large_c`, a 13-digit constant,
+where a rational-root screen by trial division costs about sqrt(c) steps);
 `sturm_sequence` of a degree-8 polynomial and `isolate_real_roots` of it
 (four real roots), and the Tarski chain of that polynomial with a cubic
 condition (`tarski_chain.deg8`, the chain kernel alone);
@@ -450,6 +452,7 @@ def operations(h) -> dict:
     root = h.orderings.list_orderings(reducible)[1]
     ops["sign_of.deg4.fallback"] = lambda: h.orderings.sign_of(zero_divisor, root)
     ops["number_field.quartic"] = lambda: h.orderings.NumberField([-180, 0, 0, 0, 1])
+    ops["number_field.quadratic.large_c"] = lambda: h.orderings.NumberField([-(10**12 + 39), 0, 1])
     deg8 = h.exactnum.Polynomial(X + Y + [1])
     sextic = h.exactnum.Polynomial([1])
     for k in range(-2, 4):

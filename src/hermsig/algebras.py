@@ -15,10 +15,9 @@ coordinates.  One table is built per shape and shared by every field and
 descriptor of that shape (x^2 - c and x^4 - c with a = b = -1 for every
 c, say); it holds no field.  One routine multiplies blocks through it
 (integer convolution, one reduction modulo the cleared minimal polynomial
-of the descriptor's own field, one gcd), and the norm x * theta(x) through
-the diagonal table (1, -u^2, -v^2, u^2 v^2).  A descriptor also builds its
-zero and one once, next to the tables, and hands the same immutable element
-to every caller of `zero()` and `one()`.
+of the descriptor's own field, one gcd), the norm x * theta(x) included.
+A descriptor also builds its zero and one once, next to the table, and
+hands the same immutable element to every caller of `zero()` and `one()`.
 
 This module is the only one that knows Phi.  `AlgebraWithInvolution.unscale`
 (m -> Phi^(-1) m) sends the symmetric elements onto the theta-hermitian
@@ -109,28 +108,25 @@ def _table(deg: int, entries, out_dim: int) -> tuple:
     return tuple(rows), width, out_dim * width, den
 
 
-# a shape's two tables take at most about 26 KB (quaternions at degree 4);
+# a shape's table takes at most about 20 KB (quaternions at degree 4);
 # the bound keeps a program that meets many distinct constants from
 # holding them all
 @functools.lru_cache(maxsize=64)
-def _shape_tables(deg: int, power: tuple) -> tuple:
-    """The product and norm tables of one shape, shared by every field.
+def _shape_table(deg: int, power: tuple) -> tuple:
+    """The product table of one shape, shared by every field.
 
     power lists (u^2)^(p_0 q_0) (v^2)^(p_1 q_1) by the bits of p & q, that
     is 1, d or 1, a, b, ab, as canonical power-basis blocks (nums, den)
-    already reduced in a field of degree deg; its length is dim D.  Neither
-    table holds a field: `_product` reduces with the field it is given.
+    already reduced in a field of degree deg; its length is dim D.  The
+    table holds no field: `_product` reduces with the field it is given.
     """
     dim = len(power)
-    signed = {1: power, -1: [(tuple(-n for n in nums), den) for nums, den in power]}
-
-    def const(p, q, sign=1):
-        return signed[-sign if p >> 1 & q & 1 else sign][p & q]
-
-    mul = [[(q, p ^ q, *const(p, q)) for q in range(dim)] for p in range(dim)]
-    # theta(e_p) = -e_p for p > 0, and the cross terms of x theta(x) cancel
-    norm = [[(p, 0, *const(p, p, -1 if p else 1))] for p in range(dim)]
-    return _table(deg, mul, dim), _table(deg, norm, 1)
+    minus = [(tuple(-n for n in nums), den) for nums, den in power]
+    mul = [
+        [(q, p ^ q, *(minus if p >> 1 & q & 1 else power)[p & q]) for q in range(dim)]
+        for p in range(dim)
+    ]
+    return _table(deg, mul, dim)
 
 
 def _product(field: NumberField, table: tuple, x, xden: int, y, yden: int):
@@ -194,13 +190,11 @@ class DivisionAlgebraDesc:
             if self.a.owner != self.field or self.b.owner != self.field:
                 raise FieldMismatch()
             squares = (self.a, self.b, self.a * self.b)
-        # the constants reduced in F, not a and b, key the shared tables
+        # the constants reduced in F, not a and b, key the shared table
         one = self.field.one()
         power = tuple((c.nums, c.den) for c in (one, *squares))
-        mul, norm = _shape_tables(self.field.degree, power)
         # derived data, outside the dataclass fields, equality and hash
-        object.__setattr__(self, "_mul", mul)
-        object.__setattr__(self, "_norm", norm)
+        object.__setattr__(self, "_mul", _shape_table(self.field.degree, power))
         # elements are never mutated, so every caller can share these two
         object.__setattr__(self, "_zero", self._unit(self.field.zero()))
         object.__setattr__(self, "_one", self._unit(one))
@@ -330,10 +324,8 @@ class DElement:
         return _make(self.desc, nums[:deg] + tuple(-a for a in nums[deg:]), self.den)
 
     def norm(self) -> FieldElement:
-        """x * conj(x), always a field element."""
-        desc = self.desc
-        nums, den = _product(desc.field, desc._norm, self.nums, self.den, self.nums, self.den)
-        return _canonical(desc.field, nums, den)
+        """x * conj(x), always a field element, through the product table."""
+        return (self * self.conj()).scalar_part()
 
     def __repr__(self) -> str:
         return f"DElement({self.desc.kind}, {self.comps})"

@@ -27,9 +27,12 @@ localized count, `orderings` and the verify suite read them as integers;
 
 Integer interval Horner (`_interval_sign`) bounds a polynomial over an
 interval with integer ends over one denominator; `orderings.sign_of` and
-the verify suite's isolate-and-evaluate oracle read signs from it, and both
-narrow an interval by the sign of the polynomial at its midpoint, reading
-no chain.
+the verify suite's isolate-and-evaluate oracle read signs from it.  Once
+isolated, an interval is narrowed by one step, `_halve`: the sign of the
+polynomial at the midpoint picks the half that holds the root, and a
+midpoint that is the root gives the point interval.  `refine_interval`,
+`sign_of`, the oracle and the field's rational-root screen all narrow
+through it, reading no chain.
 
 Sign-condition counts come in two forms.  `count_roots_with_signs` isolates
 the roots of m once and then runs one localized Tarski query per condition
@@ -100,10 +103,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 class Polynomial:
     """Univariate polynomial over Q, coefficients lowest degree first."""
@@ -129,12 +128,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -337,6 +330,23 @@ def _interval_sign(cs, lo: int, hi: int, q: int) -> int:
     if f_hi < 0:
         return -1
     return 0
+
+
+def _halve(cs, lo: int, hi: int, q: int, lo_negative: bool) -> tuple[int, int, int]:
+    """The half of [lo/q, hi/q] that holds f's root, as a triple over 2q.
+
+    f, with integer coefficients cs, changes sign once across the interval,
+    and lo_negative says whether it is negative at lo/q.  One Horner value
+    at the midpoint picks the half where f changes sign; when the midpoint
+    is the root the point interval (mid, mid, 2q) is returned.
+    """
+    mid, q = lo + hi, 2 * q
+    value = _scaled_value(cs, mid, q)
+    if not value:
+        return mid, mid, q
+    if (value < 0) == lo_negative:
+        return mid, 2 * hi, q
+    return 2 * lo, mid, q
 
 
 def _chain(f0: tuple[int, ...], f1: tuple[int, ...]) -> SturmSequence:
@@ -617,17 +627,20 @@ def count_roots_with_signs_formula(m: Polynomial, gs) -> int:
 def refine_interval(p: Polynomial, iv: Interval, width: Fraction) -> Interval:
     """Shrink an isolating interval to the requested width by bisection.
 
-    The ends are carried as integer numerators over one denominator, and
-    each midpoint is one reading of p's Sturm chain, as in isolation.  The
-    width must be positive (ValueError otherwise): bisection never reaches
-    an irrational root exactly.
+    The ends are carried as integer numerators over one denominator.  p's
+    Sturm chain checks that they are not roots and that they hold one root
+    between them, and raises NotSquarefree unless p is squarefree; p then
+    changes sign across the interval, and each bisection reads the sign of
+    p at the midpoint (`_halve`).  A midpoint that is the root gives the
+    point interval.  The width must be positive (ValueError otherwise):
+    bisection never reaches an irrational root exactly.
     """
     if p.is_zero:
         raise ZeroPolynomial()
     width = Fraction(width)
     if width <= 0:
         raise ValueError("refinement width must be positive")
-    chain = sturm_sequence(p)
+    chain = _squarefree_chain(p)
     q = math.lcm(iv.lo.denominator, iv.hi.denominator)
     lo = iv.lo.numerator * (q // iv.lo.denominator)
     hi = iv.hi.numerator * (q // iv.hi.denominator)
@@ -643,13 +656,7 @@ def refine_interval(p: Polynomial, iv: Interval, width: Fraction) -> Interval:
         raise NotIsolating()
     if value_hi == 0:
         return Interval(iv.hi, iv.hi)
+    f = chain.members[0]
     while (hi - lo) * width.denominator > width.numerator * q:
-        mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
-        value, v_mid = chain.read(mid, q)
-        if value == 0:
-            return Interval(Fraction(mid, q), Fraction(mid, q))
-        if v_lo - v_mid == 1:
-            hi = mid
-        else:
-            lo, v_lo = mid, v_mid
+        lo, hi, q = _halve(f, lo, hi, q, value_lo < 0)
     return Interval(Fraction(lo, q), Fraction(hi, q))

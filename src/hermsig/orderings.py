@@ -1,15 +1,19 @@
 """Real number fields Q[x]/(p) and their orderings.
 
 An ordering is a real root of the minimal polynomial, held as an isolating
-rational interval whose endpoints are not roots of p.  The sign of a field
+rational interval whose endpoints are not roots of p.  Building a field
+narrows each of p's isolating intervals, one sign of p per halving
+(`exactnum._halve`), until it is narrower than 1/L for p's leading
+coefficient L: it then holds at most one rational N/L, and one integer
+Horner value tests it, so the rational-root screen costs a number of steps
+that grows with the digits of p, not with their value.  The sign of a field
 element a at an ordering is read first off integer interval Horner: a over
-the interval, with integer ends lo/q and hi/q, scaled by powers of q.  When
-the bound excludes 0 it is the exact sign, since for irreducible p a nonzero
-a does not vanish at the root.  Otherwise the interval is bisected, one sign
-of p per step: the ends of an isolating interval of squarefree p have
-opposite signs.  The narrowed interval is kept on the field, next to the
-ordering list, as a few integers per ordering; the handle's own `isolating`
-interval never changes.  No midpoint is a root: the rational-root screen
+the narrowed interval, with integer ends lo/q and hi/q, scaled by powers
+of q.  When the bound excludes 0 it is the exact sign, since for
+irreducible p a nonzero a does not vanish at the root.  Otherwise the
+interval is halved the same way.  The narrowed interval is kept on the
+field as a few integers per ordering; the handle's own `isolating`
+interval never changes.  No midpoint is a root past the screen, which
 rejects a minimal polynomial of degree 2 or more with a rational root, and
 over a degree-1 field every element is rational, so its sign is read
 without narrowing.  Narrowing stops after a fixed number of steps per
@@ -31,10 +35,11 @@ Inversion solves the multiplication-matrix system by fraction-free
 (Bareiss) elimination.  `FieldElement.coords` is the fraction view of the
 same coordinates.
 
-Fields memoize their ordering list and the narrowed intervals.  The list
-cache is idempotent, so concurrent readers at worst recompute; each narrowed
-interval is replaced as one tuple, so a concurrent narrowing is at worst
-lost, and every stored tuple is an isolating interval.
+Fields memoize their ordering list and keep the narrowed intervals from
+their construction on.  The list cache is idempotent, so concurrent readers
+at worst recompute; each narrowed interval is replaced as one tuple, so a
+concurrent narrowing is at worst lost, and every stored tuple is an
+isolating interval.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .errors import (
 from .exactnum import (
     Interval,
     Polynomial,
+    _halve,
     _interval_sign,
     _primitive_integer,
     _real_roots,
@@ -66,43 +72,40 @@ from .exactnum import (
 )
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _rational_root_screen(p: Polynomial, ints: tuple[int, ...]) -> list[tuple]:
+    """Reject a min_poly of degree > 1 with a rational root; narrow its roots.
 
+    `ints` are p's primitive integer coefficients, lowest first, with
+    leading coefficient L > 0.  A rational root of p is real and equals N/L
+    for an integer N, so it lies in one of the isolating triples p keeps.
+    Each triple is halved (`_halve`) until it is narrower than 1/L, when it
+    holds at most one such N/L: the least one at or above its lower end,
+    tested by one Horner value.  A midpoint that is the root leaves a point
+    interval, whose candidate is the root.  Of several rational roots the
+    error names the least |a|, then the least b, then a > 0 before a < 0.
+    Full irreducibility over Q stays the caller's contract; a reducible
+    polynomial that passes this screen surfaces later as NotInvertible.
 
-def _rational_root_screen(ints: tuple[int, ...]) -> None:
-    """Reject a min_poly of degree > 1 with an obvious rational root.
-
-    `ints` are the minimal polynomial's coefficients cleared of
-    denominators, lowest first.  Each candidate num/d of the rational root
-    theorem is tested in integers: d^deg * p(num/d), by homogeneous Horner,
-    is zero exactly when num/d is a root.  Full irreducibility over Q stays
-    the caller's contract; a reducible polynomial that slips past this
-    screen surfaces later as NotInvertible.
+    Returns the sign_of state of each ordering, in root order:
+    (lo, hi, q, p_lo_negative, steps) with no step spent.
     """
-    deg = len(ints) - 1
-    if deg <= 1:
-        return
-    if ints[0] == 0:
+    deg, lead = len(ints) - 1, ints[-1]
+    if deg > 1 and not ints[0]:
         raise ReducibleMinPoly("zero is a root")
-    for num in _divisors(ints[0]):
-        for d in _divisors(ints[-1]):
-            for r in (num, -num):
-                v, dk = ints[-1], 1
-                for c in reversed(ints[:-1]):
-                    dk *= d
-                    v = v * r + c * dk
-                if v == 0:
-                    raise ReducibleMinPoly(f"rational root {r}/{d}")
+    narrowed, found = [], []
+    for lo, hi, q in _real_roots(p):
+        lo_negative = _scaled_value(ints, lo, q) < 0
+        if deg > 1:
+            while (hi - lo) * lead >= q:
+                lo, hi, q = _halve(ints, lo, hi, q, lo_negative)
+            n = -(-lo * lead // q)
+            if not _scaled_value(ints, n, lead):
+                found.append(Fraction(n, lead))
+        narrowed.append((lo, hi, q, lo_negative, 0))
+    if found:
+        r = min(found, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+        raise ReducibleMinPoly(f"rational root {r.numerator}/{r.denominator}")
+    return narrowed
 
 
 class NumberField:
@@ -114,18 +117,17 @@ class NumberField:
             raise ValueError("minimal polynomial must have degree >= 1")
         if not is_squarefree(p):
             raise NotSquarefree("minimal polynomial is not squarefree")
-        # scale * p = scale * x^d + sum_j r_j x^j with integers scale > 0 and
-        # r_j; reduction rewrites c x^(i+d) as -(c / scale) sum_j r_j x^(i+j)
         ints = _primitive_integer(p)
-        _rational_root_screen(ints)
+        # per ordering: (lo, hi, q, p_lo_negative, steps), read by sign_of
+        self._narrowed = _rational_root_screen(p, ints)
         self.min_poly = p
         self.degree = p.degree
+        # scale * p = scale * x^d + sum_j r_j x^j with integers scale > 0 and
+        # r_j; reduction rewrites c x^(i+d) as -(c / scale) sum_j r_j x^(i+j)
         self._ints = ints
         self._scale = ints[-1]
         self._reducer = tuple((j, r) for j, r in enumerate(ints[:-1]) if r)
         self._orderings: tuple[OrderingHandle, ...] | None = None
-        # per ordering: (lo, hi, q, p_lo_negative, steps), filled with the list
-        self._narrowed: list[tuple] | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -359,11 +361,6 @@ def list_orderings(field: NumberField) -> tuple[OrderingHandle, ...]:
         ivs = isolate_real_roots(field.min_poly)
         if not ivs:
             raise NotFormallyReal()
-        ints = field._ints
-        field._narrowed = [
-            (lo, hi, q, _scaled_value(ints, lo, q) < 0, 0)
-            for lo, hi, q in _real_roots(field.min_poly)
-        ]
         field._orderings = tuple(
             OrderingHandle(field, i, iv) for i, iv in enumerate(ivs)
         )
@@ -393,7 +390,8 @@ def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
         return sign(alpha.nums[0])
     nums = alpha.nums
     orderings = field._orderings
-    # a handle built outside list_orderings has no narrowed interval
+    # a handle built outside list_orderings need not match the narrowed
+    # interval at its index
     if orderings is not None and orderings[P.root_index] is P:
         state = field._narrowed[P.root_index]
         lo, hi, q, p_lo_negative, steps = state
@@ -402,11 +400,7 @@ def sign_of(alpha: FieldElement, P: OrderingHandle) -> int:
             s = _interval_sign(nums, lo, hi, q)
             if s or steps == _NARROW_CAP:
                 break
-            mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
-            if (_scaled_value(ints, mid, q) < 0) == p_lo_negative:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi, q = _halve(ints, lo, hi, q, p_lo_negative)
             steps += 1
         if steps != state[4]:
             field._narrowed[P.root_index] = (lo, hi, q, p_lo_negative, steps)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import OrderingDoesNotRestrict
 from .exactnum import (
     Polynomial,
+    _halve,
     _interval_sign,
     _primitive_integer,
     _real_roots,
@@ -129,12 +130,13 @@ def _oracle_sign_at_root(gs, ps, root):
     p, and `root` an integer triple (lo, hi, q) for the interval
     [lo/q, hi/q] whose ends are not roots of p and hold one root of p
     between them.  p changes sign across it; each step reads p at the
-    midpoint, one Horner value, and keeps the half where p changes sign,
-    the same way `orderings.sign_of` narrows.  Step k of the interval Horner
-    bound of g is scaled by q^k, and p and g are read at the midpoint as
-    q^deg times their values, so every test is an integer sign.  No chain
-    is read, so the oracle shares no Sturm or Tarski work with either count
-    it checks.
+    midpoint, one Horner value, and keeps the half where p changes sign
+    (`_halve`, the step `orderings.sign_of` narrows by).  Step k of the
+    interval Horner bound of g is scaled by q^k, and p is read at the
+    midpoint as q^deg times its value, so every test is an integer sign.
+    A midpoint that is the root leaves a point interval, where the bound of
+    g is its exact sign.  No chain is read, so the oracle shares no Sturm
+    or Tarski work with either count it checks.
     """
     lo, hi, q = root
     lo_negative = _scaled_value(ps, lo, q) < 0
@@ -142,17 +144,9 @@ def _oracle_sign_at_root(gs, ps, root):
         raise AssertionError("p does not change sign across the interval")
     while True:
         s = _interval_sign(gs, lo, hi, q)
-        if s:
+        if s or lo == hi:
             return s
-        mid, lo, hi, q = lo + hi, 2 * lo, 2 * hi, 2 * q
-        value = _scaled_value(ps, mid, q)
-        if not value:
-            v = _scaled_value(gs, mid, q)
-            return (v > 0) - (v < 0)
-        if (value < 0) == lo_negative:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi, q = _halve(ps, lo, hi, q, lo_negative)
 
 
 def criterion_sturm_oracle(rng, instances: int = 1000) -> CriterionResult:

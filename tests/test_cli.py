@@ -312,9 +312,9 @@ def test_negative_bound_exit_2(tmp_path, capsys):
 
 
 def test_exponent_coefficient_exits_2_at_once(tmp_path, capsys):
-    # Fraction reads "1e400" as 10^400, and screening x^2 + 10^400 for
-    # rational roots by trial division never ends; the wire grammar has no
-    # exponent, so the config is rejected as it is read
+    # Fraction reads "1e400" as 10^400, and "1e1000000000" as an integer of
+    # a billion digits; the wire grammar has no exponent, so the config is
+    # rejected as it is read, before any such integer is built
     def give_up(signum, frame):
         raise TimeoutError("the config was not rejected within 5 s")
 

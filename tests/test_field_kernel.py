@@ -6,8 +6,8 @@ holds coordinates as fractions, multiplies by schoolbook convolution and
 reduces by the monic minimal polynomial directly; zero divisors are read
 off sympy's polynomial gcd.  The fields run over degrees 1 to 4 and include
 a non-integral monic minimal polynomial and the reducible x^4 - 5x^2 + 6.
-The integer rational-root screen of `NumberField` is checked against
-sympy's factorization over Q.
+The rational-root screen of `NumberField`, read off its isolating
+intervals, is checked against sympy's factorization over Q.
 """
 
 import math
@@ -19,8 +19,13 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hermsig.errors import FieldMismatch, NotInvertible, ReducibleMinPoly  # noqa: E402
-from hermsig.orderings import NumberField, _rational_root_screen  # noqa: E402
+from hermsig.errors import (  # noqa: E402
+    FieldMismatch,
+    NotInvertible,
+    NotSquarefree,
+    ReducibleMinPoly,
+)
+from hermsig.orderings import NumberField  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -205,12 +210,18 @@ def test_equal_distinct_fields_combine(case):
 )
 def test_rational_root_screen_matches_sympy(low, lead):
     ints = tuple(low) + (lead,)
-    linear = [
-        g for g, _ in sympy.Poly(list(reversed(ints)), X).factor_list()[1] if g.degree() == 1
+    poly = sympy.Poly(list(reversed(ints)), X)
+    roots = [
+        -sympy.Rational(g.nth(0), g.nth(1)) for g, _ in poly.factor_list()[1] if g.degree() == 1
     ]
-    try:
-        _rational_root_screen(ints)
-    except ReducibleMinPoly:
-        assert linear
+    if sympy.gcd(poly, poly.diff(X)).degree() > 0:
+        with pytest.raises(NotSquarefree):
+            NumberField(ints)
+    elif roots:
+        # the screen names the least |a|, then the least b, then a > 0
+        r = min(roots, key=lambda r: (abs(r.p), r.q, r.p < 0))
+        message = "zero is a root" if r == 0 else f"rational root {r.p}/{r.q}"
+        with pytest.raises(ReducibleMinPoly, match=f"^{message}$"):
+            NumberField(ints)
     else:
-        assert not linear
+        NumberField(ints)

@@ -1,4 +1,6 @@
+import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,33 @@ def test_field_construction_screens():
 def test_rational_root_screen_names_the_root(min_poly, root):
     with pytest.raises(ReducibleMinPoly, match=f"^rational root {root}$"):
         NumberField(min_poly)
+
+
+def test_large_constants_are_screened_at_once():
+    # the screen reads rational roots off the isolating intervals; trial
+    # division by the divisors of 10^18 + 3 would take minutes here
+    def give_up(signum, frame):
+        raise TimeoutError("the fields were not built within 5 s")
+
+    c = 10**18 + 3
+    big = 3 * 10**399 + 1  # 400 digits, not a square
+    assert math.isqrt(big) ** 2 != big
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        F = NumberField([-c, 0, 1])
+        assert [sign_of(F.generator(), P) for P in list_orderings(F)] == [-1, 1]
+        for min_poly in ([-big, 0, 1], [-big, 0, 0, 0, 1]):
+            G = NumberField(min_poly)
+            assert [sign_of(G.generator(), P) for P in list_orderings(G)] == [-1, 1]
+        # (x - c)(x + 1) and (2x - c)(x^2 + 1)
+        with pytest.raises(ReducibleMinPoly, match="^rational root -1/1$"):
+            NumberField([-c, 1 - c, 1])
+        with pytest.raises(ReducibleMinPoly, match=f"^rational root {c}/2$"):
+            NumberField([-c, 2, -c, 2])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_list_orderings():
